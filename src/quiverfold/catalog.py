@@ -2,12 +2,27 @@
 dimension vector.
 
 Every representation is packed into a single integer state: the matrix
-entries in arrow order, row-major, first entry most significant.  The
-base-change group at each vertex is generated by a scalar scaling, one
+entries in arrow order, row-major, first entry most significant, so arrow
+block k of r*c entries at entry offset ``off`` holds the value
+``(s // Q) % B`` with ``B = q**(r*c)`` and ``Q = q**(n_entries - off - r*c)``.
+The base-change group at each vertex is generated by a scalar scaling, one
 transvection, and a cycle permutation, which together generate the full
-general linear group; orbits of the simultaneous action are the connected
-components of the generator-move graph over all states, and the canonical
-representative of a class is its least state.
+general linear group; the canonical representative of a class is its least
+state.
+
+A generator move at vertex v acts on each arrow block incident to v on its
+own, so it is stored as one delta table per such block, built once by
+running the move on the B block values: the move sends s to
+``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or encode of the state.
+Orbits are labelled in one breadth-first sweep: from the least unlabelled
+state, frontier batches are pushed through every move and the neighbours
+not yet labelled are claimed.  A move is a bijection, so one move maps a
+frontier of distinct states to distinct states, and the label check is the
+only deduplication needed; forward moves suffice because every generator
+has finite order.  Classes come out in order of their least state, which
+gives the class ids and the ascending representatives directly.  Labels are
+held in the narrowest unsigned dtype that fits the class count (uint8 up to
+255 classes), widened during the sweep as classes appear.
 
 Indecomposability flags for a whole catalog come from a direct-sum sieve:
 a class is decomposable exactly when it contains indec(beta) + class(d-beta)
@@ -19,19 +34,23 @@ available as an independent route and is cross-checked in the tests.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
-from .errors import BudgetExceeded
+from .errors import (
+    BudgetExceeded,
+    OrbitPartitionBroken,
+    SpaceMismatch,
+    TwistPeriodBroken,
+)
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, act_on_dimension_vector
+from .quiver import Automorphism, Quiver
 from .reps import Representation, direct_sum, twist_auto, twist_frobenius
 
-_CHUNK = 1 << 18
-_SCIPY_EDGE_BUDGET = 1 << 26
+_CHUNK = 1 << 18  # block values per batch while a move table is built
+_BATCH = 1 << 20  # frontier states pushed through the moves at once
+_SCAN = 1 << 16  # labels inspected per step of the least-unlabelled search
 
 
 class _Move:
@@ -77,6 +96,59 @@ class _Move:
         return out
 
 
+def _digits(values: np.ndarray, width: int, q: int, dtype) -> np.ndarray:
+    """Base-q digits of each value, most significant first."""
+    s = values.astype(np.int64)
+    out = np.empty((len(s), width), dtype=dtype)
+    for k in range(width - 1, -1, -1):
+        out[:, k] = s % q
+        s //= q
+    return out
+
+
+def _undigits(digits: np.ndarray, q: int) -> np.ndarray:
+    s = np.zeros(len(digits), dtype=np.int64)
+    for k in range(digits.shape[1]):
+        s = s * q + digits[:, k].astype(np.int64)
+    return s
+
+
+class _MoveTable:
+    """A move as per-block delta tables: s -> s + sum_k D_k[block_k(s)].
+
+    A block's value is ``(s // div) % mod``; when q is a power of two, div and
+    mod are stored as a shift and a mask instead."""
+
+    def __init__(self, space: StateSpace, move: _Move):
+        q = space.field.q
+        self.shift = q & (q - 1) == 0
+        bits = q.bit_length() - 1
+        self.blocks = []
+        sides = [(b, True) for b in move.in_blocks] + [(b, False) for b in move.out_blocks]
+        for (off, rows, cols), inward in sides:
+            width = rows * cols
+            local = [(0, rows, cols)]
+            ins, outs = (local, []) if inward else ([], local)
+            one = _Move(move.field, move.kind, ins, outs, move.g)
+            low = space.n_entries - off - width  # entries below the block
+            n_vals = q**width
+            delta = np.empty(n_vals, dtype=space.state_dtype)
+            for start in range(0, n_vals, _CHUNK):
+                vals = np.arange(start, min(start + _CHUNK, n_vals), dtype=np.int64)
+                new = _undigits(one.apply(_digits(vals, width, q, space.dtype)), q)
+                delta[start : start + len(vals)] = (new - vals) * q**low
+            if self.shift:
+                self.blocks.append((bits * low, n_vals - 1, delta))
+            else:
+                self.blocks.append((q**low, n_vals, delta))
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        out = states.copy()
+        for div, mod, delta in self.blocks:
+            out += delta[(states >> div) & mod if self.shift else (states // div) % mod]
+        return out
+
+
 class StateSpace:
     """Integer coding of all representations of one dimension vector."""
 
@@ -97,22 +169,14 @@ class StateSpace:
         self.n_entries = off
         self.size = field.q**off
         self.dtype = np.uint8 if field.q <= 256 else np.uint16
+        # every partial sum of a move's block deltas is itself a state
+        self.state_dtype = np.int32 if self.size <= 2**31 else np.int64
 
     def decode_batch(self, states: np.ndarray) -> np.ndarray:
-        q = self.field.q
-        s = states.astype(np.int64).copy()
-        ents = np.empty((len(s), self.n_entries), dtype=self.dtype)
-        for k in range(self.n_entries - 1, -1, -1):
-            ents[:, k] = s % q
-            s //= q
-        return ents
+        return _digits(states, self.n_entries, self.field.q, self.dtype)
 
     def encode_batch(self, ents: np.ndarray) -> np.ndarray:
-        q = self.field.q
-        s = np.zeros(len(ents), dtype=np.int64)
-        for k in range(self.n_entries):
-            s = s * q + ents[:, k].astype(np.int64)
-        return s
+        return _undigits(ents, self.field.q)
 
     def decode(self, state: int) -> Representation:
         q = self.field.q
@@ -133,7 +197,12 @@ class StateSpace:
         return Representation(self.quiver, self.field, self.dims, tuple(mats))
 
     def encode_rep(self, rep: Representation) -> int:
-        assert rep.quiver == self.quiver and rep.dims == self.dims
+        same = rep.quiver == self.quiver and rep.dims == self.dims
+        if not same or rep.field.q != self.field.q:
+            raise SpaceMismatch(
+                f"representation of dims {rep.dims} over GF({rep.field.q}) does not "
+                f"belong to the state space of dims {self.dims} over GF({self.field.q})"
+            )
         s = 0
         q = self.field.q
         for m in rep.matrices:
@@ -172,57 +241,60 @@ class StateSpace:
         return out
 
     def move_permutation(self, move: _Move) -> np.ndarray:
-        perm = np.empty(self.size, dtype=np.int64)
-        for start in range(0, self.size, _CHUNK):
-            stop = min(start + _CHUNK, self.size)
-            states = np.arange(start, stop, dtype=np.int64)
-            perm[start:stop] = self.encode_batch(move.apply(self.decode_batch(states)))
+        """perm[s] is the state the move sends s to."""
+        table = _MoveTable(self, move)
+        perm = np.empty(self.size, dtype=self.state_dtype)
+        for start in range(0, self.size, _BATCH):
+            stop = min(start + _BATCH, self.size)
+            perm[start:stop] = table(np.arange(start, stop, dtype=self.state_dtype))
         return perm
 
 
-def _labels_scipy(space: StateSpace, moves: list[_Move]) -> np.ndarray:
-    s = space.size
-    rows = []
-    cols = []
-    for mv in moves:
-        perm = space.move_permutation(mv)
-        rows.append(np.arange(s, dtype=np.int64))
-        cols.append(perm)
-    graph = sparse.coo_matrix(
-        (
-            np.ones(s * len(moves), dtype=bool),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(s, s),
-    )
-    _, labels = csgraph.connected_components(graph, directed=False)
-    return labels.astype(np.int64)
+def _orbit_labels(
+    space: StateSpace, tables: list[_MoveTable]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class id of every state, and the least state and size of every class,
+    by one breadth-first sweep per class from its least state.
 
-
-def _labels_minprop(space: StateSpace, moves: list[_Move]) -> np.ndarray:
-    """Memory-lean fallback: iterated min-label propagation along the
-    generator moves until stable."""
-    s = space.size
-    labels = np.arange(s, dtype=np.int64)
+    During the sweep a label is the class id plus one, with 0 for a state not
+    reached yet, in the narrowest unsigned dtype that holds it."""
+    n = space.size
+    labels = np.zeros(n, dtype=np.uint8)
+    reps: list[int] = []
+    sizes: list[int] = []
+    pos = 0
     while True:
-        changed = False
-        for mv in moves:
-            perm = space.move_permutation(mv)
-            before = labels.copy()
-            pulled = np.minimum(labels, labels[perm])
-            np.minimum.at(labels, perm, pulled)
-            np.minimum(labels, pulled, out=labels)
-            if not np.array_equal(before, labels):
-                changed = True
-            del perm
-        while True:
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
+        while pos < n:
+            unseen = labels[pos : pos + _SCAN] == 0
+            first = int(unseen.argmax())
+            if unseen[first]:
+                pos += first
                 break
-            labels = nxt
-            changed = True
-        if not changed:
-            return labels
+            pos += len(unseen)
+        if pos >= n:
+            break
+        mark = len(reps) + 1
+        if mark > np.iinfo(labels.dtype).max:
+            labels = labels.astype(np.min_scalar_type(mark))
+        reps.append(pos)
+        labels[pos] = mark
+        size = 1
+        frontier = np.array([pos], dtype=space.state_dtype)
+        while len(frontier):
+            found = []
+            for start in range(0, len(frontier), _BATCH):
+                batch = frontier[start : start + _BATCH]
+                for table in tables:
+                    nb = table(batch)
+                    nb = nb[labels[nb] == 0]
+                    labels[nb] = mark
+                    found.append(nb)
+            frontier = np.concatenate(found)
+            size += len(frontier)
+        sizes.append(size)
+    labels -= 1
+    labels = labels.astype(np.min_scalar_type(len(reps) - 1), copy=False)
+    return labels, np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
 
 class IsoClassCatalog:
@@ -309,27 +381,19 @@ def isoclasses(
             predicted=space.size,
         )
     moves = space.moves()
-    if space.size == 1 or not moves:
-        labels = np.arange(space.size, dtype=np.int64)
-    elif space.size * len(moves) <= _SCIPY_EDGE_BUDGET:
-        labels = _labels_scipy(space, moves)
-    else:
-        labels = _labels_minprop(space, moves)
-    # the fallback labels components by their least state, not by compact
-    # ids; renumber so downstream code can treat labels as 0..k-1
-    _, labels = np.unique(labels, return_inverse=True)
+    if moves:
+        tables = [_MoveTable(space, mv) for mv in moves]
+        labels, class_reps, sizes = _orbit_labels(space, tables)
+    else:  # no generator acts, so every state is its own class
+        class_reps = np.arange(space.size, dtype=np.int64)
+        labels = class_reps.astype(np.min_scalar_type(space.size - 1))
+        sizes = np.ones(space.size, dtype=np.int64)
+    if int(sizes.sum()) != space.size:
+        raise OrbitPartitionBroken(
+            f"orbit sizes sum to {int(sizes.sum())}, not to the {space.size} states"
+        )
 
-    ncomp = int(labels.max()) + 1 if space.size else 0
-    reps = np.full(ncomp, space.size, dtype=np.int64)
-    np.minimum.at(reps, labels, np.arange(space.size, dtype=np.int64))
-    order = np.argsort(reps, kind="stable")
-    rank = np.empty(ncomp, dtype=np.int64)
-    rank[order] = np.arange(ncomp, dtype=np.int64)
-    class_ids = rank[labels]
-    sizes = np.bincount(class_ids, minlength=ncomp)
-    assert int(sizes.sum()) == space.size, "orbits must partition the state space"
-
-    cat = IsoClassCatalog(space, np.sort(reps), class_ids, sizes)
+    cat = IsoClassCatalog(space, class_reps, labels, sizes)
     _STORE[key] = cat
     return cat
 
@@ -380,9 +444,12 @@ def frobenius_period(cat: IsoClassCatalog, ci: int) -> int:
     for s in range(1, cat.field.m + 1):
         cur = twist_frobenius(cur, 1)
         if cat.class_of(cur) == ci:
-            assert cat.field.m % s == 0
+            if cat.field.m % s:
+                raise TwistPeriodBroken(
+                    f"Frobenius period {s} does not divide the field degree {cat.field.m}"
+                )
             return s
-    raise AssertionError("Frobenius twist orbit did not close within the field degree")
+    raise TwistPeriodBroken("Frobenius twist orbit did not close within the field degree")
 
 
 def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
@@ -391,7 +458,8 @@ def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
     The class may wander through catalogs at permuted dimension vectors
     before returning; the period always divides the automorphism order.
     """
-    assert a.quiver == cat.quiver
+    if a.quiver != cat.quiver:
+        raise SpaceMismatch("the automorphism acts on another quiver than the catalog's")
     rep = cat.representative(ci)
     dd = cat.dims
     cur = rep
@@ -400,9 +468,12 @@ def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
         if cur.dims == dd:
             here = isoclasses(cat.quiver, dd, cat.field, state_cap=cat.space.size + 1)
             if here.class_of(cur) == ci:
-                assert a.order % r == 0
+                if a.order % r:
+                    raise TwistPeriodBroken(
+                        f"twist period {r} does not divide the automorphism order {a.order}"
+                    )
                 return r
-    raise AssertionError("twist orbit did not close within the automorphism order")
+    raise TwistPeriodBroken("twist orbit did not close within the automorphism order")
 
 
 def twist_annotations(

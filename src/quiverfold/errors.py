@@ -74,6 +74,23 @@ class BudgetExceeded(QuiverFoldError):
         self.predicted = predicted
 
 
+# catalogs
+
+class SpaceMismatch(QuiverFoldError):
+    """A representation or automorphism does not belong to the quiver,
+    dimension vector or field of the catalog it is used with."""
+
+
+class OrbitPartitionBroken(QuiverFoldError):
+    """The orbit labelling does not partition the state space: the class
+    sizes do not sum to the state count."""
+
+
+class TwistPeriodBroken(QuiverFoldError):
+    """A twist orbit did not close within, or its length does not divide,
+    the order of the twist that generates it."""
+
+
 # finite fields
 
 class NotPrime(QuiverFoldError):

@@ -5,6 +5,9 @@ independently by tools/oracle_isoclasses.py (breadth-first closure over
 explicit GL generators, idempotent search for indecomposability).
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from quiverfold.catalog import (
     isoclasses,
     twist_annotations,
 )
-from quiverfold.errors import BudgetExceeded
+from quiverfold.errors import BudgetExceeded, SpaceMismatch
 
 
 def test_a2_f2_small(a2, F2):
@@ -112,30 +115,99 @@ def test_store_memoizes(a2, F2):
     assert isoclasses(a2, (1, 1), F2) is not c1
 
 
-def test_minprop_fallback_matches_scipy(a3, F3, F4):
-    """Force the min-label fallback and compare whole catalogs."""
-    cases = [((2, 1, 2), F4), ((2, 2, 1), F4), ((2, 2, 2), F3), ((1, 2, 1), F4)]
-    for dims, fld in cases:
-        clear_catalog_store()
-        ref = isoclasses(a3, dims, fld)
-        snapshot = (
-            ref.class_reps.copy(),
-            ref.sizes.copy(),
-            ref.indec_flags.copy(),
-            ref.labels.copy(),
-        )
-        clear_catalog_store()
-        old = cat_mod._SCIPY_EDGE_BUDGET
-        cat_mod._SCIPY_EDGE_BUDGET = 1
-        try:
-            alt = isoclasses(a3, dims, fld)
-            assert np.array_equal(alt.class_reps, snapshot[0])
-            assert np.array_equal(alt.sizes, snapshot[1])
-            assert np.array_equal(alt.indec_flags, snapshot[2])
-            assert np.array_equal(alt.labels, snapshot[3])
-        finally:
-            cat_mod._SCIPY_EDGE_BUDGET = old
-            clear_catalog_store()
+def _load_oracle():
+    path = Path(__file__).resolve().parent.parent / "tools" / "oracle_isoclasses.py"
+    spec = importlib.util.spec_from_file_location("oracle_isoclasses", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize(
+    "name, dims, p",
+    [("a3", (2, 2, 2), 3), ("star", (1, 1, 1, 1, 2), 2), ("star", (1, 1, 1, 1, 2), 3)],
+    ids=["a3-222-gf3", "star-delta-gf2", "star-delta-gf3"],
+)
+def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
+    """The whole partition agrees with the oracle's breadth-first closure
+    over explicit GL generators, which shares no code with the package."""
+    oracle = _load_oracle()
+    quiver = {"a3": a3, "star": dtilde4[0]}[name]
+    fld = qf.make_field(p)
+    cat = isoclasses(quiver, dims, fld)
+    vertices = list(quiver.vertices)
+    arrows = [(arr.id, arr.source, arr.target) for arr in quiver.arrows]
+    dim_of = dict(zip(vertices, dims))
+    rep_of, classes = oracle.orbit_partition(p, vertices, arrows, dim_of)
+
+    def code(state):
+        s = 0
+        for x in (x for mat in state for row in mat for x in row):
+            s = s * p + x
+        return s
+
+    assert cat.class_reps.tolist() == [code(rep) for rep, _ in classes]
+    assert cat.sizes.tolist() == [members for _, members in classes]
+    rep_state = cat.class_reps[cat.labels]
+    assert len(rep_of) == cat.space.size
+    for state, rep in rep_of.items():
+        assert rep_state[code(state)] == code(rep)
+
+
+@pytest.mark.parametrize(
+    "arrows, dims, q",
+    [
+        ([("a", "1", "2"), ("b", "3", "2")], (2, 1, 2), (2, 2)),
+        ([("a", "1", "2"), ("b", "2", "3")], (1, 2, 2), (2, 2)),
+        ([("a", "1", "2"), ("b", "2", "3")], (1, 2, 1), (3, 2)),
+        ([("a", "1", "2"), ("b", "3", "2")], (1, 2, 1), (3, 2)),
+    ],
+    ids=["a3-212-gf4", "line-122-gf4", "line-121-gf9", "a3-121-gf9"],
+)
+def test_move_tables_match_decode_apply_encode(arrows, dims, q):
+    """Each move's table-built permutation equals the reference route
+    decode -> _Move.apply -> encode, and is a bijection of the states."""
+    quiver = qf.validate_quiver(["1", "2", "3"], arrows)
+    space = cat_mod.StateSpace(quiver, qf.make_field(*q), dims)
+    states = np.arange(space.size, dtype=np.int64)
+    moves = space.moves()
+    assert {mv.kind for mv in moves} == {"scale", "transvect", "cycle"}
+    for mv in moves:
+        perm = space.move_permutation(mv)
+        ref = space.encode_batch(mv.apply(space.decode_batch(states)))
+        assert np.array_equal(perm, ref), mv.kind
+        assert np.array_equal(np.sort(perm), states), mv.kind
+
+
+def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
+    cat = isoclasses(counterexample[0], (1, 1, 1, 1, 1), F5)
+    assert cat.n_classes == 106 and cat.labels.dtype == np.uint8
+    # nine parallel arrows at dims (1, 1) over GF(2): no move acts, so every
+    # one of the 512 states is its own class
+    many = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(9)])
+    cat = isoclasses(many, (1, 1), F2)
+    assert cat.n_classes == 512 and cat.labels.dtype == np.uint16
+    assert cat.class_reps.tolist() == list(range(512))
+    assert cat.sizes.tolist() == [1] * 512
+    # six parallel arrows at dims (1, 1) over GF(3): the scalings pair each
+    # nonzero state with its negative, so the sweep outgrows uint8 labels
+    six = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(6)])
+    cat = isoclasses(six, (1, 1), F3)
+    assert cat.n_classes == 1 + (3**6 - 1) // 2 and cat.labels.dtype == np.uint16
+    assert cat.sizes.tolist() == [1] + [2] * (cat.n_classes - 1)
+    assert cat.class_reps.tolist() == sorted(cat.class_reps.tolist())
+    assert np.array_equal(cat.labels[cat.class_reps], np.arange(cat.n_classes))
+
+
+def test_class_of_foreign_representation(a3, F2, F3):
+    cat = isoclasses(a3, (1, 1, 1), F2)
+    with pytest.raises(SpaceMismatch):
+        cat.class_of(qf.make_representation(a3, F2, (1, 2, 1)))
+    with pytest.raises(SpaceMismatch):
+        cat.class_of(qf.make_representation(a3, F3, (1, 1, 1)))
+    other = qf.validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    with pytest.raises(SpaceMismatch):
+        cat.class_of(qf.make_representation(other, F2, (1, 1, 1)))
 
 
 def test_frobenius_period_rank_invariant(a2, F4):
