@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a theorem check ran and failed (witnesses
-are printed), 2 on usage, validation, or budget errors.  JSON output is
-deterministic for identical inputs and seeds.
+are printed), 2 on usage, validation or budget errors and on a failed
+internal cross-check.  JSON output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cartan import f_inverse, fold
 from .catalog import indecomposable_classes, isoclasses
-from .errors import QuiverFoldError
+from .errors import CrossCheckFailed, QuiverFoldError
 from .fixtures import build_a3_flip, build_counterexample, build_dtilde4
 from .gf import field_from_spec
 from .quiver import Automorphism, Quiver
@@ -55,7 +55,6 @@ class RunConfig:
     as_json: bool = False
     cap_states: int = 2**24
     cap_end: int | None = None
-    seed: int | None = None
     which: str | None = None
     name: str | None = None
 
@@ -110,9 +109,6 @@ FIXTURES = {
 
 def _emit(cfg: RunConfig, doc: dict, text_lines: list[str]) -> None:
     if cfg.as_json:
-        if cfg.seed is not None:
-            doc = dict(doc)
-            doc["seed"] = cfg.seed
         sys.stdout.write(json_dumps(doc))
     else:
         for line in text_lines:
@@ -206,9 +202,8 @@ def _cmd_indecs(cfg: RunConfig) -> int:
     reps = indecomposable_classes(q, cfg.dims, fld, state_cap=cfg.cap_states)
     if cfg.cap_end is not None:
         for rep in reps:
-            assert is_indecomposable(rep, end_cap=cfg.cap_end), (
-                "sieve and endomorphism search disagree"
-            )
+            if not is_indecomposable(rep, end_cap=cfg.cap_end):
+                raise CrossCheckFailed("sieve and endomorphism search disagree")
     doc = {
         "catalog": catalog_to_dict(cat),
         "indecomposables": [rep_to_dict(r) for r in reps],
@@ -343,7 +338,6 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True) -> None:
         help="when set, cross-check indecomposability flags by endomorphism "
         "search up to this ring size",
     )
-    p.add_argument("--seed", type=int, default=None, help="recorded in JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         as_json=getattr(ns, "json", False),
         cap_states=getattr(ns, "cap_states", 2**24),
         cap_end=getattr(ns, "cap_end", None),
-        seed=getattr(ns, "seed", None),
         which=getattr(ns, "which", None),
         name=getattr(ns, "name", None),
     )

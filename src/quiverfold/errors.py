@@ -40,7 +40,8 @@ class NotAdmissible(QuiverFoldError):
 # lattices and folding
 
 class LatticeMismatch(QuiverFoldError):
-    """A vector's length does not match the lattice it is used in."""
+    """A vector's length does not match the lattice it is used in, or a
+    matrix's columns do not match the rows it is multiplied with."""
 
 
 class NotFixed(QuiverFoldError):
@@ -91,10 +92,17 @@ class TwistPeriodBroken(QuiverFoldError):
     the order of the twist that generates it."""
 
 
+# cross-checks
+
+class CrossCheckFailed(QuiverFoldError):
+    """Two routes to the same answer disagree, e.g. the indecomposability
+    sieve and the endomorphism search, or a search and its closed form."""
+
+
 # finite fields
 
 class NotPrime(QuiverFoldError):
-    """The requested field characteristic is not prime."""
+    """The requested field size is not a prime power."""
 
 
 class DegreeTooLarge(QuiverFoldError):
@@ -111,20 +119,12 @@ class FieldMismatch(QuiverFoldError):
     """Two representations live over different fields (or quivers)."""
 
 
-class EndRingTooLarge(QuiverFoldError):
+class EndRingTooLarge(BudgetExceeded):
     """The endomorphism ring is too large to search exhaustively."""
 
-    def __init__(self, message: str, predicted: int | None = None):
-        super().__init__(message)
-        self.predicted = predicted
 
-
-class HomSpaceTooLarge(QuiverFoldError):
+class HomSpaceTooLarge(BudgetExceeded):
     """The homomorphism space is too large to search exhaustively."""
-
-    def __init__(self, message: str, predicted: int | None = None):
-        super().__init__(message)
-        self.predicted = predicted
 
 
 class NotSink(QuiverFoldError):

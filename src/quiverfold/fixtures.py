@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import BadParameter, UnknownVertex
+from .errors import BadParameter, CrossCheckFailed, UnknownVertex
 from .gf import FiniteField
 from .quiver import Automorphism, Quiver, validate_automorphism, validate_quiver
 from .reps import Representation, is_isomorphic, make_representation, twist_auto
@@ -148,22 +148,24 @@ def tube_parameter_action(a: Automorphism, fld: FiniteField) -> dict[int, int]:
         twisted = twist_auto(a, tube_rep(lam, fld))
         matches = [mu for mu in params if is_isomorphic(twisted, tube_rep(mu, fld))]
         if len(matches) != 1:
-            raise AssertionError(
+            raise CrossCheckFailed(
                 f"twisted tube at {lam} matched parameters {matches}, expected one"
             )
         out[lam] = matches[0]
     if a == four:
         for lam, mu in out.items():
-            assert mu == _mobius_four(fld, lam), (
-                f"four-cycle tube action at {lam} gave {mu}, "
-                f"formula gives {_mobius_four(fld, lam)}"
-            )
+            if mu != _mobius_four(fld, lam):
+                raise CrossCheckFailed(
+                    f"four-cycle tube action at {lam} gave {mu}, "
+                    f"formula gives {_mobius_four(fld, lam)}"
+                )
     elif a == three:
         for lam, mu in out.items():
-            assert mu == _mobius_three(fld, lam), (
-                f"three-cycle tube action at {lam} gave {mu}, "
-                f"formula gives {_mobius_three(fld, lam)}"
-            )
+            if mu != _mobius_three(fld, lam):
+                raise CrossCheckFailed(
+                    f"three-cycle tube action at {lam} gave {mu}, "
+                    f"formula gives {_mobius_three(fld, lam)}"
+                )
     return out
 
 
@@ -183,9 +185,10 @@ def _calibrate(fld: FiniteField) -> None:
         for i, name in enumerate(names):
             twisted = twist_auto(a, rep(name))
             nxt = rep(names[(i + 1) % len(names)])
-            assert twisted.dims == nxt.dims and is_isomorphic(twisted, nxt), (
-                f"twist of {name} is not {names[(i + 1) % len(names)]}"
-            )
+            if twisted.dims != nxt.dims or not is_isomorphic(twisted, nxt):
+                raise CrossCheckFailed(
+                    f"twist of {name} is not {names[(i + 1) % len(names)]}"
+                )
 
     check_cycle(four, ["E0", "E0'", "E1", "E1'"])
     check_cycle(four, ["E0''", "E1''"])
@@ -198,4 +201,5 @@ def _calibrate(fld: FiniteField) -> None:
         summed = tuple(
             x + y for x, y in zip(rep(left).dims, rep(right).dims)
         )
-        assert summed == delta, f"{left} + {right} does not sum to the null root"
+        if summed != delta:
+            raise CrossCheckFailed(f"{left} + {right} does not sum to the null root")

@@ -18,21 +18,56 @@ from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
-import sympy
 
 from .errors import BudgetExceeded, DegreeTooLarge, NotPrime, NotSubfield
 
 _DEGREE_CAP = 12
 _TABLE_CAP = 1024
+_TRIAL_LIMIT = 2**16  # trial division proves primality only below its square
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division; refuses
+    a cofactor of _TRIAL_LIMIT**2 or more with no factor below _TRIAL_LIMIT."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if d == _TRIAL_LIMIT:
+            raise BudgetExceeded(f"{n} has no prime factor below 2**16", predicted=n)
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def parse_field_spec(spec: str) -> tuple[int, int]:
     """Parse "p" or "p^m" into (p, m)."""
     s = spec.strip()
-    if "^" in s:
-        ps, ms = s.split("^", 1)
-        return int(ps), int(ms)
-    return int(s), 1
+    try:
+        if "^" in s:
+            ps, ms = s.split("^", 1)
+            return int(ps), int(ms)
+        return int(s), 1
+    except ValueError:
+        raise NotPrime(f"field spec {spec!r} is not a prime power p or p^m") from None
+
+
+def prime_power(q: int | str) -> tuple[int, int]:
+    """(p, m) with p prime and q = p^m, from an integer or a "p"/"p^m" spec."""
+    if isinstance(q, str):
+        return parse_field_spec(q)
+    n = int(q)
+    primes = _prime_factors(n)
+    if len(primes) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    m = 1
+    while primes[0] ** m < n:
+        m += 1
+    return primes[0], m
 
 
 # --- polynomial helpers over F_p (ascending coefficient tuples) ---
@@ -109,7 +144,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     x = [0, 1]
     if _minus_x(_ppow_frobenius(x, m, f, p), p):
         return False
-    for ell in sympy.primefactors(m):
+    for ell in _prime_factors(m):
         g = _pgcd(_minus_x(_ppow_frobenius(x, m // ell, f, p), p), f, p)
         if len(g) - 1 >= 1:
             return False
@@ -231,7 +266,7 @@ class FiniteField:
         """The least integer-coded multiplicative generator."""
         if self.q == 2:
             return 1
-        primes = sympy.primefactors(self.q - 1)
+        primes = _prime_factors(self.q - 1)
         for g in range(1, self.q):
             if all(self.pow_(g, (self.q - 1) // ell) != 1 for ell in primes):
                 return g
@@ -280,7 +315,9 @@ class FiniteField:
 @cache
 def make_field(p: int, m: int = 1) -> FiniteField:
     """The canonical GF(p^m).  Cached, so repeated calls share tables."""
-    if p < 2 or not sympy.isprime(p):
+    if p >= _TRIAL_LIMIT**2:
+        raise BudgetExceeded(f"characteristic {p} is not below 2**32", predicted=p)
+    if p < 2 or _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     if m < 1 or m > _DEGREE_CAP:
         raise DegreeTooLarge(f"extension degree {m} outside 1..{_DEGREE_CAP}")

@@ -53,8 +53,8 @@ def mat_scale(f: FiniteField, c: int, a: Mat) -> Mat:
 
 
 def mat_mul(f: FiniteField, a: Mat, b: Mat) -> Mat:
-    if a and b:
-        assert len(a[0]) == len(b), "inner dimensions differ"
+    if a and b and len(a[0]) != len(b):
+        raise LatticeMismatch(f"{len(a[0])} columns against {len(b)} rows")
     cols = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -69,10 +69,6 @@ def mat_mul(f: FiniteField, a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def mat_eq_zero(a: Mat) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def transpose(a: Mat) -> Mat:
     if not a:
         return ()
@@ -80,7 +76,7 @@ def transpose(a: Mat) -> Mat:
 
 
 def rref(f: FiniteField, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form and pivot column indices over any exact field."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -110,8 +106,8 @@ def rref(f: FiniteField, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]]
 
 
 def nullspace(f: FiniteField, rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Deterministic basis of the right kernel (one vector per free column,
-    ascending)."""
+    """Deterministic basis of the right kernel: one vector per free column,
+    ascending, each with a 1 at its own free column."""
     red, pivots = rref(f, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -404,12 +400,6 @@ def is_isomorphic(x: Representation, y: Representation, hom_cap: int = 2**20) ->
         if all(is_invertible(f, m) for m in phi):
             return True
     return False
-
-
-def _column_space_pivots(f: FiniteField, mats: Sequence[Mat], dim: int) -> list[int]:
-    """Pivot column indices of the matrix with the given columns stacked."""
-    red, pivots = rref(f, mats)
-    return pivots
 
 
 def _image_basis(f: FiniteField, m: Mat) -> list[tuple[int, ...]]:

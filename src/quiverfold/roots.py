@@ -11,11 +11,13 @@ always the plain coordinate sum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from types import SimpleNamespace
 from typing import Iterable, Literal, Sequence
-
-import sympy
 
 from .cartan import FoldData, ValuedQuiver, Matrix, euler_form, fold, sigma, f_map, symmetric_gcm
 from .errors import (
@@ -26,6 +28,7 @@ from .errors import (
     ZeroVector,
 )
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
+from .reps import nullspace
 
 RootKind = Literal["real", "imaginary", "nonroot"]
 
@@ -377,23 +380,23 @@ def sigma_root_image(a: Automorphism, height: int, cap: int = 10**6) -> SigmaIma
 # --- radical of the form ---
 
 
+# the field operations that reps.rref and reps.nullspace call, done exactly
+_RATIONALS = SimpleNamespace(
+    inv=lambda a: 1 / Fraction(a), mul=operator.mul, sub=operator.sub, neg=operator.neg
+)
+
+
 def null_root(lat: CartanLattice) -> tuple[int, ...] | None:
     """Primitive positive generator of the radical of B, if the radical is a
     line spanned by a positive vector; None otherwise."""
-    m = sympy.Matrix(lat.b_matrix)
-    space = m.nullspace()
+    space = nullspace(_RATIONALS, lat.b_matrix, len(lat.names))
     if len(space) != 1:
         return None
     col = space[0]
-    denoms = [sympy.Rational(x).q for x in col]
-    scale = sympy.lcm(denoms)
+    scale = lcm(*(x.denominator for x in col))
     ints = [int(x * scale) for x in col]
-    g = 0
-    for x in ints:
-        g = sympy.gcd(g, x)
-    ints = [x // int(g) for x in ints]
-    if all(x <= 0 for x in ints):
-        ints = [-x for x in ints]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
     if any(x <= 0 for x in ints):
         return None
     return tuple(ints)

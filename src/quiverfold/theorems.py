@@ -21,12 +21,16 @@ from itertools import product
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-from sympy import factorint
-
 from .cartan import ValuedQuiver, f_inverse, f_map, fold, root_length
 from .catalog import StateSpace, isoclasses
-from .errors import BudgetExceeded, CharacteristicWarning, NotFixed
-from .gf import FiniteField, make_field, parse_field_spec
+from .errors import (
+    BudgetExceeded,
+    CharacteristicWarning,
+    CrossCheckFailed,
+    NotFixed,
+    TwistPeriodBroken,
+)
+from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
 from .roots import classify, folded_lattice, positive_roots_up_to, quiver_lattice, s_fold
 from .skew import unfold
@@ -185,10 +189,11 @@ class _TwistOrbitEngine:
         beta2 = self.dims_act(beta)
         cat2 = isoclasses(qr, twisted.dims, self.field, state_cap=self.state_cap)
         h2 = (beta2, qr, twisted.dims, cat2.class_of(twisted))
-        assert h2 in self.handles_at(beta2), (
-            "twisting left the computed class sets; the reduction chain is "
-            "not twist-stable"
-        )
+        if h2 not in self.handles_at(beta2):
+            raise CrossCheckFailed(
+                "twisting left the computed class sets; the reduction chain is "
+                "not twist-stable"
+            )
         return h2
 
     def orbits(self, d: Vec) -> list[list[Handle]]:
@@ -206,9 +211,13 @@ class _TwistOrbitEngine:
             while cur != h:
                 orbit.append(cur)
                 if len(orbit) > self.order_bound:
-                    raise AssertionError("twist orbit failed to close in time")
+                    raise TwistPeriodBroken("twist orbit failed to close in time")
                 cur = self.t_handle(cur)
-            assert self.order_bound % len(orbit) == 0
+            if self.order_bound % len(orbit):
+                raise TwistPeriodBroken(
+                    f"twist orbit of length {len(orbit)} does not divide "
+                    f"the twist order {self.order_bound}"
+                )
             seen.update(orbit)
             out.append(orbit)
         return out
@@ -309,23 +318,14 @@ def ii_classes(
         )
     if out:
         kind = classify(folded_lattice(fold(a)), f_map(a, dd)).kind
-        assert kind in ("real", "imaginary"), (
-            f"dims {dd} carries twist-orbit sums but folds to a non-root"
-        )
+        if kind not in ("real", "imaginary"):
+            raise CrossCheckFailed(
+                f"dims {dd} carries twist-orbit sums but folds to a non-root"
+            )
     return tuple(out)
 
 
 # --- species counting through the unfolded quiver ---
-
-
-def _prime_power(q: int | str) -> tuple[int, int]:
-    if isinstance(q, str):
-        return parse_field_spec(q)
-    fac = factorint(int(q))
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    [(p, m)] = fac.items()
-    return int(p), int(m)
 
 
 def species_count(
@@ -342,7 +342,7 @@ def species_count(
     (inverse automorphism after base-field Frobenius); descent matches the
     orbits whose dimension vectors sum to the unfolding of alpha.
     """
-    p, mbase = _prime_power(q)
+    p, mbase = prime_power(q)
     a = unfold(vq)
     t = a.order
     fld = make_field(p, mbase * t)
@@ -521,7 +521,7 @@ def verify_species_theorem(
 ) -> TheoremReport:
     """Species counts are positive exactly on the positive roots of the
     valued quiver's form, and equal to one on the real ones."""
-    p, mbase = _prime_power(q)
+    p, mbase = prime_power(q)
     lat = folded_lattice(vq)
     records = []
     witnesses = []

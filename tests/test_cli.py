@@ -48,9 +48,11 @@ def test_fold_json_deterministic(flip_doc, capsys):
     assert doc["c_matrix"] == [[2, -1], [-2, 2]]
 
 
-def test_seed_recorded_in_json(flip_doc, capsys):
-    assert cli.main(["fold", flip_doc, "--json", "--seed", "7"]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 7
+def test_seed_is_usage_error(flip_doc, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["fold", flip_doc, "--json", "--seed", "7"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_roots_on_valued_input(pair_doc, capsys):
@@ -87,6 +89,24 @@ def test_indecs_with_end_crosscheck(flip_doc, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "4 classes at dims [1, 1, 1] over 2, 1 indecomposable" in out
+
+
+def test_indecs_crosscheck_disagreement_exits_two(flip_doc, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_indecomposable", lambda *a, **k: False)
+    code = cli.main(
+        ["indecs", flip_doc, "--field", "2", "--dim", "1,1,1", "--cap-end", "4096"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: sieve and endomorphism search disagree" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["x", "2^", "^2", "2^x"])
+def test_malformed_field_exits_two(flip_doc, capsys, spec):
+    code = cli.main(["indecs", flip_doc, "--field", spec, "--dim", "1,1,1"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_ii_indecs_text(tmp_path, capsys):
@@ -201,14 +221,26 @@ def test_console_script_runs(tmp_path):
         "sys.argv = ['quiverfold', 'fixtures', 'a3-flip']\n"
         "sys.exit(main())\n"
     )
+    res = _run_child(wrapper, tmp_path)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["vertices"] == ["1", "2", "3"]
+
+
+def test_import_leaves_out_sympy(tmp_path):
+    """Every cold CLI call imports the package; sympy is a test oracle only."""
+    res = _run_child("import sys, quiverfold; print('sympy' in sys.modules)", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def _run_child(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports quiverfold from the same
+    place this process did."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(qf.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
-    res = subprocess.run(
-        [sys.executable, "-c", wrapper],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd
     )
-    assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout)
-    assert doc["vertices"] == ["1", "2", "3"]

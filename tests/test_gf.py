@@ -5,10 +5,13 @@ tools/oracle_fields.py (trial-division irreducibility, hand polynomial
 products).
 """
 
+import time
+
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import DegreeTooLarge, NotPrime, NotSubfield
+from quiverfold.errors import BudgetExceeded, DegreeTooLarge, NotPrime, NotSubfield
+from quiverfold.gf import _prime_factors, prime_power
 
 
 def test_prime_field():
@@ -60,6 +63,44 @@ def test_field_validation():
         qf.make_field(1)
     with pytest.raises(DegreeTooLarge):
         qf.make_field(2, 99)
+    for spec in ("x", "2^", "^3", "2^3^1", ""):
+        with pytest.raises(NotPrime):
+            qf.parse_field_spec(spec)
+
+
+def test_prime_factors_match_sympy():
+    from sympy import primefactors
+
+    for n in range(1, 10**4):
+        assert _prime_factors(n) == primefactors(n), n
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(4) == (2, 2)
+    assert prime_power(7**12) == (7, 12)
+    assert prime_power(65521) == (65521, 1)
+    assert prime_power("3^2") == (3, 2)
+    for q in (-4, 0, 1, 6, 12, 2**5 * 3):
+        with pytest.raises(NotPrime):
+            prime_power(q)
+
+
+def test_huge_characteristic_refused_at_once():
+    big = 2**61 - 1
+    calls = [
+        (lambda: qf.make_field(big), big),
+        (lambda: qf.make_field(2**32), 2**32),
+        (lambda: qf.field_from_spec(str(big)), big),
+        # an integer field size whose prime is past trial division
+        (lambda: prime_power(big), big),
+    ]
+    for call, predicted in calls:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as ei:
+            call()
+        assert time.perf_counter() - start < 0.25
+        assert ei.value.predicted == predicted
 
 
 def test_frobenius():

@@ -3,7 +3,14 @@
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import FieldMismatch, NotSink, NotSource
+from quiverfold.errors import (
+    BudgetExceeded,
+    EndRingTooLarge,
+    FieldMismatch,
+    LatticeMismatch,
+    NotSink,
+    NotSource,
+)
 
 
 def P(a2, F2):
@@ -59,6 +66,14 @@ def test_end_ring_and_indec(a2, F2):
     zero = qf.zero_representation(a2, F2)
     assert not qf.is_indecomposable(zero)
     assert qf.decompose(zero) == ()
+
+
+def test_end_ring_cap_is_a_budget(a2, F2):
+    two = qf.direct_sum(P(a2, F2), P(a2, F2))
+    with pytest.raises(BudgetExceeded) as ei:
+        qf.is_indecomposable(two, end_cap=1)
+    assert isinstance(ei.value, EndRingTooLarge)
+    assert ei.value.predicted == 2**4
 
 
 def test_direct_sum_and_decompose(a2, F2):
@@ -151,6 +166,8 @@ def test_matrix_helpers(F5):
     a = ((1, 2), (3, 4))
     b = ((0, 1), (1, 0))
     assert mat_mul(F5, a, b) == ((2, 1), (4, 3))
+    with pytest.raises(LatticeMismatch):
+        mat_mul(F5, a, ((1,),))
     assert mat_add(F5, a, a) == ((2, 4), (1, 3))
     assert rank(F5, a) == 2
     assert is_invertible(F5, a)

@@ -106,6 +106,72 @@ def test_null_root(dtilde4):
     assert qf.null_root(a2lat) is None
 
 
+def _sympy_null_root(b):
+    """The primitive positive radical generator, by sympy's nullspace."""
+    import sympy
+
+    space = sympy.Matrix(b).nullspace()
+    if len(space) != 1:
+        return None
+    col = space[0] * sympy.lcm([sympy.Rational(x).q for x in space[0]])
+    ints = [int(x) for x in col / sympy.gcd(list(col))]
+    if all(x <= 0 for x in ints):
+        ints = [-x for x in ints]
+    return tuple(ints) if all(x > 0 for x in ints) else None
+
+
+def _random_forms(rng, count):
+    """Symmetric integer matrices of sizes 1..5: half of them A^T A with every
+    row of A orthogonal to a chosen positive or mixed-sign vector, so their
+    radical is usually that line; the rest with independent entries."""
+    out = []
+    for k in range(count):
+        n = rng.randint(1, 5)
+        if k % 2:
+            out.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            for i in range(n):
+                for j in range(i):
+                    out[-1][i][j] = out[-1][j][i]
+            continue
+        delta = [rng.randint(1, 4) * rng.choice((1, 1, 1, -1)) for _ in range(n)]
+        dd = sum(x * x for x in delta)
+        rows = []
+        for _ in range(rng.randint(max(n - 2, 0), n)):
+            r = [rng.randint(-3, 3) for _ in range(n)]
+            rd = sum(x * y for x, y in zip(r, delta))
+            rows.append([dd * x - rd * y for x, y in zip(r, delta)])
+        out.append(
+            [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
+        )
+    return out
+
+
+def test_null_root_matches_sympy(a3_flip, dtilde4, counterexample):
+    import random
+
+    from quiverfold.roots import CartanLattice
+
+    lattices = [
+        qf.quiver_lattice(a3_flip[0]),
+        folded(a3_flip[1]),
+        qf.quiver_lattice(dtilde4[0]),
+        folded(dtilde4[1]),
+        folded(dtilde4[2]),
+        qf.quiver_lattice(counterexample[0]),
+        folded(counterexample[1]),
+    ]
+    for b in _random_forms(random.Random(20), 400):
+        names = tuple(str(i) for i in range(len(b)))
+        lattices.append(CartanLattice(names, tuple(map(tuple, b)), (1,) * len(b)))
+    found = 0
+    for lat in lattices:
+        want = _sympy_null_root(lat.b_matrix)
+        assert qf.null_root(lat) == want, lat.b_matrix
+        found += want is not None
+    # both outcomes are well represented: a line of positive vectors, and not
+    assert 50 <= found <= len(lattices) - 50
+
+
 def test_defect(dtilde4):
     q = dtilde4[0]
     # regular dimension vectors have defect zero

@@ -9,7 +9,15 @@ quiver.
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import BudgetExceeded, CharacteristicWarning, NotFixed
+from quiverfold import theorems
+from quiverfold.errors import (
+    BudgetExceeded,
+    CharacteristicWarning,
+    CrossCheckFailed,
+    NotFixed,
+    NotPrime,
+    TwistPeriodBroken,
+)
 
 
 @pytest.fixture
@@ -73,6 +81,32 @@ def test_ii_classes_reduction_matches_direct(a3_flip, F2):
     assert sorted(tight[0].member_dims) == sorted(free[0].member_dims)
 
 
+@pytest.mark.parametrize("order_bound", [1, 3])
+def test_twist_orbit_engine_checks_orbit_length(a3_flip, F2, order_bound):
+    # the flip's twist orbits at (1, 0, 0) and (0, 0, 1) have length 2, which
+    # neither fits in 1 step nor divides 3
+    q, flip = a3_flip
+    engine = theorems._TwistOrbitEngine(
+        flip,
+        F2,
+        twist_rep=qf.twist_auto,
+        dims_act=lambda b: qf.act_on_dimension_vector(flip, b),
+        order_bound=order_bound,
+        state_cap=2**24,
+    )
+    with pytest.raises(TwistPeriodBroken):
+        engine.orbits((1, 0, 1))
+
+
+def test_ii_classes_checks_folded_root(a3_flip, F2, monkeypatch):
+    class NonRoot:
+        kind = "nonroot"
+
+    monkeypatch.setattr(theorems, "classify", lambda lat, v: NonRoot)
+    with pytest.raises(CrossCheckFailed):
+        qf.ii_classes(a3_flip[1], (1, 2, 1), F2)
+
+
 def test_ii_classes_unmaterialised_base(a3_flip, F2):
     q, flip = a3_flip
     classes = qf.ii_classes(flip, (1, 2, 1), F2, state_cap=1)
@@ -111,8 +145,10 @@ def test_species_count_frozen_values(pair21):
 def test_species_count_field_spec_forms(pair21):
     assert qf.species_count(pair21, (1, 1), "2") == 1
     assert qf.species_count(pair21, (1, 1), 3) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPrime):
         qf.species_count(pair21, (1, 1), 6)
+    with pytest.raises(NotPrime):
+        qf.species_count(pair21, (1, 1), "2^")
 
 
 def test_species_count_budget():
