@@ -58,7 +58,7 @@ with tempfile.TemporaryDirectory() as td:
         ["verify", "kac", str(path), "--field", "2", "--max-height", "3"],
     ]:
         out = subprocess.run(
-            [sys.executable, "-m", "quiverfold.cli", *args],
+            [sys.executable, "-m", "quiverfold", *args],
             capture_output=True, text=True, check=True,
         )
         print("$ quiverfold", " ".join(args))
@@ -67,7 +67,7 @@ with tempfile.TemporaryDirectory() as td:
 
     # --json output feeds back into the loaders.
     out = subprocess.run(
-        [sys.executable, "-m", "quiverfold.cli", "fold", str(path), "--json"],
+        [sys.executable, "-m", "quiverfold", "fold", str(path), "--json"],
         capture_output=True, text=True, check=True,
     )
     fold_doc = json.loads(out.stdout)

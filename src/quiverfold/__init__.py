@@ -1,6 +1,13 @@
 """Folding quivers with admissible automorphisms into symmetrisable Cartan
 data, and exhaustive desk-scale verification of the dimension-vector
-counting theorems over small finite fields."""
+counting theorems over small finite fields.
+
+The names re-exported from ``catalog`` and ``theorems`` are resolved on
+first access, so importing the package does not load numpy; it is loaded
+with the first catalog.
+"""
+
+import importlib
 
 from .errors import (
     BadParameter,
@@ -114,27 +121,6 @@ from .reps import (
     twist_frobenius,
     zero_representation,
 )
-from .catalog import (
-    IsoClassCatalog,
-    StateSpace,
-    auto_period,
-    clear_catalog_store,
-    frobenius_period,
-    indecomposable_classes,
-    isoclasses,
-    twist_annotations,
-)
-from .theorems import (
-    DimensionRecord,
-    IIClass,
-    TheoremReport,
-    ii_classes,
-    multiset_crosscheck,
-    species_count,
-    verify_kac,
-    verify_main_theorem,
-    verify_species_theorem,
-)
 from .fixtures import (
     build_a3_flip,
     build_counterexample,
@@ -157,3 +143,47 @@ from .serialize import (
 )
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, for the names that need numpy
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "IsoClassCatalog",
+            "StateSpace",
+            "auto_period",
+            "clear_catalog_store",
+            "frobenius_period",
+            "indecomposable_classes",
+            "isoclasses",
+            "twist_annotations",
+        ),
+        "catalog",
+    ),
+    **dict.fromkeys(
+        (
+            "DimensionRecord",
+            "IIClass",
+            "TheoremReport",
+            "ii_classes",
+            "multiset_crosscheck",
+            "species_count",
+            "verify_kac",
+            "verify_main_theorem",
+            "verify_species_theorem",
+        ),
+        "theorems",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():  # qf.catalog and qf.theorems themselves
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -34,7 +34,7 @@ available as an independent route and is cross-checked in the tests.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -360,6 +360,41 @@ def clear_catalog_store() -> None:
     _STORE.clear()
 
 
+def _store_key(quiver: Quiver, field: FiniteField, dd: tuple[int, ...]) -> tuple:
+    return (quiver, field.p, field.m, dd)
+
+
+def _oversized(space: StateSpace, state_cap: int, planned: bool = False) -> BudgetExceeded:
+    q = space.field.q
+    note = "; refused while planning, before any catalog was built" if planned else ""
+    return BudgetExceeded(
+        f"state space at dims {space.dims} over GF({q}) holds {q}^{space.n_entries} "
+        f"= {space.size} representations, cap is {state_cap}{note}",
+        predicted=space.size,
+    )
+
+
+def plan_isoclasses(
+    quiver: Quiver,
+    vectors: Iterable[Sequence[int]],
+    field: FiniteField,
+    state_cap: int = 2**24,
+) -> None:
+    """Refuse a job of isoclasses calls before it builds anything.
+
+    Raises the BudgetExceeded that isoclasses would raise at the first of
+    the vectors, in the order given, whose catalog is neither stored nor
+    within the cap.  This is arithmetic on state-space sizes only.
+    """
+    for dims in vectors:
+        dd = quiver.check_vector(dims)
+        if _store_key(quiver, field, dd) in _STORE:
+            continue
+        space = StateSpace(quiver, field, dd)
+        if space.size > state_cap:
+            raise _oversized(space, state_cap, planned=True)
+
+
 def isoclasses(
     quiver: Quiver,
     dims: Sequence[int],
@@ -368,18 +403,14 @@ def isoclasses(
 ) -> IsoClassCatalog:
     """Classify all representations of the dimension vector, memoised."""
     dd = quiver.check_vector(dims)
-    key = (quiver, field.p, field.m, dd)
+    key = _store_key(quiver, field, dd)
     got = _STORE.get(key)
     if got is not None:
         return got
 
     space = StateSpace(quiver, field, dd)
     if space.size > state_cap:
-        raise BudgetExceeded(
-            f"state space holds {field.q}^{space.n_entries} = {space.size} "
-            f"representations, cap is {state_cap}",
-            predicted=space.size,
-        )
+        raise _oversized(space, state_cap)
     moves = space.moves()
     if moves:
         tables = [_MoveTable(space, mv) for mv in moves]

@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 when a theorem check ran and failed (witnesses
 are printed), 2 on usage, validation or budget errors and on a failed
 internal cross-check.  JSON output is deterministic for identical inputs.
+
+Only the commands that enumerate classes (``indecs``, ``ii-indecs``,
+``species-count`` and ``verify``) import ``catalog`` and ``theorems``, so
+the others run without loading numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cartan import f_inverse, fold
-from .catalog import indecomposable_classes, isoclasses
+from .cartan import fold
 from .errors import CrossCheckFailed, QuiverFoldError
 from .fixtures import build_a3_flip, build_counterexample, build_dtilde4
 from .gf import field_from_spec
@@ -30,17 +33,8 @@ from .serialize import (
     rep_to_dict,
     skew_to_dict,
     valued_from_dict,
-    valued_to_dict,
 )
 from .skew import skew, unfold
-from .theorems import (
-    ii_classes,
-    multiset_crosscheck,
-    species_count,
-    verify_kac,
-    verify_main_theorem,
-    verify_species_theorem,
-)
 
 
 @dataclass(frozen=True)
@@ -194,6 +188,8 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 
 def _cmd_indecs(cfg: RunConfig) -> int:
+    from .catalog import indecomposable_classes, isoclasses
+
     if cfg.field_spec is None or cfg.dims is None:
         raise QuiverFoldError("indecs needs --field and --dim")
     q, _ = _need_quiver(_load_document(cfg.input_path))
@@ -220,6 +216,8 @@ def _cmd_indecs(cfg: RunConfig) -> int:
 
 
 def _cmd_ii_indecs(cfg: RunConfig) -> int:
+    from .theorems import ii_classes
+
     if cfg.field_spec is None or cfg.dims is None:
         raise QuiverFoldError("ii-indecs needs --field and --dim")
     a = _need_auto(_load_document(cfg.input_path))
@@ -246,6 +244,8 @@ def _cmd_ii_indecs(cfg: RunConfig) -> int:
 
 
 def _cmd_species_count(cfg: RunConfig) -> int:
+    from .theorems import species_count
+
     if cfg.field_spec is None or cfg.dims is None:
         raise QuiverFoldError("species-count needs --field and --dim")
     vq = valued_from_dict(_load_document(cfg.input_path))
@@ -256,6 +256,13 @@ def _cmd_species_count(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    from .theorems import (
+        multiset_crosscheck,
+        verify_kac,
+        verify_main_theorem,
+        verify_species_theorem,
+    )
+
     if cfg.field_spec is None or cfg.max_height is None:
         raise QuiverFoldError("verify needs --field and --max-height")
     doc_in = _load_document(cfg.input_path)

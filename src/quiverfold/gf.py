@@ -9,17 +9,19 @@ makes every field canonical, so equal parameters give the identical field
 object (the factory is cached).
 
 Fields small enough also expose dense numpy addition and multiplication
-tables for vectorised bulk work.
+tables for vectorised bulk work; numpy is imported only when a table is
+first built.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BudgetExceeded, DegreeTooLarge, NotPrime, NotSubfield
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DEGREE_CAP = 12
 _TABLE_CAP = 1024
@@ -277,6 +279,8 @@ class FiniteField:
     @lru_cache(maxsize=None)
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(add, mul) tables of shape (q, q), for q <= 1024."""
+        import numpy as np
+
         if self.q > _TABLE_CAP:
             raise BudgetExceeded(
                 f"dense field tables capped at q <= {_TABLE_CAP}", predicted=self.q
@@ -309,6 +313,8 @@ class FiniteField:
 
     @lru_cache(maxsize=None)
     def neg_table(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.neg(x) for x in range(self.q)], dtype=np.int64)
 
 

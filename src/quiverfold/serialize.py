@@ -8,15 +8,17 @@ newline) so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .cartan import FoldData, ValuedQuiver, make_valued_quiver
-from .catalog import IsoClassCatalog, twist_annotations
 from .errors import Incompatible
 from .gf import field_from_spec
 from .quiver import Automorphism, Quiver, validate_automorphism, validate_quiver
 from .reps import Representation, make_representation
 from .skew import SkewQuiver
+
+if TYPE_CHECKING:
+    from .catalog import IsoClassCatalog
 
 
 def json_dumps(obj: Any) -> str:
@@ -133,6 +135,8 @@ def rep_from_dict(doc: dict, quiver: Quiver) -> Representation:
 
 
 def catalog_to_dict(cat: IsoClassCatalog, a: Automorphism | None = None) -> dict:
+    from .catalog import twist_annotations
+
     notes = twist_annotations(cat, a)
     classes = []
     for ci in range(cat.n_classes):

@@ -11,6 +11,12 @@ give a twist-compatible bijection between indecomposable classes at d and
 at the reflected dimension vector, so counting can move to the smaller side.
 When no reduction applies the computation refuses with the exact blowup
 figure rather than approximating.
+
+Every job plans before it builds: the reduction context of each vector it
+will visit is fixed first, in visiting order, from state-space sizes alone.
+A job that cannot fit its cap therefore refuses, at the same vector and with
+the same figure as it would have met while enumerating, having built no
+catalog.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cartan import ValuedQuiver, f_inverse, f_map, fold, root_length
-from .catalog import StateSpace, isoclasses
+from .catalog import StateSpace, isoclasses, plan_isoclasses
 from .errors import (
     BudgetExceeded,
     CharacteristicWarning,
@@ -87,6 +93,7 @@ def _reduce_context(
     Returns None when a reflection lands outside the positive cone, which
     certifies that no indecomposable of dims beta exists at all.  Raises
     BudgetExceeded when the space is oversized and no orbit qualifies.
+    Builds no catalog; only ``_plan`` calls it.
     """
     cur_a = a
     cur_dims = a.quiver.check_vector(beta)
@@ -111,11 +118,13 @@ def _reduce_context(
             chosen = (orbit, direction, new_dims)
             break
         if chosen is None:
+            origin = f" (reduced from {beta})" if steps else ""
             raise BudgetExceeded(
-                f"state space at dims {cur_dims} holds {fld.q}^"
-                f"{StateSpace(q, fld, cur_dims).n_entries} = {size} representations "
-                f"(cap {state_cap}) and no sink or source orbit reflection "
-                "reduces the height",
+                f"state space at dims {cur_dims}{origin} over GF({fld.q}) holds "
+                f"{fld.q}^{StateSpace(q, fld, cur_dims).n_entries} = {size} "
+                f"representations (cap {state_cap}) and no sink or source orbit "
+                "reflection reduces the height; refused while planning, before "
+                "any catalog was built",
                 predicted=size,
             )
         orbit, direction, new_dims = chosen
@@ -127,6 +136,23 @@ def _reduce_context(
         )
         cur_dims = new_dims
         last_orbit = orbit
+
+
+def _plan(
+    a: Automorphism,
+    vectors: Iterable[Vec],
+    fld: FiniteField,
+    state_cap: int,
+    contexts: dict[Vec, _ReductionContext | None],
+) -> None:
+    """Fill in the reduction context of every vector, in the order given.
+
+    Run over every vector a job visits before its first catalog is built,
+    so an oversized job refuses at the vector it would have refused at.
+    """
+    for beta in vectors:
+        if beta not in contexts:
+            contexts[beta] = _reduce_context(a, beta, fld, state_cap)
 
 
 # --- twist-orbit engine ---
@@ -157,10 +183,10 @@ class _TwistOrbitEngine:
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
 
     def handles_at(self, beta: Vec) -> tuple[Handle, ...]:
+        """Handles at a vector of the planned box."""
         if beta in self.handles:
             return self.handles[beta]
-        ctx = _reduce_context(self.a, beta, self.field, self.state_cap)
-        self.contexts[beta] = ctx
+        ctx = self.contexts[beta]
         if ctx is None:
             hs: tuple[Handle, ...] = ()
         else:
@@ -189,7 +215,7 @@ class _TwistOrbitEngine:
         beta2 = self.dims_act(beta)
         cat2 = isoclasses(qr, twisted.dims, self.field, state_cap=self.state_cap)
         h2 = (beta2, qr, twisted.dims, cat2.class_of(twisted))
-        if h2 not in self.handles_at(beta2):
+        if beta2 not in self.contexts or h2 not in self.handles_at(beta2):
             raise CrossCheckFailed(
                 "twisting left the computed class sets; the reduction chain is "
                 "not twist-stable"
@@ -197,8 +223,10 @@ class _TwistOrbitEngine:
         return h2
 
     def orbits(self, d: Vec) -> list[list[Handle]]:
+        box = list(_box(d))
+        _plan(self.a, box, self.field, self.state_cap, self.contexts)
         allh: list[Handle] = []
-        for beta in _box(d):
+        for beta in box:
             allh.extend(self.handles_at(beta))
         allh.sort(key=lambda h: (h[0], h[3]))
         seen: set[Handle] = set()
@@ -328,6 +356,14 @@ def ii_classes(
 # --- species counting through the unfolded quiver ---
 
 
+def _unfolded(vq: ValuedQuiver, q: int | str) -> tuple[Automorphism, FiniteField, int]:
+    """The unfolding of vq, the big field it is counted over, and the base
+    field's degree."""
+    p, mbase = prime_power(q)
+    a = unfold(vq)
+    return a, make_field(p, mbase * a.order), mbase
+
+
 def species_count(
     vq: ValuedQuiver,
     alpha: Sequence[int],
@@ -342,10 +378,8 @@ def species_count(
     (inverse automorphism after base-field Frobenius); descent matches the
     orbits whose dimension vectors sum to the unfolding of alpha.
     """
-    p, mbase = prime_power(q)
-    a = unfold(vq)
+    a, fld, mbase = _unfolded(vq, q)
     t = a.order
-    fld = make_field(p, mbase * t)
     dk = f_inverse(a, alpha)
     if not any(dk):
         return 0
@@ -439,9 +473,11 @@ def verify_kac(
     lat = quiver_lattice(quiver)
     rs = positive_roots_up_to(lat, height)
     kind_of = {r.vector: r.kind for r in rs.records}
+    vectors = list(_vectors_up_to(len(quiver.vertices), height))
+    plan_isoclasses(quiver, vectors, fld, state_cap)
     records = []
     witnesses = []
-    for d in _vectors_up_to(len(quiver.vertices), height):
+    for d in vectors:
         cat = isoclasses(quiver, d, fld, state_cap=state_cap)
         n = len(cat.indec_class_ids())
         kind = kind_of.get(d, "nonroot")
@@ -481,9 +517,11 @@ def verify_main_theorem(
         )
     fd = fold(a)
     lat = folded_lattice(fd)
+    alphas = list(_vectors_up_to(len(lat.names), height))
+    _plan(a, (b for alpha in alphas for b in _box(f_inverse(a, alpha))), fld, state_cap, {})
     records = []
     witnesses = []
-    for alpha in _vectors_up_to(len(lat.names), height):
+    for alpha in alphas:
         d = f_inverse(a, alpha)
         classes = ii_classes(a, d, fld, state_cap=state_cap)
         kind = classify(lat, alpha).kind
@@ -523,9 +561,13 @@ def verify_species_theorem(
     valued quiver's form, and equal to one on the real ones."""
     p, mbase = prime_power(q)
     lat = folded_lattice(vq)
+    alphas = list(_vectors_up_to(len(lat.names), height))
+    if alphas:
+        a, fld, _ = _unfolded(vq, q)
+        _plan(a, (b for alpha in alphas for b in _box(f_inverse(a, alpha))), fld, state_cap, {})
     records = []
     witnesses = []
-    for alpha in _vectors_up_to(len(lat.names), height):
+    for alpha in alphas:
         n = species_count(vq, alpha, q, state_cap=state_cap)
         kind = classify(lat, alpha).kind
         if n or kind != "nonroot":
@@ -556,6 +598,7 @@ def multiset_crosscheck(
     classes with that dimension sum."""
     n = len(quiver.vertices)
     grid = [tuple([0] * n)] + sorted(_vectors_up_to(n, height), key=lambda v: (sum(v), v))
+    plan_isoclasses(quiver, grid, fld, state_cap)
     items: list[Vec] = []
     class_counts: dict[Vec, int] = {}
     for d in grid:

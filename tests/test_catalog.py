@@ -18,6 +18,7 @@ from quiverfold.catalog import (
     clear_catalog_store,
     frobenius_period,
     isoclasses,
+    plan_isoclasses,
     twist_annotations,
 )
 from quiverfold.errors import BudgetExceeded, SpaceMismatch
@@ -104,6 +105,32 @@ def test_budget_exceeded(a2, F2):
     with pytest.raises(BudgetExceeded) as ei:
         isoclasses(a2, (4, 4), F2, state_cap=100)
     assert ei.value.predicted == 2**16
+
+
+def test_refusal_names_vector_and_field(dtilde4, F3):
+    star = dtilde4[0]
+    with pytest.raises(BudgetExceeded) as ei:
+        isoclasses(star, (1, 1, 1, 1, 3), F3, state_cap=3**8)
+    message = (
+        "state space at dims (1, 1, 1, 1, 3) over GF(3) holds 3^12 = 531441 "
+        "representations, cap is 6561"
+    )
+    assert str(ei.value) == message
+    with pytest.raises(BudgetExceeded) as ei:
+        plan_isoclasses(star, [(1, 1, 1, 1, 1), (1, 1, 1, 1, 3)], F3, state_cap=3**8)
+    assert str(ei.value) == message + "; refused while planning, before any catalog was built"
+    assert ei.value.predicted == 3**12
+
+
+def test_plan_passes_stored_catalogs(a2, F2):
+    # a stored catalog is served whatever the cap, so the plan lets it pass
+    clear_catalog_store()
+    isoclasses(a2, (2, 2), F2)
+    plan_isoclasses(a2, [(2, 2)], F2, state_cap=1)
+    with pytest.raises(BudgetExceeded) as ei:
+        plan_isoclasses(a2, [(2, 2), (1, 2), (2, 1)], F2, state_cap=1)
+    assert ei.value.predicted == 2**2
+    assert "dims (1, 2)" in str(ei.value)
 
 
 def test_store_memoizes(a2, F2):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quiverfold as qf
-from quiverfold import cli
+from quiverfold import cli, theorems
 from quiverfold.theorems import TheoremReport
 
 
@@ -154,7 +154,7 @@ def test_verify_failure_exits_one(flip_doc, capsys, monkeypatch):
         records=(),
         witnesses=("made-up witness",),
     )
-    monkeypatch.setattr(cli, "verify_kac", lambda *a, **k: broken)
+    monkeypatch.setattr(theorems, "verify_kac", lambda *a, **k: broken)
     code = cli.main(["verify", "kac", flip_doc, "--field", "2", "--max-height", "2"])
     assert code == 1
     assert "FAIL made-up witness" in capsys.readouterr().out
@@ -234,13 +234,73 @@ def test_import_leaves_out_sympy(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+def test_python_m_quiverfold(tmp_path):
+    """`python -m quiverfold` runs the command line without an installed script."""
+    res = _run_python(["-m", "quiverfold", "fixtures"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        "a3-flip",
+        "counterexample",
+        "dtilde4-3cycle",
+        "dtilde4-4cycle",
+    ]
+
+
+def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
+    """Commands that enumerate no classes never import catalog, theorems or numpy."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import quiverfold as qf\n"
+        "from quiverfold import cli\n"
+        "line, flip = qf.build_a3_flip()\n"
+        "pair = qf.make_valued_quiver(['u', 'v'], [2, 1], [('u', 'v', 2)])\n"
+        "open('flip.json', 'w').write(qf.json_dumps(qf.quiver_to_dict(line, flip)))\n"
+        "open('pair.json', 'w').write(qf.json_dumps(qf.valued_to_dict(pair)))\n"
+        "runs = [['fixtures'], ['fixtures', 'a3-flip'], ['fold', 'flip.json'],\n"
+        "        ['skew', 'flip.json'], ['roots', 'pair.json', '--max-height', '4'],\n"
+        "        ['classify', 'pair.json', '--dim', '1,2']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "loaded = [m for m in ('numpy', 'quiverfold.catalog', 'quiverfold.theorems')\n"
+        "          if m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    res = _run_child(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"codes": [0] * 6, "loaded": []}
+
+
+def test_lazy_exports_resolve_to_submodule_objects():
+    from quiverfold import catalog
+
+    assert qf._LAZY
+    for name, module in qf._LAZY.items():
+        owner = catalog if module == "catalog" else theorems
+        assert getattr(qf, name) is getattr(owner, name), name
+        assert name in dir(qf)
+    from quiverfold import isoclasses, verify_kac
+
+    assert isoclasses is catalog.isoclasses
+    assert verify_kac is theorems.verify_kac
+    assert qf.catalog is catalog and qf.theorems is theorems
+    assert {"fold", "__version__", "catalog", "theorems"} <= set(dir(qf))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qf.no_such_name
+
+
 def _run_child(code: str, cwd) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports quiverfold from the same
+    place this process did."""
+    return _run_python(["-c", code], cwd)
+
+
+def _run_python(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """Run the interpreter with args, importing quiverfold from the same
     place this process did."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(qf.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
     )

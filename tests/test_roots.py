@@ -7,7 +7,7 @@ grows Weyl orbits by breadth-first closure without using any package code.
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import NoNullRoot, ZeroVector
+from quiverfold.errors import ZeroVector
 
 
 def folded(a):

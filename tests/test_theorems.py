@@ -161,6 +161,49 @@ def test_species_count_budget():
     assert ei.value.predicted == 16**8
 
 
+_PAIR41 = qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)])
+_STAR = qf.build_dtilde4()[0]
+_ROTATION = qf.build_counterexample()[1]
+
+
+@pytest.mark.parametrize(
+    "job, predicted",
+    [
+        (lambda: qf.species_count(_PAIR41, (1, 2), 2), 16**8),
+        (lambda: qf.verify_kac(_STAR, qf.make_field(3), 6, state_cap=3**8), 3**9),
+        (lambda: qf.verify_main_theorem(_ROTATION, qf.make_field(5), 2, state_cap=100), 5**4),
+        (lambda: qf.verify_species_theorem(_PAIR41, 2, 3, state_cap=2**16), 16**8),
+        (lambda: qf.multiset_crosscheck(_STAR, qf.make_field(2), 6, state_cap=2**8), 2**9),
+    ],
+    ids=["species_count", "verify_kac", "verify_main", "verify_species", "multisets"],
+)
+def test_refusal_builds_nothing(monkeypatch, job, predicted):
+    # every job plans its vectors before the first build, so an oversized
+    # job refuses with the figure enumeration would have met, having built
+    # no catalog at all
+    from quiverfold import catalog
+
+    def no_build(*args):
+        raise RuntimeError("a catalog was built")
+
+    monkeypatch.setattr(catalog, "_orbit_labels", no_build)
+    stored = dict(catalog._STORE)
+    with pytest.raises(BudgetExceeded, match="before any catalog was built") as ei:
+        job()
+    assert ei.value.predicted == predicted
+    assert catalog._STORE == stored
+
+
+def test_refusal_names_reduced_vector_and_field():
+    with pytest.raises(BudgetExceeded) as ei:
+        qf.species_count(_PAIR41, (1, 2), 2)
+    assert str(ei.value) == (
+        "state space at dims (1, 1, 1, 1, 2) over GF(16) holds 16^8 = 4294967296 "
+        "representations (cap 16777216) and no sink or source orbit reflection "
+        "reduces the height; refused while planning, before any catalog was built"
+    )
+
+
 def test_verify_kac_a2(a2, F2):
     report = qf.verify_kac(a2, F2, 3)
     assert report.passed
