@@ -5,24 +5,45 @@ Every representation is packed into a single integer state: the matrix
 entries in arrow order, row-major, first entry most significant, so arrow
 block k of r*c entries at entry offset ``off`` holds the value
 ``(s // Q) % B`` with ``B = q**(r*c)`` and ``Q = q**(n_entries - off - r*c)``.
-The base-change group at each vertex is generated by a scalar scaling, one
-transvection, and a cycle permutation, which together generate the full
-general linear group; the canonical representative of a class is its least
-state.
+The base-change group G, the product of GL(d_v) over the vertices, acts on
+the block of an arrow a: s -> t as M_a -> g_t M_a g_s^-1.  A move is one
+such element, given by its matrices at a few vertices.  GL(d) is generated
+by the scaling of row 0 by a primitive element, one transvection and the
+d-cycle.  The canonical representative of a class is its least state.
 
-A generator move at vertex v acts on each arrow block incident to v on its
-own, so it is stored as one delta table per such block, built once by
-running the move on the B block values: the move sends s to
-``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or encode of the state.
-Orbits are labelled in one breadth-first sweep: from the least unlabelled
-state, frontier batches are pushed through every move and the neighbours
-not yet labelled are claimed.  A move is a bijection, so one move maps a
-frontier of distinct states to distinct states, and the label check is the
-only deduplication needed; forward moves suffice because every generator
-has finite order.  Classes come out in order of their least state, which
-gives the class ids and the ascending representatives directly.  Labels are
-held in the narrowest unsigned dtype that fits the class count (uint8 up to
-255 classes), widened during the sweep as classes appear.
+Slices.  The top block, the first non-empty one, is the most significant,
+so the least state of an orbit carries as top block the least matrix of the
+top block's GL x GL orbit: for a top block of shape r x c and rank k that
+is the rank-k normal form N_k, the anti-diagonal in the bottom-right k x k
+corner.  Slice k is the set of states whose top block is N_k, a contiguous
+range of ``q**(n_entries - r*c)`` states, and the states of an orbit that
+lie in it form one orbit of the stabiliser H_k of N_k.  So the classes are
+the H_k-orbits of the slices k = 0 .. min(r, c), and by orbit-stabiliser a
+class of slice k has size |G.N_k| * |H_k.x|, where |G.N_k| is the number of
+rank-k r x c matrices.  H_0 = G.  For k > 0, H_k is generated by G's
+generators at every vertex other than s and t, and by the stabiliser of
+[[I_k, 0], [0, 0]] carried to N_k by permuting rows and columns: GL(k)
+acting jointly at s and t, GL(r-k) at t, GL(c-k) at s, one upper
+transvection at t and one lower transvection at s.  Slices ascend with N_k,
+so the classes come out in order of their least state.
+
+A move acts on each arrow block on its own, so within a slice it is stored
+as one delta table per block below the top one, built once by running the
+move on the B block values: it sends the slice's state s, counted from the
+slice's start, to ``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or
+encode of the state.  Orbits are labelled in one breadth-first sweep per
+slice: from the least unlabelled state, frontier batches are pushed through
+every move and the neighbours not yet labelled are claimed.  A move is a
+bijection, so one move maps a frontier of distinct states to distinct
+states, and the label check is the only deduplication needed; forward moves
+suffice because every generator has finite order.  Labels are held in the
+narrowest unsigned dtype that fits the class count (uint8 up to 255
+classes), widened during the sweep as classes appear.
+
+``class_of`` reduces a state to its slice: Gaussian elimination over F_q
+brings its top block to N_k by a pair (g_t, g_s), the move with those
+matrices is applied to every block, and the result is looked up in the
+labels of slice k.
 
 Indecomposability flags for a whole catalog come from a direct-sum sieve:
 a class is decomposable exactly when it contains indec(beta) + class(d-beta)
@@ -33,6 +54,7 @@ available as an independent route and is cross-checked in the tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -46,53 +68,118 @@ from .errors import (
 )
 from .gf import FiniteField
 from .quiver import Automorphism, Quiver
-from .reps import Representation, direct_sum, twist_auto, twist_frobenius
+from .reps import (
+    Mat,
+    Representation,
+    direct_sum,
+    identity,
+    rref,
+    transpose,
+    twist_auto,
+    twist_frobenius,
+)
 
 _CHUNK = 1 << 18  # block values per batch while a move table is built
 _BATCH = 1 << 20  # frontier states pushed through the moves at once
 _SCAN = 1 << 16  # labels inspected per step of the least-unlabelled search
 
+Pair = tuple[Mat, Mat]  # a matrix and its inverse
+
+
+def _elementary(n: int, i: int, j: int, x: int) -> Mat:
+    """The n x n identity with x at (i, j)."""
+    return tuple(tuple(x if (a, b) == (i, j) else int(a == b) for b in range(n)) for a in range(n))
+
+
+def _gl_generators(f: FiniteField, d: int) -> list[Pair]:
+    """Generators of GL(d, q), each with its inverse: the scaling of row 0 by
+    a primitive element (q > 2), the transvection adding row 1 to row 0 and
+    the d-cycle sending row i - 1 to row i (d >= 2)."""
+    out: list[Pair] = []
+    if d >= 1 and f.q > 2:
+        g = f.generator()
+        out.append((_elementary(d, 0, 0, g), _elementary(d, 0, 0, f.inv(g))))
+    if d >= 2:
+        out.append((_elementary(d, 0, 1, 1), _elementary(d, 0, 1, f.neg(1))))
+        cycle = tuple(tuple(int(b == (a - 1) % d) for b in range(d)) for a in range(d))
+        out.append((cycle, transpose(cycle)))
+    return out
+
+
+def _inverse(f: FiniteField, g: Mat) -> Mat:
+    n = len(g)
+    red, _ = rref(f, [list(row) + list(e) for row, e in zip(g, identity(n))])
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def _normal_order(r: int, c: int, k: int) -> tuple[list[int], list[int]]:
+    """Row and column permutations carrying [[I_k, 0], [0, 0]] to N_k: the
+    first k rows go to the bottom k and the first k columns to the last k
+    in reverse, the other rows and columns move up and left in order."""
+    rows = [r - k + i for i in range(k)] + list(range(r - k))
+    cols = [c - 1 - i for i in range(k)] + list(range(c - k))
+    return rows, cols
+
+
+def _conjugate(g: Mat, lo: int, n: int, perm: list[int]) -> Mat:
+    """g put on the diagonal of the n x n identity from index lo, with its
+    rows and columns then renamed by i -> perm[i]."""
+    out = [[int(a == b) for b in range(n)] for a in range(n)]
+    for a, row in enumerate(g):
+        for b, x in enumerate(row):
+            out[perm[lo + a]][perm[lo + b]] = x
+    return tuple(map(tuple, out))
+
+
+def _rank_count(q: int, r: int, c: int, k: int) -> int:
+    """The number of rank-k r x c matrices over F_q, the size of G.N_k."""
+    num = den = 1
+    for i in range(k):
+        num *= (q**r - q**i) * (q**c - q**i)
+        den *= q**k - q**i
+    return num // den
+
+
+def _state_dtype(n: int):
+    # every partial sum of a move's block deltas is itself a state
+    return np.int32 if n <= 2**31 else np.int64
+
+
+def _left(f: FiniteField, g: Mat, blk: np.ndarray) -> np.ndarray:
+    """g times each matrix of a batch of shape (N, rows, cols)."""
+    add, mul = f.tables()
+    out = np.empty_like(blk)
+    for i, row in enumerate(g):
+        acc = None
+        for k, x in enumerate(row):
+            if x:
+                term = blk[:, k] if x == 1 else mul[x][blk[:, k]]
+                acc = term if acc is None else add[acc, term]
+        out[:, i] = 0 if acc is None else acc
+    return out
+
 
 class _Move:
-    """One generator of the base-change group as an entry transform."""
+    """One element of the base-change group, given by its matrix g_v at some
+    vertices and the identity elsewhere, as an entry transform."""
 
-    def __init__(self, field: FiniteField, kind: str, in_blocks, out_blocks, g: int = 0):
+    def __init__(self, field: FiniteField, blocks, mats: dict[int, Pair]):
         self.field = field
-        self.kind = kind
-        self.in_blocks = in_blocks  # (offset, rows, cols) of arrows into the vertex
-        self.out_blocks = out_blocks  # (offset, rows, cols) of arrows out of it
-        self.g = g
+        self.mats = mats  # vertex index -> (g_v, g_v^-1)
+        # (offset, rows, cols, target, source) of every block the move touches
+        self.blocks = [b for b in blocks if b[3] in mats or b[4] in mats]
 
     def apply(self, ents: np.ndarray) -> np.ndarray:
         f = self.field
-        add, mul = f.tables()
         out = ents.copy()
-        if self.kind == "scale":
-            g = self.g
-            ginv = f.inv(g)
-            for off, rows, cols in self.in_blocks:
-                blk = out[:, off : off + rows * cols].reshape(-1, rows, cols)
-                blk[:, 0, :] = mul[g][blk[:, 0, :]]
-            for off, rows, cols in self.out_blocks:
-                blk = out[:, off : off + rows * cols].reshape(-1, rows, cols)
-                blk[:, :, 0] = mul[ginv][blk[:, :, 0]]
-        elif self.kind == "transvect":
-            neg = f.neg_table()
-            for off, rows, cols in self.in_blocks:
-                blk = out[:, off : off + rows * cols].reshape(-1, rows, cols)
-                blk[:, 0, :] = add[blk[:, 0, :], blk[:, 1, :]]
-            for off, rows, cols in self.out_blocks:
-                blk = out[:, off : off + rows * cols].reshape(-1, rows, cols)
-                blk[:, :, 1] = add[blk[:, :, 1], neg[blk[:, :, 0]].astype(blk.dtype)]
-        elif self.kind == "cycle":
-            for off, rows, cols in self.in_blocks:
-                blk = out[:, off : off + rows * cols].reshape(-1, rows, cols)
-                blk[:] = np.roll(blk, 1, axis=1)
-            for off, rows, cols in self.out_blocks:
-                blk = out[:, off : off + rows * cols].reshape(-1, rows, cols)
-                blk[:] = np.roll(blk, -1, axis=2)
-        else:  # pragma: no cover
-            raise ValueError(self.kind)
+        for off, rows, cols, t, s in self.blocks:
+            blk = ents[:, off : off + rows * cols].reshape(-1, rows, cols)
+            if t in self.mats:
+                blk = _left(f, self.mats[t][0], blk)
+            if s in self.mats:
+                right = transpose(self.mats[s][1])
+                blk = _left(f, right, blk.transpose(0, 2, 1)).transpose(0, 2, 1)
+            out[:, off : off + rows * cols] = blk.reshape(-1, rows * cols)
         return out
 
 
@@ -116,27 +203,31 @@ def _undigits(digits: np.ndarray, q: int) -> np.ndarray:
 class _MoveTable:
     """A move as per-block delta tables: s -> s + sum_k D_k[block_k(s)].
 
-    A block's value is ``(s // div) % mod``; when q is a power of two, div and
-    mod are stored as a shift and a mask instead."""
+    The table covers the entries from ``first`` on, with states counted from
+    0 there; a block the move leaves fixed gets no table.  A block's value is
+    ``(s // div) % mod``; when q is a power of two, div and mod are stored
+    as a shift and a mask instead."""
 
-    def __init__(self, space: StateSpace, move: _Move):
+    def __init__(self, space: StateSpace, move: _Move, first: int = 0):
         q = space.field.q
         self.shift = q & (q - 1) == 0
         bits = q.bit_length() - 1
+        dtype = _state_dtype(q ** (space.n_entries - first))
         self.blocks = []
-        sides = [(b, True) for b in move.in_blocks] + [(b, False) for b in move.out_blocks]
-        for (off, rows, cols), inward in sides:
+        for off, rows, cols, t, s in move.blocks:
+            if off < first:
+                continue
             width = rows * cols
-            local = [(0, rows, cols)]
-            ins, outs = (local, []) if inward else ([], local)
-            one = _Move(move.field, move.kind, ins, outs, move.g)
+            one = _Move(move.field, [(0, rows, cols, t, s)], move.mats)
             low = space.n_entries - off - width  # entries below the block
             n_vals = q**width
-            delta = np.empty(n_vals, dtype=space.state_dtype)
+            delta = np.empty(n_vals, dtype=dtype)
             for start in range(0, n_vals, _CHUNK):
                 vals = np.arange(start, min(start + _CHUNK, n_vals), dtype=np.int64)
                 new = _undigits(one.apply(_digits(vals, width, q, space.dtype)), q)
                 delta[start : start + len(vals)] = (new - vals) * q**low
+            if not delta.any():
+                continue
             if self.shift:
                 self.blocks.append((bits * low, n_vals - 1, delta))
             else:
@@ -149,6 +240,18 @@ class _MoveTable:
         return out
 
 
+@dataclass
+class _Slice:
+    """The states whose top block is N_k: ``start`` .. ``start + size - 1``."""
+
+    rank: int
+    start: int
+    size: int
+    orbit: int  # |G.N_k|
+    moves: list[_Move]  # generators of H_k, the stabiliser of N_k
+    labels: np.ndarray | None = None  # class id of each state, once labelled
+
+
 class StateSpace:
     """Integer coding of all representations of one dimension vector."""
 
@@ -159,18 +262,28 @@ class StateSpace:
         idx = quiver.vertex_index
         self.shapes = []
         self.offsets = []
+        self.blocks = []  # (offset, rows, cols, target, source) of the non-empty blocks
         off = 0
         for arr in quiver.arrows:
-            rows = self.dims[idx[arr.target]]
-            cols = self.dims[idx[arr.source]]
+            t, s = idx[arr.target], idx[arr.source]
+            rows, cols = self.dims[t], self.dims[s]
             self.shapes.append((rows, cols))
             self.offsets.append(off)
+            if rows * cols:
+                self.blocks.append((off, rows, cols, t, s))
             off += rows * cols
-        self.n_entries = off
-        self.size = field.q**off
+        self.n_entries = quiver.entry_count(self.dims)
+        self.size = field.q**self.n_entries
         self.dtype = np.uint8 if field.q <= 256 else np.uint16
-        # every partial sum of a move's block deltas is itself a state
-        self.state_dtype = np.int32 if self.size <= 2**31 else np.int64
+        # the top block starts at entry 0; an empty space has a 0 x 0 one
+        self.top = self.blocks[0] if self.blocks else (0, 0, 0, None, None)
+        _, r, c, _, _ = self.top
+        # the value of N_k as a top block, for each rank k
+        self.normal_forms = []
+        for k in range(min(r, c) + 1):
+            rows, cols = _normal_order(r, c, k)
+            entries = {rows[i] * c + cols[i] for i in range(k)}
+            self.normal_forms.append(sum(field.q ** (r * c - 1 - e) for e in entries))
 
     def decode_batch(self, states: np.ndarray) -> np.ndarray:
         return _digits(states, self.n_entries, self.field.q, self.dtype)
@@ -178,7 +291,8 @@ class StateSpace:
     def encode_batch(self, ents: np.ndarray) -> np.ndarray:
         return _undigits(ents, self.field.q)
 
-    def decode(self, state: int) -> Representation:
+    def entries(self, state: int) -> list[int]:
+        """The state's matrix entries, most significant first."""
         q = self.field.q
         ents = []
         s = int(state)
@@ -186,6 +300,10 @@ class StateSpace:
             s, r = divmod(s, q)
             ents.append(r)
         ents.reverse()
+        return ents
+
+    def decode(self, state: int) -> Representation:
+        ents = self.entries(state)
         mats = []
         for (rows, cols), off in zip(self.shapes, self.offsets):
             mats.append(
@@ -212,53 +330,104 @@ class StateSpace:
         return s
 
     def moves(self) -> list[_Move]:
-        """Base-change generators with any effect on the stored entries."""
-        q = self.quiver
-        f = self.field
-        idx = q.vertex_index
-        out: list[_Move] = []
-        for vi, v in enumerate(q.vertices):
-            d = self.dims[vi]
-            if d == 0:
-                continue
-            in_blocks = []
-            out_blocks = []
-            for k, arr in enumerate(q.arrows):
-                rows, cols = self.shapes[k]
-                if rows * cols == 0:
-                    continue
-                if arr.target == v:
-                    in_blocks.append((self.offsets[k], rows, cols))
-                if arr.source == v:
-                    out_blocks.append((self.offsets[k], rows, cols))
-            if not in_blocks and not out_blocks:
-                continue
-            if f.q > 2:
-                out.append(_Move(f, "scale", in_blocks, out_blocks, g=f.generator()))
-            if d >= 2:
-                out.append(_Move(f, "transvect", in_blocks, out_blocks))
-                out.append(_Move(f, "cycle", in_blocks, out_blocks))
+        """G's generators at every vertex that a non-empty block touches."""
+        out = []
+        for v, d in enumerate(self.dims):
+            for pair in _gl_generators(self.field, d):
+                mv = _Move(self.field, self.blocks, {v: pair})
+                if mv.blocks:
+                    out.append(mv)
         return out
+
+    def slices(self) -> list[_Slice]:
+        """One slice per rank k of the top block, in ascending order."""
+        q = self.field.q
+        _, r, c, _, _ = self.top
+        size = q ** (self.n_entries - r * c)
+        return [
+            _Slice(k, value * size, size, _rank_count(q, r, c, k), self._stabiliser(k))
+            for k, value in enumerate(self.normal_forms)
+        ]
+
+    def _stabiliser(self, k: int) -> list[_Move]:
+        """Generators of H_k, the stabiliser of N_k in G."""
+        f = self.field
+        _, r, c, t, s = self.top
+        rows, cols = _normal_order(r, c, k)
+        out = [mv for mv in self.moves() if t not in mv.mats and s not in mv.mats]
+
+        def add(at_t: tuple[int, Pair] | None, at_s: tuple[int, Pair] | None) -> None:
+            # (lo, pair): the pair on the diagonal from index lo, carried to N_k
+            mats = {}
+            for v, n, perm, at in ((t, r, rows, at_t), (s, c, cols, at_s)):
+                if at is not None:
+                    mats[v] = tuple(_conjugate(g, at[0], n, perm) for g in at[1])
+            out.append(_Move(f, self.blocks, mats))
+
+        for pair in _gl_generators(f, k):
+            add((0, pair), (0, pair))
+        for pair in _gl_generators(f, r - k):
+            add((k, pair), None)
+        for pair in _gl_generators(f, c - k):
+            add(None, (k, pair))
+        if 0 < k < r:  # the upper transvection at t
+            add((0, (_elementary(r, 0, k, 1), _elementary(r, 0, k, f.neg(1)))), None)
+        if 0 < k < c:  # the lower transvection at s
+            add(None, (0, (_elementary(c, k, 0, 1), _elementary(c, k, 0, f.neg(1)))))
+        return out
+
+    def to_slice(self, state: int) -> tuple[int, int]:
+        """The rank k of the state's top block, and a state of slice k in the
+        state's orbit."""
+        f, q = self.field, self.field.q
+        _, r, c, t, s = self.top
+        top = state // q ** (self.n_entries - r * c)
+        if top in self.normal_forms:
+            return self.normal_forms.index(top), state
+        ents = self.entries(state)
+        # a M = red, with red in reduced row echelon form
+        red, _ = rref(f, [ents[i * c : i * c + c] + list(e) for i, e in enumerate(identity(r))])
+        k = sum(any(row[:c]) for row in red)
+        a = [row[c:] for row in red]
+        # red b^T = [[I_k, 0], [0, 0]]
+        red_t = [[red[i][j] for i in range(r)] + list(e) for j, e in enumerate(identity(c))]
+        b = [row[r:] for row in rref(f, red_t)[0]]
+        # carry [[I_k, 0], [0, 0]] to N_k
+        rows, cols = _normal_order(r, c, k)
+        g_t = [()] * r
+        for i in range(r):
+            g_t[rows[i]] = tuple(a[i])
+        g_t = tuple(g_t)
+        g_s_inv = tuple(tuple(b[cols.index(j)][i] for j in range(c)) for i in range(c))
+        # apply reads g_v^-1 only for arrows out of v, and g_v only for arrows into v
+        heads, tails = {b[3] for b in self.blocks}, {b[4] for b in self.blocks}
+        g_t_inv = _inverse(f, g_t) if t in tails else None
+        g_s = _inverse(f, g_s_inv) if s in heads else None
+        mats = {t: (g_t, g_t_inv), s: (g_s, g_s_inv)}
+        new = _Move(f, self.blocks, mats).apply(np.array([ents], dtype=self.dtype))
+        out = 0
+        for x in new[0].tolist():
+            out = out * q + x
+        return k, out
 
     def move_permutation(self, move: _Move) -> np.ndarray:
         """perm[s] is the state the move sends s to."""
         table = _MoveTable(self, move)
-        perm = np.empty(self.size, dtype=self.state_dtype)
+        perm = np.empty(self.size, dtype=_state_dtype(self.size))
         for start in range(0, self.size, _BATCH):
             stop = min(start + _BATCH, self.size)
-            perm[start:stop] = table(np.arange(start, stop, dtype=self.state_dtype))
+            perm[start:stop] = table(np.arange(start, stop, dtype=perm.dtype))
         return perm
 
 
 def _orbit_labels(
-    space: StateSpace, tables: list[_MoveTable]
+    n: int, tables: list[_MoveTable]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class id of every state, and the least state and size of every class,
-    by one breadth-first sweep per class from its least state.
+    """Class id of every state 0 .. n - 1, and the least state and size of
+    every class, by one breadth-first sweep per class from its least state.
 
     During the sweep a label is the class id plus one, with 0 for a state not
     reached yet, in the narrowest unsigned dtype that holds it."""
-    n = space.size
     labels = np.zeros(n, dtype=np.uint8)
     reps: list[int] = []
     sizes: list[int] = []
@@ -279,9 +448,9 @@ def _orbit_labels(
         reps.append(pos)
         labels[pos] = mark
         size = 1
-        frontier = np.array([pos], dtype=space.state_dtype)
+        frontier = np.array([pos], dtype=_state_dtype(n))
         while len(frontier):
-            found = []
+            found = [frontier[:0]]
             for start in range(0, len(frontier), _BATCH):
                 batch = frontier[start : start + _BATCH]
                 for table in tables:
@@ -293,7 +462,6 @@ def _orbit_labels(
             size += len(frontier)
         sizes.append(size)
     labels -= 1
-    labels = labels.astype(np.min_scalar_type(len(reps) - 1), copy=False)
     return labels, np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
 
@@ -306,13 +474,13 @@ class IsoClassCatalog:
         self,
         space: StateSpace,
         class_reps: np.ndarray,
-        labels: np.ndarray,
         sizes: np.ndarray,
+        slices: list[_Slice],
     ):
         self.space = space
         self.class_reps = class_reps
-        self.labels = labels
         self.sizes = sizes
+        self.slices = slices
         self._indec: np.ndarray | None = None
         self._rep_cache: dict[int, Representation] = {}
 
@@ -338,7 +506,9 @@ class IsoClassCatalog:
         return self._rep_cache[ci]
 
     def class_of_state(self, state: int) -> int:
-        return int(self.labels[state])
+        k, state = self.space.to_slice(int(state))
+        sl = self.slices[k]
+        return int(sl.labels[state - sl.start])
 
     def class_of(self, rep: Representation) -> int:
         return self.class_of_state(self.space.encode_rep(rep))
@@ -411,20 +581,29 @@ def isoclasses(
     space = StateSpace(quiver, field, dd)
     if space.size > state_cap:
         raise _oversized(space, state_cap)
-    moves = space.moves()
-    if moves:
-        tables = [_MoveTable(space, mv) for mv in moves]
-        labels, class_reps, sizes = _orbit_labels(space, tables)
-    else:  # no generator acts, so every state is its own class
-        class_reps = np.arange(space.size, dtype=np.int64)
-        labels = class_reps.astype(np.min_scalar_type(space.size - 1))
-        sizes = np.ones(space.size, dtype=np.int64)
+    first = space.top[1] * space.top[2]  # the slice's states vary below the top block
+    slices = space.slices()
+    reps, sizes = [], []
+    for sl in slices:
+        tables = [_MoveTable(space, mv, first) for mv in sl.moves]
+        sl.labels, got, size = _orbit_labels(sl.size, [t for t in tables if t.blocks])
+        reps.append(got + sl.start)
+        sizes.append(size * sl.orbit)
+    class_reps = np.concatenate(reps)
+    sizes = np.concatenate(sizes)
     if int(sizes.sum()) != space.size:
         raise OrbitPartitionBroken(
             f"orbit sizes sum to {int(sizes.sum())}, not to the {space.size} states"
         )
+    # global class ids, in the narrowest dtype that holds them all
+    dtype = np.min_scalar_type(len(class_reps) - 1)
+    offset = 0
+    for sl, got in zip(slices, reps):
+        sl.labels = sl.labels.astype(dtype)
+        sl.labels += offset
+        offset += len(got)
 
-    cat = IsoClassCatalog(space, class_reps, labels, sizes)
+    cat = IsoClassCatalog(space, class_reps, sizes, slices)
     _STORE[key] = cat
     return cat
 

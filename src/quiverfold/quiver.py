@@ -97,6 +97,12 @@ class Quiver:
             )
         return tuple(int(x) for x in v)
 
+    def entry_count(self, dims: Sequence[int]) -> int:
+        """Matrix entries of a representation at dims: the sum over the
+        arrows of d_target * d_source."""
+        idx = self.vertex_index
+        return sum(dims[idx[a.target]] * dims[idx[a.source]] for a in self.arrows)
+
 
 def validate_quiver(vertices: Sequence[str], arrows: Iterable) -> Quiver:
     """Build a :class:`Quiver` after checking the usual sanity conditions.

@@ -28,7 +28,6 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cartan import ValuedQuiver, f_inverse, f_map, fold, root_length
-from .catalog import StateSpace, isoclasses, plan_isoclasses
 from .errors import (
     BudgetExceeded,
     CharacteristicWarning,
@@ -101,7 +100,8 @@ def _reduce_context(
     last_orbit: tuple[str, ...] | None = None
     while True:
         q = cur_a.quiver
-        size = StateSpace(q, fld, cur_dims).size
+        n_entries = q.entry_count(cur_dims)
+        size = fld.q**n_entries
         if size <= state_cap:
             return _ReductionContext(cur_a, cur_dims, last_orbit, tuple(steps))
         chosen = None
@@ -121,7 +121,7 @@ def _reduce_context(
             origin = f" (reduced from {beta})" if steps else ""
             raise BudgetExceeded(
                 f"state space at dims {cur_dims}{origin} over GF({fld.q}) holds "
-                f"{fld.q}^{StateSpace(q, fld, cur_dims).n_entries} = {size} "
+                f"{fld.q}^{n_entries} = {size} "
                 f"representations (cap {state_cap}) and no sink or source orbit "
                 "reflection reduces the height; refused while planning, before "
                 "any catalog was built",
@@ -202,12 +202,16 @@ class _TwistOrbitEngine:
                 # reflected orbit; that class has no preimage upstairs
                 hs = ()
             else:
+                from .catalog import isoclasses
+
                 cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
                 hs = tuple((beta, qr, gamma, cid) for cid in cat.indec_class_ids())
         self.handles[beta] = hs
         return hs
 
     def t_handle(self, h: Handle) -> Handle:
+        from .catalog import isoclasses
+
         beta, qr, gamma, cid = h
         ctx = self.contexts[beta]
         cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
@@ -280,10 +284,10 @@ class IIClass:
                 f"the base class at dims {self.base_dims} was only reachable "
                 "through reflection reduction; its representatives were never "
                 "materialised",
-                predicted=StateSpace(
-                    self._auto.quiver, self._field, self.base_dims
-                ).size,
+                predicted=self._field.q ** self._auto.quiver.entry_count(self.base_dims),
             )
+        from .catalog import isoclasses
+
         cat = isoclasses(
             self._auto.quiver, self.base_dims, self._field, state_cap=self._state_cap
         )
@@ -474,6 +478,8 @@ def verify_kac(
     rs = positive_roots_up_to(lat, height)
     kind_of = {r.vector: r.kind for r in rs.records}
     vectors = list(_vectors_up_to(len(quiver.vertices), height))
+    from .catalog import isoclasses, plan_isoclasses
+
     plan_isoclasses(quiver, vectors, fld, state_cap)
     records = []
     witnesses = []
@@ -598,6 +604,8 @@ def multiset_crosscheck(
     classes with that dimension sum."""
     n = len(quiver.vertices)
     grid = [tuple([0] * n)] + sorted(_vectors_up_to(n, height), key=lambda v: (sum(v), v))
+    from .catalog import isoclasses, plan_isoclasses
+
     plan_isoclasses(quiver, grid, fld, state_cap)
     items: list[Vec] = []
     class_counts: dict[Vec, int] = {}

@@ -6,6 +6,7 @@ explicit GL generators, idempotent search for indecomposability).
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from quiverfold.catalog import (
     twist_annotations,
 )
 from quiverfold.errors import BudgetExceeded, SpaceMismatch
+from quiverfold.reps import identity, mat_mul, rank
 
 
 def test_a2_f2_small(a2, F2):
@@ -150,16 +152,49 @@ def _load_oracle():
     return mod
 
 
+def _quiver(name, a3, dtilde4):
+    return {
+        "a2": lambda: qf.validate_quiver(["u", "v"], [("r", "u", "v")]),
+        "a3": lambda: a3,
+        "line": lambda: qf.validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]),
+        "kronecker": lambda: qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")]),
+        "star": lambda: dtilde4[0],
+    }[name]()
+
+
 @pytest.mark.parametrize(
     "name, dims, p",
-    [("a3", (2, 2, 2), 3), ("star", (1, 1, 1, 1, 2), 2), ("star", (1, 1, 1, 1, 2), 3)],
-    ids=["a3-222-gf3", "star-delta-gf2", "star-delta-gf3"],
+    [
+        ("a3", (2, 2, 2), 3),
+        ("star", (1, 1, 1, 1, 2), 2),
+        ("star", (1, 1, 1, 1, 2), 3),
+        ("a2", (3, 2), 3),
+        ("kronecker", (2, 2), 2),
+        ("kronecker", (2, 3), 2),
+        ("star", (0, 1, 1, 1, 2), 3),
+        ("line", (1, 3, 1), 2),
+    ],
+    ids=[
+        "a3-222-gf3",
+        "star-delta-gf2",
+        "star-delta-gf3",
+        "a2-32-gf3",
+        "kronecker-22-gf2",
+        "kronecker-23-gf2",
+        "star-cap-gf3",
+        "line-131-gf2",
+    ],
 )
 def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
     """The whole partition agrees with the oracle's breadth-first closure
-    over explicit GL generators, which shares no code with the package."""
+    over explicit GL generators, which shares no code with the package.
+
+    The cases cover a rank-2 rectangular top block (a2), a second block
+    between the top block's vertices (kronecker), the cap vector's shape
+    (star at (0, 1, 1, 1, 2)) and a vertex of dimension 3 with arrows in
+    and out (line)."""
     oracle = _load_oracle()
-    quiver = {"a3": a3, "star": dtilde4[0]}[name]
+    quiver = _quiver(name, a3, dtilde4)
     fld = qf.make_field(p)
     cat = isoclasses(quiver, dims, fld)
     vertices = list(quiver.vertices)
@@ -175,10 +210,14 @@ def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
 
     assert cat.class_reps.tolist() == [code(rep) for rep, _ in classes]
     assert cat.sizes.tolist() == [members for _, members in classes]
-    rep_state = cat.class_reps[cat.labels]
     assert len(rep_of) == cat.space.size
-    for state, rep in rep_of.items():
-        assert rep_state[code(state)] == code(rep)
+    rep_of_code = {code(state): code(rep) for state, rep in rep_of.items()}
+    for state, rep in rep_of_code.items():
+        assert cat.class_reps[cat.class_of_state(state)] == rep
+    # each slice's labels, read directly, name the class of each of its states
+    for sl in cat.slices:
+        got = cat.class_reps[sl.labels].tolist()
+        assert got == [rep_of_code[sl.start + i] for i in range(sl.size)]
 
 
 @pytest.mark.parametrize(
@@ -197,33 +236,116 @@ def test_move_tables_match_decode_apply_encode(arrows, dims, q):
     quiver = qf.validate_quiver(["1", "2", "3"], arrows)
     space = cat_mod.StateSpace(quiver, qf.make_field(*q), dims)
     states = np.arange(space.size, dtype=np.int64)
+    f = space.field
     moves = space.moves()
-    assert {mv.kind for mv in moves} == {"scale", "transvect", "cycle"}
+    # G's generators at each vertex of dimension d: the scaling of row 0 by
+    # the primitive element, the transvection adding row 1 to row 0, and the
+    # cycle sending row i - 1 to row i, each stored with its inverse
+    kinds = set()
     for mv in moves:
+        [(v, (g, g_inv))] = mv.mats.items()
+        d = space.dims[v]
+        eye = identity(d)
+        assert mat_mul(f, g, g_inv) == eye
+        kind = {
+            _with(eye, {(0, 0): f.generator()}): "scale",
+            _with(eye, {(0, 1): 1}): "transvect",
+            _with(_zeros(d), {(i, (i - 1) % d): 1 for i in range(d)}): "cycle",
+        }[g]
+        kinds.add(kind)
         perm = space.move_permutation(mv)
         ref = space.encode_batch(mv.apply(space.decode_batch(states)))
-        assert np.array_equal(perm, ref), mv.kind
-        assert np.array_equal(np.sort(perm), states), mv.kind
+        assert np.array_equal(perm, ref), kind
+        assert np.array_equal(np.sort(perm), states), kind
+    assert kinds == {"scale", "transvect", "cycle"}
+
+
+def _zeros(d):
+    return tuple((0,) * d for _ in range(d))
+
+
+def _with(mat, entries):
+    return tuple(
+        tuple(entries.get((i, j), x) for j, x in enumerate(row)) for i, row in enumerate(mat)
+    )
+
+
+@pytest.mark.parametrize(
+    "arrows, dims, q",
+    [
+        ([("a", "1", "2"), ("b", "1", "2")], (2, 2, 0), (2, 2)),
+        ([("a", "1", "2"), ("b", "3", "2")], (1, 2, 1), (3, 2)),
+        ([("a", "1", "2"), ("b", "2", "3")], (2, 1, 2), (2, 2)),
+        ([("a", "2", "1"), ("b", "3", "1"), ("c", "2", "3")], (2, 3, 1), (3, 1)),
+        ([("a", "1", "2"), ("b", "3", "2")], (1, 2, 2), (3, 1)),
+    ],
+    ids=["kronecker-22-gf4", "a3-121-gf9", "line-212-gf4", "triangle-231-gf3", "a3-122-gf3"],
+)
+def test_slice_invariants(arrows, dims, q):
+    """N_k is the least rank-k top block and the slices tile the space; each
+    generator of H_k fixes N_k, so it maps its slice onto itself, and its
+    tables agree with decode -> _Move.apply -> encode there."""
+    quiver = qf.validate_quiver(["1", "2", "3"], arrows)
+    fld = qf.make_field(*q)
+    space = cat_mod.StateSpace(quiver, fld, dims)
+    _, r, c, _, _ = space.top
+    rest = space.n_entries - r * c
+    least: dict[int, int] = {}
+    count: Counter = Counter()
+    for value in range(fld.q ** (r * c)):
+        ents = space.entries(value * fld.q**rest)[: r * c]
+        k = rank(fld, tuple(tuple(ents[i * c : i * c + c]) for i in range(r)))
+        least.setdefault(k, value)
+        count[k] += 1
+    slices = space.slices()
+    assert [sl.rank for sl in slices] == sorted(least) == list(range(min(r, c) + 1))
+    assert [sl.start for sl in slices] == [least[k] * fld.q**rest for k in sorted(least)]
+    assert [sl.orbit for sl in slices] == [count[k] for k in sorted(least)]
+    assert all(sl.size == fld.q**rest for sl in slices)
+    assert sum(sl.orbit * sl.size for sl in slices) == space.size == fld.q**space.n_entries
+    for sl in slices:
+        rel = np.arange(sl.size, dtype=np.int64)
+        ents = space.decode_batch(rel + sl.start)
+        assert sl.moves
+        for mv in sl.moves:
+            ref = space.encode_batch(mv.apply(ents)) - sl.start
+            assert np.array_equal(np.sort(ref), rel), (sl.rank, mv.mats)
+            table = cat_mod._MoveTable(space, mv, r * c)
+            assert np.array_equal(table(rel), ref), (sl.rank, mv.mats)
+
+
+def _label_dtypes(cat):
+    return {sl.labels.dtype for sl in cat.slices}
 
 
 def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
+    """Every slice holds global class ids, in the narrowest dtype that fits
+    the catalog's class count."""
     cat = isoclasses(counterexample[0], (1, 1, 1, 1, 1), F5)
-    assert cat.n_classes == 106 and cat.labels.dtype == np.uint8
+    assert cat.n_classes == 106 and _label_dtypes(cat) == {np.dtype(np.uint8)}
     # nine parallel arrows at dims (1, 1) over GF(2): no move acts, so every
     # one of the 512 states is its own class
     many = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(9)])
     cat = isoclasses(many, (1, 1), F2)
-    assert cat.n_classes == 512 and cat.labels.dtype == np.uint16
+    assert cat.n_classes == 512 and _label_dtypes(cat) == {np.dtype(np.uint16)}
     assert cat.class_reps.tolist() == list(range(512))
     assert cat.sizes.tolist() == [1] * 512
+    assert [cat.class_of_state(s) for s in range(512)] == list(range(512))
     # six parallel arrows at dims (1, 1) over GF(3): the scalings pair each
-    # nonzero state with its negative, so the sweep outgrows uint8 labels
+    # nonzero state with its negative, so the class ids outgrow uint8
     six = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(6)])
     cat = isoclasses(six, (1, 1), F3)
-    assert cat.n_classes == 1 + (3**6 - 1) // 2 and cat.labels.dtype == np.uint16
+    assert cat.n_classes == 1 + (3**6 - 1) // 2 and _label_dtypes(cat) == {np.dtype(np.uint16)}
     assert cat.sizes.tolist() == [1] + [2] * (cat.n_classes - 1)
     assert cat.class_reps.tolist() == sorted(cat.class_reps.tolist())
-    assert np.array_equal(cat.labels[cat.class_reps], np.arange(cat.n_classes))
+    ids = [cat.class_of_state(s) for s in cat.class_reps.tolist()]
+    assert ids == list(range(cat.n_classes))
+    reps = cat.class_reps
+    direct = [
+        sl.labels[reps[(reps >= sl.start) & (reps < sl.start + sl.size)] - sl.start]
+        for sl in cat.slices
+    ]
+    assert np.array_equal(np.concatenate(direct), np.arange(cat.n_classes))
 
 
 def test_class_of_foreign_representation(a3, F2, F3):

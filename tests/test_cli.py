@@ -247,27 +247,40 @@ def test_python_m_quiverfold(tmp_path):
 
 
 def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
-    """Commands that enumerate no classes never import catalog, theorems or numpy."""
+    """Commands that enumerate no classes never import catalog, theorems or
+    numpy, and a species count refused while planning imports no catalog."""
     code = (
         "import contextlib, io, json, sys\n"
         "import quiverfold as qf\n"
         "from quiverfold import cli\n"
         "line, flip = qf.build_a3_flip()\n"
         "pair = qf.make_valued_quiver(['u', 'v'], [2, 1], [('u', 'v', 2)])\n"
+        "pair41 = qf.make_valued_quiver(['u', 'v'], [4, 1], [('u', 'v', 4)])\n"
         "open('flip.json', 'w').write(qf.json_dumps(qf.quiver_to_dict(line, flip)))\n"
         "open('pair.json', 'w').write(qf.json_dumps(qf.valued_to_dict(pair)))\n"
+        "open('pair41.json', 'w').write(qf.json_dumps(qf.valued_to_dict(pair41)))\n"
         "runs = [['fixtures'], ['fixtures', 'a3-flip'], ['fold', 'flip.json'],\n"
         "        ['skew', 'flip.json'], ['roots', 'pair.json', '--max-height', '4'],\n"
         "        ['classify', 'pair.json', '--dim', '1,2']]\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy', 'quiverfold.catalog', 'quiverfold.theorems')\n"
+        "            if m in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in runs]\n"
-        "loaded = [m for m in ('numpy', 'quiverfold.catalog', 'quiverfold.theorems')\n"
-        "          if m in sys.modules]\n"
-        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+        "before = loaded()\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    refused = cli.main(['species-count', 'pair41.json', '--dim', '1,2', '--field', '3'])\n"
+        "print(json.dumps({'codes': codes, 'loaded': before, 'refused': refused,\n"
+        "                  'error': err.getvalue(), 'after': loaded()}))\n"
     )
     res = _run_child(code, tmp_path)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == {"codes": [0] * 6, "loaded": []}
+    doc = json.loads(res.stdout)
+    assert doc["codes"] == [0] * 6 and doc["loaded"] == []
+    assert doc["refused"] == 2 and doc["error"].startswith("error:")
+    assert "refused while planning" in doc["error"]
+    assert doc["after"] == ["quiverfold.theorems"]
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
