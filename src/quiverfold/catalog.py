@@ -91,6 +91,11 @@ def _elementary(n: int, i: int, j: int, x: int) -> Mat:
     return tuple(tuple(x if (a, b) == (i, j) else int(a == b) for b in range(n)) for a in range(n))
 
 
+def _transvection(f: FiniteField, n: int, i: int, j: int) -> Pair:
+    """Adding row j to row i, as an n x n matrix with its inverse."""
+    return _elementary(n, i, j, 1), _elementary(n, i, j, f.neg(1))
+
+
 def _gl_generators(f: FiniteField, d: int) -> list[Pair]:
     """Generators of GL(d, q), each with its inverse: the scaling of row 0 by
     a primitive element (q > 2), the transvection adding row 1 to row 0 and
@@ -100,7 +105,7 @@ def _gl_generators(f: FiniteField, d: int) -> list[Pair]:
         g = f.generator()
         out.append((_elementary(d, 0, 0, g), _elementary(d, 0, 0, f.inv(g))))
     if d >= 2:
-        out.append((_elementary(d, 0, 1, 1), _elementary(d, 0, 1, f.neg(1))))
+        out.append(_transvection(f, d, 0, 1))
         cycle = tuple(tuple(int(b == (a - 1) % d) for b in range(d)) for a in range(d))
         out.append((cycle, transpose(cycle)))
     return out
@@ -248,7 +253,6 @@ class _Slice:
     start: int
     size: int
     orbit: int  # |G.N_k|
-    moves: list[_Move]  # generators of H_k, the stabiliser of N_k
     labels: np.ndarray | None = None  # class id of each state, once labelled
 
 
@@ -345,36 +349,31 @@ class StateSpace:
         _, r, c, _, _ = self.top
         size = q ** (self.n_entries - r * c)
         return [
-            _Slice(k, value * size, size, _rank_count(q, r, c, k), self._stabiliser(k))
+            _Slice(k, value * size, size, _rank_count(q, r, c, k))
             for k, value in enumerate(self.normal_forms)
         ]
 
-    def _stabiliser(self, k: int) -> list[_Move]:
+    def stabiliser(self, k: int) -> list[_Move]:
         """Generators of H_k, the stabiliser of N_k in G."""
         f = self.field
         _, r, c, t, s = self.top
         rows, cols = _normal_order(r, c, k)
-        out = [mv for mv in self.moves() if t not in mv.mats and s not in mv.mats]
 
-        def add(at_t: tuple[int, Pair] | None, at_s: tuple[int, Pair] | None) -> None:
-            # (lo, pair): the pair on the diagonal from index lo, carried to N_k
-            mats = {}
-            for v, n, perm, at in ((t, r, rows, at_t), (s, c, cols, at_s)):
-                if at is not None:
-                    mats[v] = tuple(_conjugate(g, at[0], n, perm) for g in at[1])
-            out.append(_Move(f, self.blocks, mats))
+        def at_t(lo: int, pair: Pair) -> dict[int, Pair]:
+            return {t: tuple(_conjugate(g, lo, r, rows) for g in pair)}
 
-        for pair in _gl_generators(f, k):
-            add((0, pair), (0, pair))
-        for pair in _gl_generators(f, r - k):
-            add((k, pair), None)
-        for pair in _gl_generators(f, c - k):
-            add(None, (k, pair))
+        def at_s(lo: int, pair: Pair) -> dict[int, Pair]:
+            return {s: tuple(_conjugate(g, lo, c, cols) for g in pair)}
+
+        mats = [at_t(0, pair) | at_s(0, pair) for pair in _gl_generators(f, k)]
+        mats += [at_t(k, pair) for pair in _gl_generators(f, r - k)]
+        mats += [at_s(k, pair) for pair in _gl_generators(f, c - k)]
         if 0 < k < r:  # the upper transvection at t
-            add((0, (_elementary(r, 0, k, 1), _elementary(r, 0, k, f.neg(1)))), None)
+            mats.append(at_t(0, _transvection(f, r, 0, k)))
         if 0 < k < c:  # the lower transvection at s
-            add(None, (0, (_elementary(c, k, 0, 1), _elementary(c, k, 0, f.neg(1)))))
-        return out
+            mats.append(at_s(0, _transvection(f, c, k, 0)))
+        others = [mv for mv in self.moves() if t not in mv.mats and s not in mv.mats]
+        return others + [_Move(f, self.blocks, m) for m in mats]
 
     def to_slice(self, state: int) -> tuple[int, int]:
         """The rank k of the state's top block, and a state of slice k in the
@@ -467,8 +466,8 @@ def _orbit_labels(
 
 class IsoClassCatalog:
     """Orbit partition of a state space: canonical representatives (least
-    state per class, ascending), orbit sizes, lazy indecomposability flags
-    and twist annotations."""
+    state per class, ascending), orbit sizes, the class id of every state of
+    each slice, lazy indecomposability flags and twist annotations."""
 
     def __init__(
         self,
@@ -581,11 +580,11 @@ def isoclasses(
     space = StateSpace(quiver, field, dd)
     if space.size > state_cap:
         raise _oversized(space, state_cap)
-    first = space.top[1] * space.top[2]  # the slice's states vary below the top block
+    first = space.top[1] * space.top[2]  # within a slice only these entries on vary
     slices = space.slices()
     reps, sizes = [], []
     for sl in slices:
-        tables = [_MoveTable(space, mv, first) for mv in sl.moves]
+        tables = [_MoveTable(space, mv, first) for mv in space.stabiliser(sl.rank)]
         sl.labels, got, size = _orbit_labels(sl.size, [t for t in tables if t.blocks])
         reps.append(got + sl.start)
         sizes.append(size * sl.orbit)
