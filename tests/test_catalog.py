@@ -227,8 +227,9 @@ def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
         ([("a", "1", "2"), ("b", "2", "3")], (1, 2, 2), (2, 2)),
         ([("a", "1", "2"), ("b", "2", "3")], (1, 2, 1), (3, 2)),
         ([("a", "1", "2"), ("b", "3", "2")], (1, 2, 1), (3, 2)),
+        ([("a", "1", "2"), ("b", "2", "3")], (1, 3, 1), (3, 1)),
     ],
-    ids=["a3-212-gf4", "line-122-gf4", "line-121-gf9", "a3-121-gf9"],
+    ids=["a3-212-gf4", "line-122-gf4", "line-121-gf9", "a3-121-gf9", "line-131-gf3"],
 )
 def test_move_tables_match_decode_apply_encode(arrows, dims, q):
     """Each move's table-built permutation equals the reference route
