@@ -399,7 +399,8 @@ class StateSpace:
         g_t = tuple(g_t)
         g_s_inv = tuple(tuple(b[cols.index(j)][i] for j in range(c)) for i in range(c))
         # apply reads g_v^-1 only for arrows out of v, and g_v only for arrows into v
-        heads, tails = {b[3] for b in self.blocks}, {b[4] for b in self.blocks}
+        heads = {blk[3] for blk in self.blocks}
+        tails = {blk[4] for blk in self.blocks}
         g_t_inv = _inverse(f, g_t) if t in tails else None
         g_s = _inverse(f, g_s_inv) if s in heads else None
         mats = {t: (g_t, g_t_inv), s: (g_s, g_s_inv)}
@@ -580,7 +581,7 @@ def isoclasses(
     space = StateSpace(quiver, field, dd)
     if space.size > state_cap:
         raise _oversized(space, state_cap)
-    first = space.top[1] * space.top[2]  # within a slice only these entries on vary
+    first = space.top[1] * space.top[2]  # the entries from here on vary within a slice
     slices = space.slices()
     reps, sizes = [], []
     for sl in slices:

@@ -16,7 +16,9 @@ Every job plans before it builds: the reduction context of each vector it
 will visit is fixed first, in visiting order, from state-space sizes alone.
 A job that cannot fit its cap therefore refuses, at the same vector and with
 the same figure as it would have met while enumerating, having built no
-catalog.
+catalog.  ``catalog``, and numpy with it, is imported only where a catalog is
+planned or built, so a twist-engine job refused while planning never loads
+numpy.
 """
 
 from __future__ import annotations
