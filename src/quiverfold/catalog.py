@@ -38,7 +38,9 @@ bijection, so one move maps a frontier of distinct states to distinct
 states, and the label check is the only deduplication needed; forward moves
 suffice because every generator has finite order.  Labels are held in the
 narrowest unsigned dtype that fits the class count (uint8 up to 255
-classes), widened during the sweep as classes appear.
+classes), widened during the sweep as classes appear; once every slice is
+labelled, each keeps its labels as the catalog's class ids, in the narrowest
+dtype that fits them all.
 
 ``class_of`` reduces a state to its slice: Gaussian elimination over F_q
 brings its top block to N_k by a pair (g_t, g_s), the move with those
@@ -286,8 +288,9 @@ class StateSpace:
         self.normal_forms = []
         for k in range(min(r, c) + 1):
             rows, cols = _normal_order(r, c, k)
-            entries = {rows[i] * c + cols[i] for i in range(k)}
-            self.normal_forms.append(sum(field.q ** (r * c - 1 - e) for e in entries))
+            self.normal_forms.append(
+                sum(field.q ** (r * c - 1 - rows[i] * c - cols[i]) for i in range(k))
+            )
 
     def decode_batch(self, states: np.ndarray) -> np.ndarray:
         return _digits(states, self.n_entries, self.field.q, self.dtype)
