@@ -673,19 +673,15 @@ def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
     """
     if a.quiver != cat.quiver:
         raise SpaceMismatch("the automorphism acts on another quiver than the catalog's")
-    rep = cat.representative(ci)
-    dd = cat.dims
-    cur = rep
+    cur = cat.representative(ci)
     for r in range(1, a.order + 1):
         cur = twist_auto(a, cur)
-        if cur.dims == dd:
-            here = isoclasses(cat.quiver, dd, cat.field, state_cap=cat.space.size + 1)
-            if here.class_of(cur) == ci:
-                if a.order % r:
-                    raise TwistPeriodBroken(
-                        f"twist period {r} does not divide the automorphism order {a.order}"
-                    )
-                return r
+        if cur.dims == cat.dims and cat.class_of(cur) == ci:
+            if a.order % r:
+                raise TwistPeriodBroken(
+                    f"twist period {r} does not divide the automorphism order {a.order}"
+                )
+            return r
     raise TwistPeriodBroken("twist orbit did not close within the automorphism order")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .cartan import fold
 from .errors import CrossCheckFailed, QuiverFoldError
@@ -35,22 +34,6 @@ from .serialize import (
     valued_from_dict,
 )
 from .skew import skew, unfold
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus the knobs it may consult."""
-
-    command: str
-    input_path: str | None = None
-    field_spec: str | None = None
-    max_height: int | None = None
-    dims: tuple[int, ...] | None = None
-    as_json: bool = False
-    cap_states: int = 2**24
-    cap_end: int | None = None
-    which: str | None = None
-    name: str | None = None
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -101,28 +84,28 @@ FIXTURES = {
 }
 
 
-def _emit(cfg: RunConfig, doc: dict, text_lines: list[str]) -> None:
-    if cfg.as_json:
+def _emit(ns: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
+    if ns.json:
         sys.stdout.write(json_dumps(doc))
     else:
         for line in text_lines:
             print(line)
 
 
-def _cmd_fold(cfg: RunConfig) -> int:
-    a = _need_auto(_load_document(cfg.input_path))
+def _cmd_fold(ns: argparse.Namespace) -> int:
+    a = _need_auto(_load_document(ns.input))
     fd = fold(a)
     doc = fold_to_dict(fd)
     lines = [f"orbits: {doc['orbits']}"]
     lines.append("C = " + "; ".join(" ".join(f"{x:3d}" for x in row) for row in fd.c_matrix))
     lines.append(f"d = {list(fd.d)}")
     lines.append(f"edge pairs: {doc['edge_pairs']}")
-    _emit(cfg, doc, lines)
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_unfold(cfg: RunConfig) -> int:
-    vq = valued_from_dict(_load_document(cfg.input_path))
+def _cmd_unfold(ns: argparse.Namespace) -> int:
+    vq = valued_from_dict(_load_document(ns.input))
     a = unfold(vq)
     doc = quiver_to_dict(a.quiver, a)
     lines = [
@@ -130,12 +113,12 @@ def _cmd_unfold(cfg: RunConfig) -> int:
         f"arrows: {[(r.id, r.source, r.target) for r in a.quiver.arrows]}",
         f"automorphism order: {a.order}",
     ]
-    _emit(cfg, doc, lines)
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_skew(cfg: RunConfig) -> int:
-    a = _need_auto(_load_document(cfg.input_path))
+def _cmd_skew(ns: argparse.Namespace) -> int:
+    a = _need_auto(_load_document(ns.input))
     skq = skew(a)
     doc = skew_to_dict(skq)
     lines = [
@@ -143,32 +126,32 @@ def _cmd_skew(cfg: RunConfig) -> int:
         f"arrows: {[(r.id, r.source, r.target) for r in skq.quiver.arrows]}",
         f"shift order: {skq.auto.order}",
     ]
-    _emit(cfg, doc, lines)
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_roots(cfg: RunConfig) -> int:
-    if cfg.max_height is None:
+def _cmd_roots(ns: argparse.Namespace) -> int:
+    if ns.max_height is None:
         raise QuiverFoldError("roots needs --max-height")
-    lat = _lattice_for(_load_document(cfg.input_path))
-    rs = positive_roots_up_to(lat, cfg.max_height)
+    lat = _lattice_for(_load_document(ns.input))
+    rs = positive_roots_up_to(lat, ns.max_height)
     doc = {
-        "height": cfg.max_height,
+        "height": ns.max_height,
         "roots": [{"vector": list(r.vector), "kind": r.kind} for r in rs.records],
     }
     lines = [f"{r.vector}  {r.kind}" for r in rs.records]
-    lines.append(f"{len(rs.records)} roots up to height {cfg.max_height}")
-    _emit(cfg, doc, lines)
+    lines.append(f"{len(rs.records)} roots up to height {ns.max_height}")
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    if cfg.dims is None:
+def _cmd_classify(ns: argparse.Namespace) -> int:
+    if ns.dim is None:
         raise QuiverFoldError("classify needs --dim (alias --vector)")
-    lat = _lattice_for(_load_document(cfg.input_path))
-    c = classify(lat, cfg.dims)
+    lat = _lattice_for(_load_document(ns.input))
+    c = classify(lat, ns.dim)
     doc = {
-        "vector": list(cfg.dims),
+        "vector": list(ns.dim),
         "kind": c.kind,
         "sign": c.sign,
         "word": list(c.word),
@@ -176,55 +159,55 @@ def _cmd_classify(cfg: RunConfig) -> int:
         "fundamental": list(c.fundamental) if c.fundamental else None,
         "reason": c.reason,
     }
-    lines = [f"{cfg.dims}: {c.kind}"]
+    lines = [f"{ns.dim}: {c.kind}"]
     if c.kind == "real":
         lines.append(f"  word {list(c.word)} applied to simple {c.simple}")
     elif c.kind == "imaginary":
         lines.append(f"  word {list(c.word)} applied to fundamental {c.fundamental}")
     elif c.reason:
         lines.append(f"  {c.reason}")
-    _emit(cfg, doc, lines)
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_indecs(cfg: RunConfig) -> int:
+def _cmd_indecs(ns: argparse.Namespace) -> int:
     from .catalog import indecomposable_classes, isoclasses
 
-    if cfg.field_spec is None or cfg.dims is None:
+    if ns.field is None or ns.dim is None:
         raise QuiverFoldError("indecs needs --field and --dim")
-    q, _ = _need_quiver(_load_document(cfg.input_path))
-    fld = field_from_spec(cfg.field_spec)
-    cat = isoclasses(q, cfg.dims, fld, state_cap=cfg.cap_states)
-    reps = indecomposable_classes(q, cfg.dims, fld, state_cap=cfg.cap_states)
-    if cfg.cap_end is not None:
+    q, _ = _need_quiver(_load_document(ns.input))
+    fld = field_from_spec(ns.field)
+    cat = isoclasses(q, ns.dim, fld, state_cap=ns.cap_states)
+    reps = indecomposable_classes(q, ns.dim, fld, state_cap=ns.cap_states)
+    if ns.cap_end is not None:
         for rep in reps:
-            if not is_indecomposable(rep, end_cap=cfg.cap_end):
+            if not is_indecomposable(rep, end_cap=ns.cap_end):
                 raise CrossCheckFailed("sieve and endomorphism search disagree")
     doc = {
         "catalog": catalog_to_dict(cat),
         "indecomposables": [rep_to_dict(r) for r in reps],
-        "endomorphism_crosscheck": cfg.cap_end is not None,
+        "endomorphism_crosscheck": ns.cap_end is not None,
     }
     lines = [
-        f"{cat.n_classes} classes at dims {list(cfg.dims)} over {fld.spec}, "
+        f"{cat.n_classes} classes at dims {list(ns.dim)} over {fld.spec}, "
         f"{len(reps)} indecomposable"
     ]
     for r in reps:
         lines.append(f"  {rep_to_dict(r)['matrices']}")
-    _emit(cfg, doc, lines)
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_ii_indecs(cfg: RunConfig) -> int:
+def _cmd_ii_indecs(ns: argparse.Namespace) -> int:
     from .theorems import ii_classes
 
-    if cfg.field_spec is None or cfg.dims is None:
+    if ns.field is None or ns.dim is None:
         raise QuiverFoldError("ii-indecs needs --field and --dim")
-    a = _need_auto(_load_document(cfg.input_path))
-    fld = field_from_spec(cfg.field_spec)
-    classes = ii_classes(a, cfg.dims, fld, state_cap=cfg.cap_states)
+    a = _need_auto(_load_document(ns.input))
+    fld = field_from_spec(ns.field)
+    classes = ii_classes(a, ns.dim, fld, state_cap=ns.cap_states)
     doc = {
-        "dims": list(cfg.dims),
+        "dims": list(ns.dim),
         "field": fld.spec,
         "classes": [
             {
@@ -236,26 +219,26 @@ def _cmd_ii_indecs(cfg: RunConfig) -> int:
             for c in classes
         ],
     }
-    lines = [f"{len(classes)} twist-orbit-sum classes at dims {list(cfg.dims)}"]
+    lines = [f"{len(classes)} twist-orbit-sum classes at dims {list(ns.dim)}"]
     for c in classes:
         lines.append(f"  period {c.period}: members {[list(m) for m in c.member_dims]}")
-    _emit(cfg, doc, lines)
+    _emit(ns, doc, lines)
     return 0
 
 
-def _cmd_species_count(cfg: RunConfig) -> int:
+def _cmd_species_count(ns: argparse.Namespace) -> int:
     from .theorems import species_count
 
-    if cfg.field_spec is None or cfg.dims is None:
+    if ns.field is None or ns.dim is None:
         raise QuiverFoldError("species-count needs --field and --dim")
-    vq = valued_from_dict(_load_document(cfg.input_path))
-    n = species_count(vq, cfg.dims, cfg.field_spec, state_cap=cfg.cap_states)
-    doc = {"alpha": list(cfg.dims), "field": cfg.field_spec, "count": n}
-    _emit(cfg, doc, [f"species count at {list(cfg.dims)} over {cfg.field_spec}: {n}"])
+    vq = valued_from_dict(_load_document(ns.input))
+    n = species_count(vq, ns.dim, ns.field, state_cap=ns.cap_states)
+    doc = {"alpha": list(ns.dim), "field": ns.field, "count": n}
+    _emit(ns, doc, [f"species count at {list(ns.dim)} over {ns.field}: {n}"])
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> int:
     from .theorems import (
         multiset_crosscheck,
         verify_kac,
@@ -263,43 +246,43 @@ def _cmd_verify(cfg: RunConfig) -> int:
         verify_species_theorem,
     )
 
-    if cfg.field_spec is None or cfg.max_height is None:
+    if ns.field is None or ns.max_height is None:
         raise QuiverFoldError("verify needs --field and --max-height")
-    doc_in = _load_document(cfg.input_path)
-    if cfg.which == "kac":
+    doc_in = _load_document(ns.input)
+    if ns.which == "kac":
         q, _ = _need_quiver(doc_in)
         report = verify_kac(
-            q, field_from_spec(cfg.field_spec), cfg.max_height, state_cap=cfg.cap_states
+            q, field_from_spec(ns.field), ns.max_height, state_cap=ns.cap_states
         )
-    elif cfg.which == "main":
+    elif ns.which == "main":
         a = _need_auto(doc_in)
         report = verify_main_theorem(
-            a, field_from_spec(cfg.field_spec), cfg.max_height, state_cap=cfg.cap_states
+            a, field_from_spec(ns.field), ns.max_height, state_cap=ns.cap_states
         )
-    elif cfg.which == "species":
+    elif ns.which == "species":
         vq = valued_from_dict(doc_in)
         report = verify_species_theorem(
-            vq, cfg.field_spec, cfg.max_height, state_cap=cfg.cap_states
+            vq, ns.field, ns.max_height, state_cap=ns.cap_states
         )
     else:  # crosscheck of catalog counts against direct-sum multisets
         q, _ = _need_quiver(doc_in)
         report = multiset_crosscheck(
-            q, field_from_spec(cfg.field_spec), cfg.max_height, state_cap=cfg.cap_states
+            q, field_from_spec(ns.field), ns.max_height, state_cap=ns.cap_states
         )
-    _emit(cfg, report.to_dict(), report.lines())
+    _emit(ns, report.to_dict(), report.lines())
     return 0 if report.passed else 1
 
 
-def _cmd_fixtures(cfg: RunConfig) -> int:
-    if cfg.name is None:
+def _cmd_fixtures(ns: argparse.Namespace) -> int:
+    if ns.name is None:
         for name in sorted(FIXTURES):
             print(name)
         return 0
-    if cfg.name not in FIXTURES:
+    if ns.name not in FIXTURES:
         raise QuiverFoldError(
-            f"unknown fixture {cfg.name!r}; available: {sorted(FIXTURES)}"
+            f"unknown fixture {ns.name!r}; available: {sorted(FIXTURES)}"
         )
-    q, a = FIXTURES[cfg.name]()
+    q, a = FIXTURES[ns.name]()
     doc = quiver_to_dict(q, a)
     sys.stdout.write(json_dumps(doc))
     return 0
@@ -319,34 +302,6 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True) -> None:
-    if with_input:
-        p.add_argument("input", help="path to a JSON document ('-' for stdin)")
-    p.add_argument("--field", help="finite field, e.g. 5 or 2^3")
-    p.add_argument("--max-height", type=int, help="height bound for sweeps")
-    p.add_argument(
-        "--dim",
-        "--vector",
-        dest="dim",
-        type=_parse_dims,
-        help="comma-separated dimension vector, e.g. 1,2,1",
-    )
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument(
-        "--cap-states",
-        type=int,
-        default=2**24,
-        help="largest state space that will be enumerated directly",
-    )
-    p.add_argument(
-        "--cap-end",
-        type=int,
-        default=None,
-        help="when set, cross-check indecomposability flags by endomorphism "
-        "search up to this ring size",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quiverfold",
@@ -354,15 +309,43 @@ def build_parser() -> argparse.ArgumentParser:
         "dimension-vector theorems at desk scale",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # each subcommand takes only the options it reads
+    cmds = {}
     for name in ("fold", "unfold", "skew", "roots", "classify", "indecs",
-                 "ii-indecs", "species-count"):
-        _add_common(sub.add_parser(name))
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument(
-        "which", choices=["kac", "main", "species", "multisets"],
-        help="which counting statement to check",
+                 "ii-indecs", "species-count", "verify"):
+        cmds[name] = p = sub.add_parser(name)
+        if name == "verify":
+            p.add_argument(
+                "which", choices=["kac", "main", "species", "multisets"],
+                help="which counting statement to check",
+            )
+        p.add_argument("input", help="path to a JSON document ('-' for stdin)")
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    for name in ("indecs", "ii-indecs", "species-count", "verify"):
+        cmds[name].add_argument("--field", help="finite field, e.g. 5 or 2^3")
+        cmds[name].add_argument(
+            "--cap-states",
+            type=int,
+            default=2**24,
+            help="largest state space that will be enumerated directly",
+        )
+    for name in ("roots", "verify"):
+        cmds[name].add_argument("--max-height", type=int, help="height bound for sweeps")
+    for name in ("classify", "indecs", "ii-indecs", "species-count"):
+        cmds[name].add_argument(
+            "--dim",
+            "--vector",
+            dest="dim",
+            type=_parse_dims,
+            help="comma-separated dimension vector, e.g. 1,2,1",
+        )
+    cmds["indecs"].add_argument(
+        "--cap-end",
+        type=int,
+        default=None,
+        help="when set, cross-check indecomposability flags by endomorphism "
+        "search up to this ring size",
     )
-    _add_common(p_verify)
     p_fix = sub.add_parser("fixtures")
     p_fix.add_argument("name", nargs="?", help="fixture to print (omit to list)")
     return ap
@@ -370,20 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        field_spec=getattr(ns, "field", None),
-        max_height=getattr(ns, "max_height", None),
-        dims=getattr(ns, "dim", None),
-        as_json=getattr(ns, "json", False),
-        cap_states=getattr(ns, "cap_states", 2**24),
-        cap_end=getattr(ns, "cap_end", None),
-        which=getattr(ns, "which", None),
-        name=getattr(ns, "name", None),
-    )
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except QuiverFoldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

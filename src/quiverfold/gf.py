@@ -311,12 +311,6 @@ class FiniteField:
         mul[1:, 1:] = exp[idx]
         return add.astype(dtype), mul.astype(dtype)
 
-    @lru_cache(maxsize=None)
-    def neg_table(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.neg(x) for x in range(self.q)], dtype=np.int64)
-
 
 @cache
 def make_field(p: int, m: int = 1) -> FiniteField:

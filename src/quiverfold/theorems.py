@@ -12,13 +12,14 @@ at the reflected dimension vector, so counting can move to the smaller side.
 When no reduction applies the computation refuses with the exact blowup
 figure rather than approximating.
 
-Every job plans before it builds: the reduction context of each vector it
-will visit is fixed first, in visiting order, from state-space sizes alone.
-A job that cannot fit its cap therefore refuses, at the same vector and with
-the same figure as it would have met while enumerating, having built no
-catalog.  ``catalog``, and numpy with it, is imported only where a catalog is
-planned or built, so a twist-engine job refused while planning never loads
-numpy.
+Every twist-orbit job runs on one ``_TwistOrbitEngine``, which owns the
+job's plan: the reduction context of each vector the job will visit is
+fixed first, in visiting order, from state-space sizes alone, once per
+vector.  A job that cannot fit its cap therefore refuses, at the same vector
+and with the same figure as it would have met while enumerating, having
+built no catalog.  ``catalog``, and numpy with it, is imported only where a
+catalog is planned or built, so a twist-engine job refused while planning
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ from .errors import (
 )
 from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
-from .roots import classify, folded_lattice, positive_roots_up_to, quiver_lattice, s_fold
+from .roots import (
+    _nonneg_vectors,
+    classify,
+    folded_lattice,
+    positive_roots_up_to,
+    quiver_lattice,
+    s_fold,
+)
 from .skew import unfold
 from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
 
@@ -58,13 +66,6 @@ def _box(d: Vec) -> Iterator[Vec]:
     """All nonzero beta with beta <= d componentwise (d itself included)."""
     for beta in product(*(range(x + 1) for x in d)):
         if any(beta):
-            yield beta
-
-
-def _vectors_up_to(n: int, height: int) -> Iterator[Vec]:
-    """All nonzero vectors in N^n with coordinate sum <= height."""
-    for beta in product(*(range(height + 1) for _ in range(n))):
-        if 0 < sum(beta) <= height:
             yield beta
 
 
@@ -94,7 +95,7 @@ def _reduce_context(
     Returns None when a reflection lands outside the positive cone, which
     certifies that no indecomposable of dims beta exists at all.  Raises
     BudgetExceeded when the space is oversized and no orbit qualifies.
-    Builds no catalog; only ``_plan`` calls it.
+    Builds no catalog; only ``_TwistOrbitEngine.plan`` calls it.
     """
     cur_a = a
     cur_dims = a.quiver.check_vector(beta)
@@ -140,31 +141,14 @@ def _reduce_context(
         last_orbit = orbit
 
 
-def _plan(
-    a: Automorphism,
-    vectors: Iterable[Vec],
-    fld: FiniteField,
-    state_cap: int,
-    contexts: dict[Vec, _ReductionContext | None],
-) -> None:
-    """Fill in the reduction context of every vector, in the order given.
-
-    Run over every vector a job visits before its first catalog is built,
-    so an oversized job refuses at the vector it would have refused at.
-    """
-    for beta in vectors:
-        if beta not in contexts:
-            contexts[beta] = _reduce_context(a, beta, fld, state_cap)
-
-
 # --- twist-orbit engine ---
 
 Handle = tuple  # (base_dims, quiver, reduced_dims, class_id)
 
 
 class _TwistOrbitEngine:
-    """Indecomposable class handles over a box of dimension vectors and
-    their orbits under a twist functor."""
+    """Indecomposable class handles over boxes of dimension vectors and
+    their orbits under a twist functor: the state of one twist-orbit job."""
 
     def __init__(
         self,
@@ -183,6 +167,19 @@ class _TwistOrbitEngine:
         self.state_cap = state_cap
         self.contexts: dict[Vec, _ReductionContext | None] = {}
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
+
+    def plan(self, vectors: Iterable[Vec]) -> None:
+        """Fix the reduction context of every vector, in the order given.
+
+        A job runs this over every vector it visits before its first catalog
+        is built, so an oversized job refuses at the vector it would have
+        refused at.
+        """
+        for beta in vectors:
+            if beta not in self.contexts:
+                self.contexts[beta] = _reduce_context(
+                    self.a, beta, self.field, self.state_cap
+                )
 
     def handles_at(self, beta: Vec) -> tuple[Handle, ...]:
         """Handles at a vector of the planned box."""
@@ -230,7 +227,7 @@ class _TwistOrbitEngine:
 
     def orbits(self, d: Vec) -> list[list[Handle]]:
         box = list(_box(d))
-        _plan(self.a, box, self.field, self.state_cap, self.contexts)
+        self.plan(box)
         allh: list[Handle] = []
         for beta in box:
             allh.extend(self.handles_at(beta))
@@ -255,6 +252,10 @@ class _TwistOrbitEngine:
             seen.update(orbit)
             out.append(orbit)
         return out
+
+    def orbits_summing_to(self, d: Vec) -> list[list[Handle]]:
+        """The orbits over d's box whose member dimension vectors add up to d."""
+        return [o for o in self.orbits(d) if _vec_sum([h[0] for h in o]) == d]
 
 
 # --- invariant-subfield indecomposables ---
@@ -322,32 +323,39 @@ def ii_classes(
         raise NotFixed(f"dimension vector {dd} is not fixed by the automorphism")
     if not any(dd):
         return ()
-    engine = _TwistOrbitEngine(
+    return _ii_classes(_auto_engine(a, fld, state_cap), dd)
+
+
+def _auto_engine(a: Automorphism, fld: FiniteField, state_cap: int) -> _TwistOrbitEngine:
+    """The engine of a job that twists by the automorphism a."""
+    return _TwistOrbitEngine(
         a,
         fld,
-        twist_rep=lambda ar, rep: twist_auto(ar, rep),
+        twist_rep=twist_auto,
         dims_act=lambda b: act_on_dimension_vector(a, b),
         order_bound=a.order,
         state_cap=state_cap,
     )
+
+
+def _ii_classes(engine: _TwistOrbitEngine, dd: Vec) -> tuple[IIClass, ...]:
+    """The twist-orbit-sum classes at a nonzero fixed vector dd."""
+    a = engine.a
     out = []
-    for orbit in engine.orbits(dd):
-        member_dims = tuple(h[0] for h in orbit)
-        if _vec_sum(member_dims) != dd:
-            continue
+    for orbit in engine.orbits_summing_to(dd):
         beta, _, _, cid = orbit[0]
         ctx = engine.contexts[beta]
         out.append(
             IIClass(
                 total_dims=dd,
                 period=len(orbit),
-                member_dims=member_dims,
+                member_dims=tuple(h[0] for h in orbit),
                 base_dims=beta,
                 base_class_id=cid,
                 direct=ctx is not None and ctx.is_direct,
                 _auto=a,
-                _field=fld,
-                _state_cap=state_cap,
+                _field=engine.field,
+                _state_cap=engine.state_cap,
             )
         )
     if out:
@@ -362,12 +370,22 @@ def ii_classes(
 # --- species counting through the unfolded quiver ---
 
 
-def _unfolded(vq: ValuedQuiver, q: int | str) -> tuple[Automorphism, FiniteField, int]:
-    """The unfolding of vq, the big field it is counted over, and the base
-    field's degree."""
+def _species_engine(vq: ValuedQuiver, q: int | str, state_cap: int) -> _TwistOrbitEngine:
+    """The engine of a species job: the unfolding of vq over the big field
+    (degree = base degree times the unfolding order), twisted by the inverse
+    automorphism after base-field Frobenius."""
     p, mbase = prime_power(q)
     a = unfold(vq)
-    return a, make_field(p, mbase * a.order), mbase
+    fld = make_field(p, mbase * a.order)
+    ainv = a.inverse()
+    return _TwistOrbitEngine(
+        a,
+        fld,
+        twist_rep=lambda ar, rep: twist_auto(ar.inverse(), twist_frobenius(rep, mbase)),
+        dims_act=lambda b: act_on_dimension_vector(ainv, b),
+        order_bound=a.order,
+        state_cap=state_cap,
+    )
 
 
 def species_count(
@@ -379,30 +397,13 @@ def species_count(
     """Number of indecomposable classes of the valued quiver at alpha over
     the q-element base field, counted through the unfolded quiver.
 
-    Over the big field (degree = base degree times the unfolding order) the
-    indecomposables are grouped into orbits of the composite twist
-    (inverse automorphism after base-field Frobenius); descent matches the
-    orbits whose dimension vectors sum to the unfolding of alpha.
+    Over the big field the indecomposables are grouped into orbits of the
+    composite twist (inverse automorphism after base-field Frobenius);
+    descent matches the orbits whose dimension vectors sum to the unfolding
+    of alpha.
     """
-    a, fld, mbase = _unfolded(vq, q)
-    t = a.order
-    dk = f_inverse(a, alpha)
-    if not any(dk):
-        return 0
-    ainv = a.inverse()
-    engine = _TwistOrbitEngine(
-        a,
-        fld,
-        twist_rep=lambda ar, rep: twist_auto(ar.inverse(), twist_frobenius(rep, mbase)),
-        dims_act=lambda b: act_on_dimension_vector(ainv, b),
-        order_bound=t,
-        state_cap=state_cap,
-    )
-    count = 0
-    for orbit in engine.orbits(dk):
-        if _vec_sum([h[0] for h in orbit]) == dk:
-            count += 1
-    return count
+    engine = _species_engine(vq, q, state_cap)
+    return len(engine.orbits_summing_to(f_inverse(engine.a, alpha)))
 
 
 # --- theorem reports ---
@@ -479,7 +480,7 @@ def verify_kac(
     lat = quiver_lattice(quiver)
     rs = positive_roots_up_to(lat, height)
     kind_of = {r.vector: r.kind for r in rs.records}
-    vectors = list(_vectors_up_to(len(quiver.vertices), height))
+    vectors = list(_nonneg_vectors(len(quiver.vertices), height))
     from .catalog import isoclasses, plan_isoclasses
 
     plan_isoclasses(quiver, vectors, fld, state_cap)
@@ -525,13 +526,13 @@ def verify_main_theorem(
         )
     fd = fold(a)
     lat = folded_lattice(fd)
-    alphas = list(_vectors_up_to(len(lat.names), height))
-    _plan(a, (b for alpha in alphas for b in _box(f_inverse(a, alpha))), fld, state_cap, {})
+    alphas = list(_nonneg_vectors(len(lat.names), height))
+    engine = _auto_engine(a, fld, state_cap)
+    engine.plan(b for alpha in alphas for b in _box(f_inverse(a, alpha)))
     records = []
     witnesses = []
     for alpha in alphas:
-        d = f_inverse(a, alpha)
-        classes = ii_classes(a, d, fld, state_cap=state_cap)
+        classes = _ii_classes(engine, f_inverse(a, alpha))
         kind = classify(lat, alpha).kind
         periods = tuple(c.period for c in classes)
         n = len(classes)
@@ -569,14 +570,16 @@ def verify_species_theorem(
     valued quiver's form, and equal to one on the real ones."""
     p, mbase = prime_power(q)
     lat = folded_lattice(vq)
-    alphas = list(_vectors_up_to(len(lat.names), height))
-    if alphas:
-        a, fld, _ = _unfolded(vq, q)
-        _plan(a, (b for alpha in alphas for b in _box(f_inverse(a, alpha))), fld, state_cap, {})
+    alphas = list(_nonneg_vectors(len(lat.names), height))
+    dks: list[Vec] = []
+    if alphas:  # with no alphas there is no unfolding to make
+        engine = _species_engine(vq, q, state_cap)
+        dks = [f_inverse(engine.a, alpha) for alpha in alphas]
+        engine.plan(b for dk in dks for b in _box(dk))
     records = []
     witnesses = []
-    for alpha in alphas:
-        n = species_count(vq, alpha, q, state_cap=state_cap)
+    for alpha, dk in zip(alphas, dks):
+        n = len(engine.orbits_summing_to(dk))
         kind = classify(lat, alpha).kind
         if n or kind != "nonroot":
             records.append(DimensionRecord(alpha, kind, n))
@@ -605,7 +608,7 @@ def multiset_crosscheck(
     every dimension vector equals the number of multisets of indecomposable
     classes with that dimension sum."""
     n = len(quiver.vertices)
-    grid = [tuple([0] * n)] + sorted(_vectors_up_to(n, height), key=lambda v: (sum(v), v))
+    grid = [tuple([0] * n)] + sorted(_nonneg_vectors(n, height), key=lambda v: (sum(v), v))
     from .catalog import isoclasses, plan_isoclasses
 
     plan_isoclasses(quiver, grid, fld, state_cap)

@@ -48,11 +48,21 @@ def test_fold_json_deterministic(flip_doc, capsys):
     assert doc["c_matrix"] == [[2, -1], [-2, 2]]
 
 
-def test_seed_is_usage_error(flip_doc, capsys):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fold", "DOC", "--json", "--seed", "7"], "--seed"),
+        (["fold", "DOC", "--cap-end", "4"], "--cap-end"),
+        (["verify", "kac", "DOC", "--field", "2", "--max-height", "2", "--dim", "1,1"], "--dim"),
+    ],
+    ids=["seed", "fold-cap-end", "verify-dim"],
+)
+def test_seed_is_usage_error(flip_doc, capsys, argv, flag):
+    # a flag the subcommand would not read is refused, not ignored
     with pytest.raises(SystemExit) as ei:
-        cli.main(["fold", flip_doc, "--json", "--seed", "7"])
+        cli.main([flip_doc if x == "DOC" else x for x in argv])
     assert ei.value.code == 2
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_roots_on_valued_input(pair_doc, capsys):

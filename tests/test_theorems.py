@@ -161,7 +161,9 @@ def test_species_count_budget():
     assert ei.value.predicted == 16**8
 
 
+_PAIR21 = qf.make_valued_quiver(["u", "v"], [2, 1], [("u", "v", 2)])
 _PAIR41 = qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)])
+_DTILDE4_4CYCLE = qf.build_dtilde4()[1]
 _STAR = qf.build_dtilde4()[0]
 _ROTATION = qf.build_counterexample()[1]
 
@@ -249,6 +251,34 @@ def test_verify_species_smoke(pair21):
     rows = {r.vector: r for r in report.records}
     assert rows[(1, 1)].count == 1
     assert (2, 2) not in rows
+    # at height 0 there is no alpha, so nothing is unfolded: GF(2^32) would
+    # exceed the extension degree cap
+    empty = qf.verify_species_theorem(_PAIR41, "2^8", 0)
+    assert empty.passed
+    assert empty.records == ()
+    assert empty.field_spec == "2^8"
+
+
+@pytest.mark.parametrize(
+    "job, distinct",
+    [
+        (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 353),
+        (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 54),
+    ],
+    ids=["verify_main", "verify_species"],
+)
+def test_one_plan_per_job(monkeypatch, job, distinct):
+    # one engine plans the whole job, so each vector visited is reduced once
+    seen = []
+    reduce_context = theorems._reduce_context
+
+    def counted(a, beta, fld, state_cap):
+        seen.append(beta)
+        return reduce_context(a, beta, fld, state_cap)
+
+    monkeypatch.setattr(theorems, "_reduce_context", counted)
+    job()
+    assert len(seen) == len(set(seen)) == distinct
 
 
 def test_multiset_crosscheck(a2, F2):
