@@ -13,7 +13,7 @@ All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -190,13 +190,6 @@ class FoldData:
         return self.orbits.orbit_names
 
     @cached_property
-    def d_matrix(self) -> Matrix:
-        n = len(self.d)
-        return tuple(
-            tuple(self.d[i] if i == j else 0 for j in range(n)) for i in range(n)
-        )
-
-    @cached_property
     def c_matrix(self) -> Matrix:
         n = len(self.d)
         for i in range(n):
@@ -282,15 +275,10 @@ def root_length(carrier: FoldData | ValuedQuiver, w: Sequence[int]) -> int:
 # --- moving vectors across the fold ---
 
 
-@lru_cache(maxsize=None)
-def _orbits_cached(a: Automorphism) -> OrbitStructure:
-    return orbit_structure(a)
-
-
 def f_map(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
     """Identify an a-fixed vector of the quiver lattice with a vector of the
     orbit lattice (one coordinate per orbit)."""
-    st = _orbits_cached(a)
+    st = orbit_structure(a)
     vec = a.quiver.check_vector(v)
     idx = a.quiver.vertex_index
     out = []
@@ -307,7 +295,7 @@ def f_map(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
 
 def f_inverse(a: Automorphism, w: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`f_map`: spread orbit coordinates back over vertices."""
-    st = _orbits_cached(a)
+    st = orbit_structure(a)
     ws = _check_len("w", w, len(st.vertex_orbits))
     out = [0] * len(a.quiver.vertices)
     idx = a.quiver.vertex_index

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -647,42 +647,42 @@ def indecomposable_classes(
     return tuple(cat.representative(ci) for ci in cat.indec_class_ids())
 
 
+def _twist_period(
+    cat: IsoClassCatalog,
+    ci: int,
+    twist: Callable[[Representation], Representation],
+    order: int,
+    name: str,
+) -> int:
+    """Least r >= 1 with class ci fixed by r applications of `twist`, which
+    must divide `order`.  The class may wander through catalogs at permuted
+    dimension vectors before returning."""
+    cur = cat.representative(ci)
+    for r in range(1, order + 1):
+        cur = twist(cur)
+        if cur.dims == cat.dims and cat.class_of(cur) == ci:
+            if order % r:
+                raise TwistPeriodBroken(f"{name} period {r} does not divide its order {order}")
+            return r
+    raise TwistPeriodBroken(f"{name} orbit did not close within its order {order}")
+
+
 def frobenius_period(cat: IsoClassCatalog, ci: int) -> int:
     """Least s >= 1 with the class fixed by the s-fold Frobenius twist.
 
     Always divides the field degree.
     """
-    rep = cat.representative(ci)
-    cur = rep
-    for s in range(1, cat.field.m + 1):
-        cur = twist_frobenius(cur, 1)
-        if cat.class_of(cur) == ci:
-            if cat.field.m % s:
-                raise TwistPeriodBroken(
-                    f"Frobenius period {s} does not divide the field degree {cat.field.m}"
-                )
-            return s
-    raise TwistPeriodBroken("Frobenius twist orbit did not close within the field degree")
+    return _twist_period(cat, ci, twist_frobenius, cat.field.m, "Frobenius twist")
 
 
 def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
     """Least r >= 1 with the class fixed by the r-fold twist along a.
 
-    The class may wander through catalogs at permuted dimension vectors
-    before returning; the period always divides the automorphism order.
+    The period always divides the automorphism order.
     """
     if a.quiver != cat.quiver:
         raise SpaceMismatch("the automorphism acts on another quiver than the catalog's")
-    cur = cat.representative(ci)
-    for r in range(1, a.order + 1):
-        cur = twist_auto(a, cur)
-        if cur.dims == cat.dims and cat.class_of(cur) == ci:
-            if a.order % r:
-                raise TwistPeriodBroken(
-                    f"twist period {r} does not divide the automorphism order {a.order}"
-                )
-            return r
-    raise TwistPeriodBroken("twist orbit did not close within the automorphism order")
+    return _twist_period(cat, ci, lambda x: twist_auto(a, x), a.order, "automorphism twist")
 
 
 def twist_annotations(

@@ -354,10 +354,6 @@ class OrbitStructure:
         return {v: k for k, orb in enumerate(self.vertex_orbits) for v in orb}
 
     @cached_property
-    def orbit_of_arrow(self) -> dict[str, int]:
-        return {r: k for k, orb in enumerate(self.arrow_orbits) for r in orb}
-
-    @cached_property
     def arrow_orbit_ends(self) -> tuple[tuple[int, int], ...]:
         """(source orbit, target orbit) for each arrow orbit."""
         q = self.quiver

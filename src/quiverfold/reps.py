@@ -6,8 +6,8 @@ dimension, row-major).  Everything downstream is elementary linear algebra
 over the field: homomorphism spaces are nullspaces of the intertwining
 system, indecomposability is the absence of a nontrivial idempotent
 endomorphism (searched exhaustively under a cap), and reflection functors
-take kernels at sinks and cokernels at sources with deterministic echelon
-bases.
+take kernels at sinks with deterministic echelon bases, and cokernels at
+sources as the transpose dual of a kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .errors import (
     LatticeMismatch,
     NotSink,
     NotSource,
+    TwistPeriodBroken,
+    UnknownVertex,
 )
 from .gf import FiniteField
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
@@ -146,9 +148,6 @@ class Representation:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def dim_at(self, v: str) -> int:
-        return self.dims[self.quiver.vertex_index[v]]
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
@@ -508,115 +507,84 @@ def twist_frobenius(x: Representation, s: int = 1) -> Representation:
 # --- reflection functors ---
 
 
+def _dual(x: Representation) -> Representation:
+    """The transpose dual: every arrow reversed (same ids, same order) and
+    every matrix transposed.  Shapes come from dims, since a 0-row matrix
+    does not record its column count."""
+    q = x.quiver
+    idx = q.vertex_index
+    mats = tuple(
+        tuple(
+            tuple(m[r][c] for r in range(x.dims[idx[arr.target]]))
+            for c in range(x.dims[idx[arr.source]])
+        )
+        for arr, m in zip(q.arrows, x.matrices)
+    )
+    return Representation(q.reversed_at(q.vertices), x.field, x.dims, mats)
+
+
 def reflection_functor(x: Representation, vertex: str, direction: str) -> Representation:
     """One Bernstein-Gelfand-Ponomarev reflection.
 
     direction "+": vertex must be a sink; the new space there is the kernel
-    of the combined in-map.  direction "-": vertex must be a source; the new
-    space is the cokernel of the combined out-map (coordinates on the
-    echelon complement).  The result lives on the quiver with the arrows at
-    the vertex reversed (same ids).
+    of the combined in-map, with the deterministic basis of `nullspace`.
+    direction "-": vertex must be a source; the new space is the cokernel
+    of the combined out-map, computed as the transpose dual of the "+"
+    reflection of the dual representation (on the opposite quiver the
+    source is a sink, and the dual of a kernel is a cokernel).  The result
+    lives on the quiver with the arrows at the vertex reversed (same ids).
     """
     q = x.quiver
     f = x.field
     idx = q.vertex_index
     if vertex not in idx:
-        raise FieldMismatch(f"quiver has no vertex {vertex!r}")
-    vi = idx[vertex]
-    new_quiver = q.reversed_at([vertex])
-
-    if direction == "+":
-        if not q.is_sink(vertex):
-            raise NotSink(f"vertex {vertex!r} is not a sink")
-        ins = q.arrows_into(vertex)
-        blocks = [x.matrices[q.arrows.index(r)] for r in ins]
-        src_dims = [x.dims[idx[r.source]] for r in ins]
-        total = sum(src_dims)
-        rows = []
-        for r in range(x.dims[vi]):
-            row: list[int] = []
-            for m in blocks:
-                row.extend(m[r])
-            rows.append(row)
-        kernel = nullspace(f, rows, total)
-        new_dim = len(kernel)
-
-        dims = list(x.dims)
-        dims[vi] = new_dim
-        offsets = {}
-        acc = 0
-        for r, d in zip(ins, src_dims):
-            offsets[r.id] = acc
-            acc += d
-
-        new_mats: list[Mat] = []
-        for k, arr in enumerate(new_quiver.arrows):
-            old = q.arrows[k]
-            if old.target != vertex:
-                new_mats.append(x.matrices[k])
-                continue
-            off = offsets[old.id]
-            d_src = x.dims[idx[old.source]]
-            m = tuple(
-                tuple(kernel[c][off + r] for c in range(new_dim))
-                for r in range(d_src)
-            )
-            new_mats.append(m)
-        return Representation(new_quiver, f, tuple(dims), tuple(new_mats))
-
+        raise UnknownVertex(f"quiver has no vertex {vertex!r}")
     if direction == "-":
         if not q.is_source(vertex):
             raise NotSource(f"vertex {vertex!r} is not a source")
-        outs = q.arrows_out_of(vertex)
-        tgt_dims = [x.dims[idx[r.target]] for r in outs]
-        total = sum(tgt_dims)
-        stacked: list[list[int]] = []
-        for r in outs:
-            m = x.matrices[q.arrows.index(r)]
-            for row in m:
-                stacked.append(list(row))
-        # column space of the stacked map, as echelon rows
-        ech, pivots = rref(f, transpose(tuple(tuple(r) for r in stacked)) if stacked else ())
-        pivot_set = set(pivots)
-        nonpivots = [k for k in range(total) if k not in pivot_set]
+        return _dual(reflection_functor(_dual(x), vertex, "+"))
+    if direction != "+":
+        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+    if not q.is_sink(vertex):
+        raise NotSink(f"vertex {vertex!r} is not a sink")
+    vi = idx[vertex]
+    new_quiver = q.reversed_at([vertex])
 
-        def project(vec: list[int]) -> list[int]:
-            v = list(vec)
-            for row, pc in zip(ech, pivots):
-                coef = v[pc]
-                if coef:
-                    v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, row)]
-            return [v[k] for k in nonpivots]
+    ins = q.arrows_into(vertex)
+    blocks = [x.matrices[q.arrows.index(r)] for r in ins]
+    src_dims = [x.dims[idx[r.source]] for r in ins]
+    total = sum(src_dims)
+    rows = []
+    for r in range(x.dims[vi]):
+        row: list[int] = []
+        for m in blocks:
+            row.extend(m[r])
+        rows.append(row)
+    kernel = nullspace(f, rows, total)
+    new_dim = len(kernel)
 
-        new_dim = len(nonpivots)
-        dims = list(x.dims)
-        dims[vi] = new_dim
-        offsets = {}
-        acc = 0
-        for r, d in zip(outs, tgt_dims):
-            offsets[r.id] = acc
-            acc += d
+    dims = list(x.dims)
+    dims[vi] = new_dim
+    offsets = {}
+    acc = 0
+    for r, d in zip(ins, src_dims):
+        offsets[r.id] = acc
+        acc += d
 
-        new_mats = []
-        for k, arr in enumerate(new_quiver.arrows):
-            old = q.arrows[k]
-            if old.source != vertex:
-                new_mats.append(x.matrices[k])
-                continue
-            off = offsets[old.id]
-            d_tgt = x.dims[idx[old.target]]
-            cols = []
-            for c in range(d_tgt):
-                e = [0] * total
-                e[off + c] = 1
-                cols.append(project(e))
-            m = tuple(
-                tuple(cols[c][r] for c in range(d_tgt)) for r in range(new_dim)
-            )
-            new_mats.append(m)
-        return Representation(new_quiver, f, tuple(dims), tuple(new_mats))
-
-    raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+    new_mats: list[Mat] = []
+    for k, arr in enumerate(new_quiver.arrows):
+        old = q.arrows[k]
+        if old.target != vertex:
+            new_mats.append(x.matrices[k])
+            continue
+        off = offsets[old.id]
+        d_src = x.dims[idx[old.source]]
+        m = tuple(
+            tuple(kernel[c][off + r] for c in range(new_dim))
+            for r in range(d_src)
+        )
+        new_mats.append(m)
+    return Representation(new_quiver, f, tuple(dims), tuple(new_mats))
 
 
 def s_fold_functor(
@@ -654,5 +622,5 @@ def ii_orbit_sum(
         cur = twist_auto(a, cur)
         r += 1
         if r > a.order:
-            raise ArithmeticError("twist period exceeds automorphism order")
+            raise TwistPeriodBroken("twist period exceeds automorphism order")
     return total, r

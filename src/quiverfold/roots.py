@@ -143,10 +143,6 @@ class Classification:
     fundamental: tuple[int, ...] | None
     reason: str | None
 
-    @property
-    def is_root(self) -> bool:
-        return self.kind != "nonroot"
-
 
 def _support_connected(lat: CartanLattice, v: Sequence[int]) -> bool:
     supp = [i for i, x in enumerate(v) if x != 0]
@@ -231,16 +227,6 @@ class RootSet:
 
     def reals(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r.vector for r in self.records if r.kind == "real")
-
-    def imaginaries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(r.vector for r in self.records if r.kind == "imaginary")
-
-    def kind_of(self, v: Sequence[int]) -> RootKind | None:
-        vec = tuple(int(x) for x in v)
-        for r in self.records:
-            if r.vector == vec:
-                return r.kind
-        return None
 
 
 def _nonneg_vectors(n: int, h_max: int):

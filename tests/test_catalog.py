@@ -15,6 +15,7 @@ import pytest
 import quiverfold as qf
 from quiverfold import catalog as cat_mod
 from quiverfold.catalog import (
+    IsoClassCatalog,
     auto_period,
     clear_catalog_store,
     frobenius_period,
@@ -22,7 +23,7 @@ from quiverfold.catalog import (
     plan_isoclasses,
     twist_annotations,
 )
-from quiverfold.errors import BudgetExceeded, SpaceMismatch
+from quiverfold.errors import BudgetExceeded, SpaceMismatch, TwistPeriodBroken
 from quiverfold.reps import identity, mat_mul, rank
 
 
@@ -397,3 +398,13 @@ def test_auto_period_wanders_through_dims(a3_flip, F2):
     # S_1 twists to S_3, so the period is the full automorphism order
     for ci in cat.indec_class_ids():
         assert auto_period(cat, flip, ci) == 2
+
+
+def test_twist_period_must_close(a3_flip, F2, monkeypatch):
+    q, flip = a3_flip
+    cat = isoclasses(q, (1, 0, 1), F2)
+    monkeypatch.setattr(IsoClassCatalog, "class_of", lambda self, rep: -1)
+    with pytest.raises(TwistPeriodBroken):
+        frobenius_period(cat, 0)
+    with pytest.raises(TwistPeriodBroken):
+        auto_period(cat, flip, 0)

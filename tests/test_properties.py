@@ -137,6 +137,7 @@ def test_h_map_bounded_root_surjectivity(name):
 def test_reflection_functor_dimension_identity(a3, F2, F3):
     lat = qf.quiver_lattice(a3)
     s2 = {f.p: qf.simple_representation(a3, f, "2") for f in (F2, F3)}
+    s1 = {f.p: qf.simple_representation(a3, f, "1") for f in (F2, F3)}
     rnd = random.Random(SEED + 4)
     for _ in range(SAMPLES):
         fld = (F2, F3)[rnd.randrange(2)]
@@ -152,10 +153,21 @@ def test_reflection_functor_dimension_identity(a3, F2, F3):
                 tuple(rnd.randrange(fld.q) for _ in range(cols)) for _ in range(rows)
             )
         rep = qf.make_representation(a3, fld, dims, mats)
-        kept = [p for p in qf.decompose(rep) if not qf.is_isomorphic(p, s2[fld.p])]
+        parts = qf.decompose(rep)
+        kept = [p for p in parts if not qf.is_isomorphic(p, s2[fld.p])]
         y = qf.direct_sum_list(kept, a3, fld)
         plus = reflection_functor(y, "2", "+")
         assert plus.dims == qf.reflect(lat, "2", y.dims)
+        # R-_2 R+_2 gives back y, and R+_1 R-_1 at the source "1" gives back
+        # the representation without its S_1 summands
+        back = reflection_functor(plus, "2", "-")
+        assert back.quiver == a3 and qf.is_isomorphic(back, y)
+        kept = [p for p in parts if not qf.is_isomorphic(p, s1[fld.p])]
+        y = qf.direct_sum_list(kept, a3, fld)
+        minus = reflection_functor(y, "1", "-")
+        assert minus.dims == qf.reflect(lat, "1", y.dims)
+        back = reflection_functor(minus, "1", "+")
+        assert back.quiver == a3 and qf.is_isomorphic(back, y)
     for fld in (F2, F3):
         assert reflection_functor(s2[fld.p], "2", "+").is_zero()
 

@@ -10,6 +10,8 @@ from quiverfold.errors import (
     LatticeMismatch,
     NotSink,
     NotSource,
+    TwistPeriodBroken,
+    UnknownVertex,
 )
 
 
@@ -104,9 +106,11 @@ def test_reflection_functor(a2, F2):
     plus = qf.reflection_functor(p, "v", "+")
     assert plus.dims == (1, 0)
     # the simple at the sink dies
-    assert qf.reflection_functor(sv, "v", "+").is_zero
+    assert qf.reflection_functor(sv, "v", "+").is_zero()
     minus = qf.reflection_functor(su, "u", "-")
-    assert minus.dims == (0, 0) or minus.is_zero
+    assert minus.is_zero()
+    with pytest.raises(UnknownVertex):
+        qf.reflection_functor(p, "w", "+")
     with pytest.raises(NotSink):
         qf.reflection_functor(p, "u", "+")
     with pytest.raises(NotSource):
@@ -149,7 +153,7 @@ def test_twists(a3_flip, F2, F4):
     assert qf.twist_frobenius(fx).matrix_of["a"] == ((2,),)
 
 
-def test_ii_orbit_sum(a3_flip, F2):
+def test_ii_orbit_sum(a3_flip, F2, monkeypatch):
     q, flip = a3_flip
     s1 = qf.simple_representation(q, F2, "1")
     y, r = qf.ii_orbit_sum(flip, s1)
@@ -158,6 +162,10 @@ def test_ii_orbit_sum(a3_flip, F2):
     mid = qf.simple_representation(q, F2, "2")
     y2, r2 = qf.ii_orbit_sum(flip, mid)
     assert r2 == 1 and y2.dims == (0, 1, 0)
+    # an orbit that never closes raises a named error
+    monkeypatch.setattr("quiverfold.reps.is_isomorphic", lambda *args, **kw: False)
+    with pytest.raises(TwistPeriodBroken):
+        qf.ii_orbit_sum(flip, mid)
 
 
 def test_matrix_helpers(F5):
