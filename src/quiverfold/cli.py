@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 when a theorem check ran and failed (witnesses
 are printed), 2 on usage, validation or budget errors and on a failed
 internal cross-check.  JSON output is deterministic for identical inputs.
 
-Only the commands that enumerate classes (``indecs``, ``ii-indecs``,
-``species-count`` and ``verify``) import ``catalog`` and ``theorems``, so
-the others run without loading numpy.
+Each command imports the submodules it uses when it runs, so a cold call
+loads only those: listing the fixtures loads nothing past ``errors``, and
+only the commands that enumerate classes (``indecs``, ``ii-indecs``,
+``species-count`` and ``verify``) load ``catalog`` and numpy.
 """
 
 from __future__ import annotations
@@ -14,26 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .cartan import fold
 from .errors import CrossCheckFailed, QuiverFoldError
-from .fixtures import build_a3_flip, build_counterexample, build_dtilde4
-from .gf import field_from_spec
-from .quiver import Automorphism, Quiver
-from .reps import is_indecomposable
-from .roots import classify, folded_lattice, positive_roots_up_to, quiver_lattice
-from .serialize import (
-    catalog_to_dict,
-    fold_to_dict,
-    is_valued_document,
-    json_dumps,
-    quiver_from_dict,
-    quiver_to_dict,
-    rep_to_dict,
-    skew_to_dict,
-    valued_from_dict,
-)
-from .skew import skew, unfold
+
+if TYPE_CHECKING:
+    from .quiver import Automorphism, Quiver
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -53,6 +40,8 @@ def _load_document(path: str) -> dict:
 
 
 def _need_quiver(doc: dict) -> tuple[Quiver, Automorphism | None]:
+    from .serialize import is_valued_document, quiver_from_dict
+
     if is_valued_document(doc):
         raise QuiverFoldError(
             "this command needs a plain quiver document, not a valued one"
@@ -68,6 +57,10 @@ def _need_auto(doc: dict) -> Automorphism:
 
 
 def _lattice_for(doc: dict):
+    from .cartan import fold
+    from .roots import folded_lattice, quiver_lattice
+    from .serialize import is_valued_document, quiver_from_dict, valued_from_dict
+
     if is_valued_document(doc):
         return folded_lattice(valued_from_dict(doc))
     q, a = quiver_from_dict(doc)
@@ -76,16 +69,19 @@ def _lattice_for(doc: dict):
     return quiver_lattice(q)
 
 
+# fixture name -> its (quiver, automorphism), built from the fixtures module
 FIXTURES = {
-    "a3-flip": lambda: build_a3_flip(),
-    "dtilde4-4cycle": lambda: build_dtilde4()[:2],
-    "dtilde4-3cycle": lambda: (build_dtilde4()[0], build_dtilde4()[2]),
-    "counterexample": lambda: build_counterexample(),
+    "a3-flip": lambda fx: fx.build_a3_flip(),
+    "dtilde4-4cycle": lambda fx: fx.build_dtilde4()[:2],
+    "dtilde4-3cycle": lambda fx: (fx.build_dtilde4()[0], fx.build_dtilde4()[2]),
+    "counterexample": lambda fx: fx.build_counterexample(),
 }
 
 
 def _emit(ns: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
     if ns.json:
+        from .serialize import json_dumps
+
         sys.stdout.write(json_dumps(doc))
     else:
         for line in text_lines:
@@ -93,6 +89,9 @@ def _emit(ns: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_fold(ns: argparse.Namespace) -> int:
+    from .cartan import fold
+    from .serialize import fold_to_dict
+
     a = _need_auto(_load_document(ns.input))
     fd = fold(a)
     doc = fold_to_dict(fd)
@@ -105,6 +104,9 @@ def _cmd_fold(ns: argparse.Namespace) -> int:
 
 
 def _cmd_unfold(ns: argparse.Namespace) -> int:
+    from .serialize import quiver_to_dict, valued_from_dict
+    from .skew import unfold
+
     vq = valued_from_dict(_load_document(ns.input))
     a = unfold(vq)
     doc = quiver_to_dict(a.quiver, a)
@@ -118,6 +120,9 @@ def _cmd_unfold(ns: argparse.Namespace) -> int:
 
 
 def _cmd_skew(ns: argparse.Namespace) -> int:
+    from .serialize import skew_to_dict
+    from .skew import skew
+
     a = _need_auto(_load_document(ns.input))
     skq = skew(a)
     doc = skew_to_dict(skq)
@@ -131,6 +136,8 @@ def _cmd_skew(ns: argparse.Namespace) -> int:
 
 
 def _cmd_roots(ns: argparse.Namespace) -> int:
+    from .roots import positive_roots_up_to
+
     if ns.max_height is None:
         raise QuiverFoldError("roots needs --max-height")
     lat = _lattice_for(_load_document(ns.input))
@@ -146,6 +153,8 @@ def _cmd_roots(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
+    from .roots import classify
+
     if ns.dim is None:
         raise QuiverFoldError("classify needs --dim (alias --vector)")
     lat = _lattice_for(_load_document(ns.input))
@@ -171,6 +180,10 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_indecs(ns: argparse.Namespace) -> int:
+    from .gf import field_from_spec
+    from .reps import is_indecomposable
+    from .serialize import catalog_to_dict, rep_to_dict
+    # catalog loads numpy, so it comes last (see the note in catalog)
     from .catalog import indecomposable_classes, isoclasses
 
     if ns.field is None or ns.dim is None:
@@ -199,6 +212,7 @@ def _cmd_indecs(ns: argparse.Namespace) -> int:
 
 
 def _cmd_ii_indecs(ns: argparse.Namespace) -> int:
+    from .gf import field_from_spec
     from .theorems import ii_classes
 
     if ns.field is None or ns.dim is None:
@@ -227,6 +241,7 @@ def _cmd_ii_indecs(ns: argparse.Namespace) -> int:
 
 
 def _cmd_species_count(ns: argparse.Namespace) -> int:
+    from .serialize import valued_from_dict
     from .theorems import species_count
 
     if ns.field is None or ns.dim is None:
@@ -239,6 +254,8 @@ def _cmd_species_count(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .gf import field_from_spec
+    from .serialize import valued_from_dict
     from .theorems import (
         multiset_crosscheck,
         verify_kac,
@@ -282,9 +299,11 @@ def _cmd_fixtures(ns: argparse.Namespace) -> int:
         raise QuiverFoldError(
             f"unknown fixture {ns.name!r}; available: {sorted(FIXTURES)}"
         )
-    q, a = FIXTURES[ns.name]()
-    doc = quiver_to_dict(q, a)
-    sys.stdout.write(json_dumps(doc))
+    from . import fixtures
+    from .serialize import json_dumps, quiver_to_dict
+
+    q, a = FIXTURES[ns.name](fixtures)
+    sys.stdout.write(json_dumps(quiver_to_dict(q, a)))
     return 0
 
 

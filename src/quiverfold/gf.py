@@ -274,6 +274,11 @@ class FiniteField:
                 return g
         raise RuntimeError("no multiplicative generator found (unreachable)")
 
+    @lru_cache(maxsize=None)
+    def generator_inverse(self) -> int:
+        """The inverse of ``generator()``."""
+        return self.inv(self.generator())
+
     # dense tables
 
     @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from .errors import (
     FieldMismatch,
     HomSpaceTooLarge,
     LatticeMismatch,
+    NotInSpan,
     NotSink,
     NotSource,
     TwistPeriodBroken,
@@ -414,13 +415,13 @@ def _coords_in_basis(
     """Coordinates of vec in an independent basis (must lie in the span)."""
     if not basis:
         if any(x != 0 for x in vec):
-            raise ArithmeticError("vector outside span")
+            raise NotInSpan("vector outside span")
         return ()
     ncols = len(basis) + 1
     rows = [list(col) + [v] for col, v in zip(zip(*basis), vec)]
     red, pivots = rref(f, rows)
     if ncols - 1 in pivots:
-        raise ArithmeticError("vector outside span")
+        raise NotInSpan("vector outside span")
     coords = [0] * len(basis)
     for k, pc in enumerate(pivots):
         coords[pc] = red[k][-1]

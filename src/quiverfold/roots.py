@@ -28,7 +28,6 @@ from .errors import (
     ZeroVector,
 )
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
-from .reps import nullspace
 
 RootKind = Literal["real", "imaginary", "nonroot"]
 
@@ -375,6 +374,8 @@ _RATIONALS = SimpleNamespace(
 def null_root(lat: CartanLattice) -> tuple[int, ...] | None:
     """Primitive positive generator of the radical of B, if the radical is a
     line spanned by a positive vector; None otherwise."""
+    from .reps import nullspace
+
     space = nullspace(_RATIONALS, lat.b_matrix, len(lat.names))
     if len(space) != 1:
         return None

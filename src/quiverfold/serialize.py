@@ -12,13 +12,12 @@ from typing import TYPE_CHECKING, Any
 
 from .cartan import FoldData, ValuedQuiver, make_valued_quiver
 from .errors import Incompatible
-from .gf import field_from_spec
 from .quiver import Automorphism, Quiver, validate_automorphism, validate_quiver
-from .reps import Representation, make_representation
-from .skew import SkewQuiver
 
 if TYPE_CHECKING:
     from .catalog import IsoClassCatalog
+    from .reps import Representation
+    from .skew import SkewQuiver
 
 
 def json_dumps(obj: Any) -> str:
@@ -119,6 +118,9 @@ def rep_to_dict(rep: Representation) -> dict:
 
 
 def rep_from_dict(doc: dict, quiver: Quiver) -> Representation:
+    from .gf import field_from_spec
+    from .reps import make_representation
+
     for key in ("field", "dims"):
         if key not in doc:
             raise Incompatible(f"representation document needs {key!r}")

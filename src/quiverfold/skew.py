@@ -24,7 +24,6 @@ from .errors import BudgetExceeded, NotUnfoldable
 from .quiver import (
     Automorphism,
     Quiver,
-    orbit_structure,
     validate_automorphism,
     validate_quiver,
 )

@@ -167,6 +167,7 @@ class _TwistOrbitEngine:
         self.state_cap = state_cap
         self.contexts: dict[Vec, _ReductionContext | None] = {}
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
+        self.images: dict[Handle, Handle] = {}  # handle -> its twist
 
     def plan(self, vectors: Iterable[Vec]) -> None:
         """Fix the reduction context of every vector, in the order given.
@@ -208,6 +209,12 @@ class _TwistOrbitEngine:
         self.handles[beta] = hs
         return hs
 
+    def image(self, h: Handle) -> Handle:
+        """The twist of a handle, computed once per job."""
+        if h not in self.images:
+            self.images[h] = self.t_handle(h)
+        return self.images[h]
+
     def t_handle(self, h: Handle) -> Handle:
         from .catalog import isoclasses
 
@@ -238,12 +245,12 @@ class _TwistOrbitEngine:
             if h in seen:
                 continue
             orbit = [h]
-            cur = self.t_handle(h)
+            cur = self.image(h)
             while cur != h:
                 orbit.append(cur)
                 if len(orbit) > self.order_bound:
                     raise TwistPeriodBroken("twist orbit failed to close in time")
-                cur = self.t_handle(cur)
+                cur = self.image(cur)
             if self.order_bound % len(orbit):
                 raise TwistPeriodBroken(
                     f"twist orbit of length {len(orbit)} does not divide "

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, text output, JSON determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quiverfold as qf
-from quiverfold import cli, theorems
+from quiverfold import cli, reps, theorems
 from quiverfold.theorems import TheoremReport
 
 
@@ -102,7 +103,7 @@ def test_indecs_with_end_crosscheck(flip_doc, capsys):
 
 
 def test_indecs_crosscheck_disagreement_exits_two(flip_doc, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "is_indecomposable", lambda *a, **k: False)
+    monkeypatch.setattr(reps, "is_indecomposable", lambda *a, **k: False)
     code = cli.main(
         ["indecs", flip_doc, "--field", "2", "--dim", "1,1,1", "--cap-end", "4096"]
     )
@@ -258,50 +259,67 @@ def test_python_m_quiverfold(tmp_path):
 
 def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     """Commands that enumerate no classes never import catalog, theorems or
-    numpy, and a species count refused while planning imports no catalog."""
+    numpy, and a species count refused while planning imports no catalog.
+    Each command, run in a fresh interpreter, loads only the submodules it
+    uses."""
+    line, flip = qf.build_a3_flip()
+    pair = qf.make_valued_quiver(["u", "v"], [2, 1], [("u", "v", 2)])
+    pair41 = qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)])
+    (tmp_path / "flip.json").write_text(qf.json_dumps(qf.quiver_to_dict(line, flip)))
+    (tmp_path / "pair.json").write_text(qf.json_dumps(qf.valued_to_dict(pair)))
+    (tmp_path / "pair41.json").write_text(qf.json_dumps(qf.valued_to_dict(pair41)))
+    # each command, and the quiverfold submodules that a cold call of it loads
+    runs = {
+        "fixtures": (["fixtures"], "cli errors"),
+        "fixtures-a3-flip": (
+            ["fixtures", "a3-flip"],
+            "cartan cli errors fixtures gf quiver reps serialize",
+        ),
+        "fold": (["fold", "flip.json"], "cartan cli errors quiver serialize"),
+        "skew": (["skew", "flip.json"], "cartan cli errors quiver serialize skew"),
+        "roots": (
+            ["roots", "pair.json", "--max-height", "4"],
+            "cartan cli errors quiver roots serialize",
+        ),
+        "classify": (
+            ["classify", "pair.json", "--dim", "1,2"],
+            "cartan cli errors quiver roots serialize",
+        ),
+        "refused": (
+            ["species-count", "pair41.json", "--dim", "1,2", "--field", "3"],
+            "cartan cli errors gf quiver reps roots serialize skew theorems",
+        ),
+    }
     code = (
         "import contextlib, io, json, sys\n"
-        "import quiverfold as qf\n"
         "from quiverfold import cli\n"
-        "line, flip = qf.build_a3_flip()\n"
-        "pair = qf.make_valued_quiver(['u', 'v'], [2, 1], [('u', 'v', 2)])\n"
-        "pair41 = qf.make_valued_quiver(['u', 'v'], [4, 1], [('u', 'v', 4)])\n"
-        "open('flip.json', 'w').write(qf.json_dumps(qf.quiver_to_dict(line, flip)))\n"
-        "open('pair.json', 'w').write(qf.json_dumps(qf.valued_to_dict(pair)))\n"
-        "open('pair41.json', 'w').write(qf.json_dumps(qf.valued_to_dict(pair41)))\n"
-        "runs = [['fixtures'], ['fixtures', 'a3-flip'], ['fold', 'flip.json'],\n"
-        "        ['skew', 'flip.json'], ['roots', 'pair.json', '--max-height', '4'],\n"
-        "        ['classify', 'pair.json', '--dim', '1,2']]\n"
-        "def loaded():\n"
-        "    return [m for m in ('numpy', 'quiverfold.catalog', 'quiverfold.theorems')\n"
-        "            if m in sys.modules]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(argv) for argv in runs]\n"
-        "before = loaded()\n"
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-        "    refused = cli.main(['species-count', 'pair41.json', '--dim', '1,2', '--field', '3'])\n"
-        "print(json.dumps({'codes': codes, 'loaded': before, 'refused': refused,\n"
-        "                  'error': err.getvalue(), 'after': loaded()}))\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'error': err.getvalue(), 'numpy': 'numpy' in sys.modules,\n"
+        "                  'loaded': sorted(m.partition('.')[2] for m in sys.modules\n"
+        "                                   if m.startswith('quiverfold.'))}))\n"
     )
-    res = _run_child(code, tmp_path)
-    assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout)
-    assert doc["codes"] == [0] * 6 and doc["loaded"] == []
-    assert doc["refused"] == 2 and doc["error"].startswith("error:")
-    assert "refused while planning" in doc["error"]
-    assert doc["after"] == ["quiverfold.theorems"]
+    docs = {}
+    for name, (argv, loads) in runs.items():
+        res = _run_python(["-c", code, *argv], tmp_path)
+        assert res.returncode == 0, res.stderr
+        docs[name] = doc = json.loads(res.stdout)
+        assert not doc["numpy"], name
+        assert doc["loaded"] == loads.split(), name
+    refused = docs.pop("refused")
+    assert [doc["code"] for doc in docs.values()] == [0] * 6
+    assert refused["code"] == 2 and refused["error"].startswith("error:")
+    assert "refused while planning" in refused["error"]
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    from quiverfold import catalog
-
-    assert qf._LAZY
-    for name, module in qf._LAZY.items():
-        owner = catalog if module == "catalog" else theorems
+    assert qf._EXPORTS
+    for name, module in qf._EXPORTS.items():
+        owner = importlib.import_module(f"quiverfold.{module}")
         assert getattr(qf, name) is getattr(owner, name), name
         assert name in dir(qf)
-    from quiverfold import isoclasses, verify_kac
+    from quiverfold import catalog, isoclasses, verify_kac
 
     assert isoclasses is catalog.isoclasses
     assert verify_kac is theorems.verify_kac
@@ -309,6 +327,43 @@ def test_lazy_exports_resolve_to_submodule_objects():
     assert {"fold", "__version__", "catalog", "theorems"} <= set(dir(qf))
     with pytest.raises(AttributeError, match="no_such_name"):
         qf.no_such_name
+
+
+def test_skew_stays_the_function_after_its_module_loads(tmp_path):
+    """``quiverfold.skew`` names a submodule and the function it defines;
+    loading the submodule must not rebind the package's name."""
+    code = (
+        "import sys\n"
+        "import quiverfold as qf\n"
+        "import quiverfold.skew\n"
+        "from quiverfold import skew\n"
+        "mod = sys.modules['quiverfold.skew']\n"
+        "a = qf.build_a3_flip()[1]\n"
+        "print(qf.skew is skew is mod.skew, qf.skew(a).auto.order)\n"
+    )
+    res = _run_child(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "2"]
+
+
+def test_import_loads_no_submodule(tmp_path):
+    """A fresh import loads no submodule; the catalog-cap set-up (the star
+    and GF(16)) loads only the five it uses."""
+    code = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m.partition('.')[2] for m in sys.modules if m.startswith('quiverfold.'))\n"
+        "import quiverfold as qf\n"
+        "bare = loaded()\n"
+        "qf.build_dtilde4()\n"
+        "qf.field_from_spec('2^4')\n"
+        "print(json.dumps([bare, loaded()]))\n"
+    )
+    res = _run_child(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    bare, setup = json.loads(res.stdout)
+    assert bare == []
+    assert setup == ["errors", "fixtures", "gf", "quiver", "reps"]
 
 
 def _run_child(code: str, cwd) -> subprocess.CompletedProcess:

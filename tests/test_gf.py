@@ -114,11 +114,12 @@ def test_frobenius():
 
 
 def test_generator():
-    for p, m in [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]:
+    for p, m in [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1), (2, 4)]:
         f = qf.make_field(p, m)
         g = f.generator()
         seen = {f.pow_(g, k) for k in range(p**m - 1)}
         assert seen == set(range(1, p**m))
+        assert f.mul(g, f.generator_inverse()) == 1
 
 
 def test_solve_univariate():

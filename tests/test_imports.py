@@ -1,0 +1,68 @@
+"""Every name a module imports is read in the scope that imports it.
+
+An unused import still costs its compile and import time in every cold
+process, and a top-level one can load a whole submodule for nothing.  The
+package ``__init__`` imports nothing of its own and is not scanned.
+"""
+
+import ast
+from pathlib import Path
+
+import quiverfold as qf
+
+SRC = Path(qf.__file__).parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each imported name that is not read in the module
+    or function whose body imports it."""
+    out = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        # imports of an inner function belong to that function's scope
+        nested = {
+            id(inner)
+            for n in ast.walk(scope)
+            if n is not scope and isinstance(n, FUNCTIONS)
+            for inner in ast.walk(n)
+        }
+        read = {
+            n.id
+            for n in ast.walk(scope)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(scope):
+            if id(node) in nested or not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    out.append((node.lineno, bound))
+    return out
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if unused:
+            found[path.name] = unused
+    assert found == {}
+
+
+def test_the_scan_finds_an_unused_import():
+    tree = ast.parse(
+        "import json\n"
+        "from math import gcd, lcm\n"
+        "def f(x):\n"
+        "    from .reps import rank\n"
+        "    return lcm(x, x)\n"
+        "def g():\n"
+        "    from .gf import make_field\n"
+        "    return make_field\n"
+    )
+    assert _unused_imports(tree) == [(1, "json"), (2, "gcd"), (4, "rank")]

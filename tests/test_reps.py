@@ -8,6 +8,7 @@ from quiverfold.errors import (
     EndRingTooLarge,
     FieldMismatch,
     LatticeMismatch,
+    NotInSpan,
     NotSink,
     NotSource,
     TwistPeriodBroken,
@@ -184,3 +185,14 @@ def test_matrix_helpers(F5):
     assert piv == [0]
     ns = nullspace(F5, [[1, 2]], 2)
     assert len(ns) == 1 and (ns[0][0] + 2 * ns[0][1]) % 5 == 0
+
+
+def test_coords_outside_span_raise_named_error(F3):
+    from quiverfold.reps import _coords_in_basis
+
+    assert _coords_in_basis(F3, [(1, 0, 1)], (2, 0, 2)) == (2,)
+    with pytest.raises(NotInSpan):
+        _coords_in_basis(F3, [], (0, 1))
+    with pytest.raises(NotInSpan):
+        _coords_in_basis(F3, [(1, 0, 1), (0, 1, 0)], (1, 0, 0))
+    assert issubclass(qf.NotInSpan, qf.QuiverFoldError)

@@ -281,6 +281,28 @@ def test_one_plan_per_job(monkeypatch, job, distinct):
     assert len(seen) == len(set(seen)) == distinct
 
 
+@pytest.mark.parametrize(
+    "job, distinct",
+    [
+        (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 31),
+        (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 6),
+    ],
+    ids=["verify_main", "verify_species"],
+)
+def test_one_twist_per_handle(monkeypatch, job, distinct):
+    # the engine keeps each handle's twist, so each handle is twisted once
+    seen = []
+    t_handle = theorems._TwistOrbitEngine.t_handle
+
+    def counted(self, h):
+        seen.append(h)
+        return t_handle(self, h)
+
+    monkeypatch.setattr(theorems._TwistOrbitEngine, "t_handle", counted)
+    job()
+    assert len(seen) == len(set(seen)) == distinct
+
+
 def test_multiset_crosscheck(a2, F2):
     report = qf.multiset_crosscheck(a2, F2, 4)
     assert report.passed
