@@ -31,14 +31,13 @@ A move acts on each arrow block on its own, so within a slice it is stored
 as one delta table per block below the top one, built once by running the
 move on the B block values: it sends the slice's state s, counted from the
 slice's start, to ``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or
-encode of the state.  Orbits are labelled in one breadth-first sweep per
-slice: from the least unlabelled state, frontier batches are pushed through
-every move and the neighbours not yet labelled are claimed.  A move is a
-bijection, so one move maps a frontier of distinct states to distinct
-states, and the label check is the only deduplication needed; forward moves
-suffice because every generator has finite order.  Labels are held in the
-narrowest unsigned dtype that fits the class count (uint8 up to 255
-classes), widened during the sweep as classes appear; once every slice is
+encode of the state.  A slice is labelled by min-label hooking: each state
+points at a state of its orbit no greater than itself, at first itself, and
+each move hooks the larger pointer of s and of its image onto the smaller,
+with pointers jumped to their roots, until no move hooks.  The roots are
+then the orbits' least states; forward moves suffice because every
+generator has finite order.  Labels are held in the narrowest unsigned
+dtype that fits the slice's class count; once every slice is
 labelled, each keeps its labels as the catalog's class ids, in the narrowest
 dtype that fits them all.
 
@@ -57,7 +56,7 @@ available as an independent route and is cross-checked in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -84,8 +83,7 @@ from .reps import (
 import numpy as np
 
 _CHUNK = 1 << 18  # block values per batch while a move table is built
-_BATCH = 1 << 20  # frontier states pushed through the moves at once
-_SCAN = 1 << 16  # labels inspected per step of the least-unlabelled search
+_BATCH = 1 << 14  # states pushed through a move at once
 
 Pair = tuple[Mat, Mat]  # a matrix and its inverse
 
@@ -417,57 +415,51 @@ class StateSpace:
 
     def move_permutation(self, move: _Move) -> np.ndarray:
         """perm[s] is the state the move sends s to."""
-        table = _MoveTable(self, move)
-        perm = np.empty(self.size, dtype=_state_dtype(self.size))
-        for start in range(0, self.size, _BATCH):
-            stop = min(start + _BATCH, self.size)
-            perm[start:stop] = table(np.arange(start, stop, dtype=perm.dtype))
-        return perm
+        return _MoveTable(self, move)(np.arange(self.size, dtype=_state_dtype(self.size)))
 
 
 def _orbit_labels(
     n: int, tables: list[_MoveTable]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class id of every state 0 .. n - 1, and the least state and size of
-    every class, by one breadth-first sweep per class from its least state.
+    every class, by min-label hooking and pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 3, 1982).
 
-    During the sweep a label is the class id plus one, with 0 for a state not
-    reached yet, in the narrowest unsigned dtype that holds it."""
-    labels = np.zeros(n, dtype=np.uint8)
-    reps: list[int] = []
-    sizes: list[int] = []
-    pos = 0
-    while True:
-        while pos < n:
-            unseen = labels[pos : pos + _SCAN] == 0
-            first = int(unseen.argmax())
-            if unseen[first]:
-                pos += first
-                break
-            pos += len(unseen)
-        if pos >= n:
+    Throughout, parent[x] <= x and parent[x] lies in the orbit of x: a move m
+    hooks the larger of parent[s] and parent[m(s)] onto the smaller.  Once
+    every move in a row finds them equal for all s, parent is constant on
+    each orbit and names its least state."""
+    dtype = _state_dtype(n)
+    parent = np.arange(n, dtype=dtype)
+    chunks = [slice(i, min(i + _BATCH, n)) for i in range(0, n, _BATCH)]
+    idle = 0  # moves in a row that hooked nothing
+    for table in cycle(tables):
+        if idle == len(tables):
             break
-        mark = len(reps) + 1
-        if mark > np.iinfo(labels.dtype).max:
-            labels = labels.astype(np.min_scalar_type(mark))
-        reps.append(pos)
-        labels[pos] = mark
-        size = 1
-        frontier = np.array([pos], dtype=_state_dtype(n))
-        while len(frontier):
-            found = [frontier[:0]]
-            for start in range(0, len(frontier), _BATCH):
-                batch = frontier[start : start + _BATCH]
-                for table in tables:
-                    nb = table(batch)
-                    nb = nb[labels[nb] == 0]
-                    labels[nb] = mark
-                    found.append(nb)
-            frontier = np.concatenate(found)
-            size += len(frontier)
-        sizes.append(size)
-    labels -= 1
-    return labels, np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
+        idle += 1
+        for c in chunks:
+            a, b = parent[c], parent[table(np.arange(c.start, c.stop, dtype=dtype))]
+            if (a != b).any():
+                np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+                idle = 0
+        if idle:
+            continue
+        # chunks ascend, so a pointer out of a chunk is one jump from its root
+        for c in chunks:
+            up = parent[parent[c]]
+            while not np.array_equal(up, parent[c]):
+                parent[c] = up
+                up = parent[up]
+    roots = [np.flatnonzero(parent[c] == np.arange(c.start, c.stop)) + c.start for c in chunks]
+    reps = np.concatenate(roots)
+    # the roots' ids first: every other state reads the id of its root
+    labels = np.zeros(n, dtype=np.min_scalar_type(len(reps) - 1))
+    labels[reps] = np.arange(len(reps))
+    sizes = np.zeros(len(reps), dtype=np.int64)
+    for c in chunks:
+        labels[c] = labels[parent[c]]
+        sizes += np.bincount(labels[c], minlength=len(reps))
+    return labels, reps, sizes
 
 
 class IsoClassCatalog:
@@ -487,6 +479,7 @@ class IsoClassCatalog:
         self.sizes = sizes
         self.slices = slices
         self._indec: np.ndarray | None = None
+        self._indec_ids: tuple[int, ...] | None = None
         self._rep_cache: dict[int, Representation] = {}
 
     @property
@@ -524,8 +517,10 @@ class IsoClassCatalog:
             _sieve_indec(self)
         return self._indec
 
-    def indec_class_ids(self) -> list[int]:
-        return [ci for ci in range(self.n_classes) if self.indec_flags[ci]]
+    def indec_class_ids(self) -> tuple[int, ...]:
+        if self._indec_ids is None:
+            self._indec_ids = tuple(np.flatnonzero(self.indec_flags).tolist())
+        return self._indec_ids
 
 
 _STORE: dict[tuple, IsoClassCatalog] = {}
@@ -604,8 +599,7 @@ def isoclasses(
     dtype = np.min_scalar_type(len(class_reps) - 1)
     offset = 0
     for sl, got in zip(slices, reps):
-        sl.labels = sl.labels.astype(dtype)
-        sl.labels += offset
+        sl.labels = np.add(sl.labels, offset, dtype=dtype)
         offset += len(got)
 
     cat = IsoClassCatalog(space, class_reps, sizes, slices)
@@ -621,10 +615,8 @@ def _sub_dimensions(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def _sieve_indec(cat: IsoClassCatalog) -> None:
-    if sum(cat.dims) == 0:
-        cat._indec = np.zeros(cat.n_classes, dtype=bool)
-        return
-    flags = np.ones(cat.n_classes, dtype=bool)
+    # the zero representation is not indecomposable, and has no sub-dimensions
+    flags = np.full(cat.n_classes, any(cat.dims))
     q, f = cat.quiver, cat.field
     for beta in _sub_dimensions(cat.dims):
         gamma = tuple(a - b for a, b in zip(cat.dims, beta))

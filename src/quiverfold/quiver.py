@@ -42,6 +42,13 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertices, self.arrows))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def vertex_index(self) -> dict[str, int]:
         return {v: k for k, v in enumerate(self.vertices)}
 

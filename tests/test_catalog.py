@@ -160,6 +160,7 @@ def _quiver(name, a3, dtilde4):
         "line": lambda: qf.validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]),
         "kronecker": lambda: qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")]),
         "star": lambda: dtilde4[0],
+        "counterexample": lambda: qf.build_counterexample()[0],
     }[name]()
 
 
@@ -174,6 +175,7 @@ def _quiver(name, a3, dtilde4):
         ("kronecker", (2, 3), 2),
         ("star", (0, 1, 1, 1, 2), 3),
         ("line", (1, 3, 1), 2),
+        ("counterexample", (1, 1, 1, 1, 1), 5),
     ],
     ids=[
         "a3-222-gf3",
@@ -184,6 +186,7 @@ def _quiver(name, a3, dtilde4):
         "kronecker-23-gf2",
         "star-cap-gf3",
         "line-131-gf2",
+        "cx-11111-gf5",
     ],
 )
 def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
@@ -349,6 +352,40 @@ def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
         for sl in cat.slices
     ]
     assert np.array_equal(np.concatenate(direct), np.arange(cat.n_classes))
+
+
+def _labelling(cat):
+    return (
+        cat.class_reps.tolist(),
+        cat.class_reps.dtype,
+        cat.sizes.tolist(),
+        cat.sizes.dtype,
+        [(sl.labels.tolist(), sl.labels.dtype) for sl in cat.slices],
+    )
+
+
+def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkeypatch):
+    """Hooking and pointer jumping across batch borders give the labelling
+    that a slice within one batch gets."""
+    kronecker = _quiver("kronecker", None, None)
+    cases = [
+        (dtilde4[0], (0, 1, 1, 1, 2), F3),
+        (counterexample[0], (1, 1, 1, 1, 1), F5),
+        (kronecker, (2, 3), F2),
+    ]
+    clear_catalog_store()
+    whole = [_labelling(isoclasses(q, d, f)) for q, d, f in cases]
+    monkeypatch.setattr(cat_mod, "_BATCH", 7)
+    clear_catalog_store()
+    assert [_labelling(isoclasses(q, d, f)) for q, d, f in cases] == whole
+    clear_catalog_store()
+
+
+def test_indec_class_ids_cached(dtilde4, F2):
+    cat = isoclasses(dtilde4[0], (1, 1, 1, 1, 2), F2)
+    ids = cat.indec_class_ids()
+    assert isinstance(ids, tuple) and cat.indec_class_ids() is ids
+    assert ids == tuple(np.flatnonzero(cat.indec_flags).tolist())
 
 
 def test_class_of_foreign_representation(a3, F2, F3):

@@ -41,6 +41,16 @@ def test_reversed_at(a3):
     assert rev.is_source("2")
 
 
+def test_quiver_hash():
+    arrows = [("a", "1", "2"), ("b", "3", "2")]
+    one = qf.validate_quiver(["1", "2", "3"], arrows)
+    other = qf.validate_quiver(["1", "2", "3"], arrows)
+    assert one is not other and one == other and hash(one) == hash(other)
+    rev = one.reversed_at(["2"])
+    assert rev != one and hash(rev) != hash(one)
+    assert hash(rev.reversed_at(["2"])) == hash(one)
+
+
 def test_automorphism_roundtrip(a3_flip):
     q, flip = a3_flip
     assert flip.order == 2
