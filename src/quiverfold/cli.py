@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a theorem check ran and failed (witnesses
 are printed), 2 on usage, validation or budget errors and on a failed
-internal cross-check.  JSON output is deterministic for identical inputs.
+internal cross-check.  A folded non-root that carries twist-orbit sums is a
+failed check of ``verify main``, so it exits 1 with its witness, not 2.  JSON
+output is deterministic for identical inputs.
 
 Each command imports the submodules it uses when it runs, so a cold call
 loads only those: listing the fixtures loads nothing past ``errors``, and

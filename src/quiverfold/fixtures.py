@@ -65,15 +65,6 @@ _REGULAR_SUPPORTS = {
     "E1''": ("2", "4"),
 }
 
-_NAME_ALIASES = {
-    "E₀": "E0",
-    "E₀′": "E0'",
-    "E₀″": "E0''",
-    "E₁": "E1",
-    "E₁′": "E1'",
-    "E₁″": "E1''",
-}
-
 
 def _canonical_regular_name(name: str) -> str:
     flat = name.replace("′", "'").replace("″", "''")
@@ -86,14 +77,19 @@ def _canonical_regular_name(name: str) -> str:
     )
 
 
+def _regular_rep(name: str, fld: FiniteField) -> Representation:
+    """The regular simple of a canonical name, uncalibrated."""
+    q, _, _ = build_dtilde4()
+    supp = _REGULAR_SUPPORTS[name]
+    dims = tuple(1 if v in supp else 0 for v in ("1", "2", "3", "4")) + (1,)
+    mats = {f"r{v}": ((1,),) for v in supp}
+    return make_representation(q, fld, dims, mats)
+
+
 def regular_simple(name: str, fld: FiniteField) -> Representation:
     """One of the six regular simple star representations: two corners
     mapped identically onto a one-dimensional centre."""
-    q, _, _ = build_dtilde4()
-    supp = _REGULAR_SUPPORTS[_canonical_regular_name(name)]
-    dims = tuple(1 if v in supp else 0 for v in ("1", "2", "3", "4")) + (1,)
-    mats = {f"r{v}": ((1,),) for v in supp}
-    rep = make_representation(q, fld, dims, mats)
+    rep = _regular_rep(_canonical_regular_name(name), fld)
     _calibrate(fld)
     return rep
 
@@ -152,19 +148,14 @@ def tube_parameter_action(a: Automorphism, fld: FiniteField) -> dict[int, int]:
                 f"twisted tube at {lam} matched parameters {matches}, expected one"
             )
         out[lam] = matches[0]
-    if a == four:
+    formulas = {four: ("four-cycle", _mobius_four), three: ("three-cycle", _mobius_three)}
+    if a in formulas:
+        label, formula = formulas[a]
         for lam, mu in out.items():
-            if mu != _mobius_four(fld, lam):
+            if mu != formula(fld, lam):
                 raise CrossCheckFailed(
-                    f"four-cycle tube action at {lam} gave {mu}, "
-                    f"formula gives {_mobius_four(fld, lam)}"
-                )
-    elif a == three:
-        for lam, mu in out.items():
-            if mu != _mobius_three(fld, lam):
-                raise CrossCheckFailed(
-                    f"three-cycle tube action at {lam} gave {mu}, "
-                    f"formula gives {_mobius_three(fld, lam)}"
+                    f"{label} tube action at {lam} gave {mu}, "
+                    f"formula gives {formula(fld, lam)}"
                 )
     return out
 
@@ -173,18 +164,12 @@ def tube_parameter_action(a: Automorphism, fld: FiniteField) -> dict[int, int]:
 def _calibrate(fld: FiniteField) -> None:
     """Build-time sanity pass, once per field: the six regular simples fall
     into the pinned twist orbits."""
-    q, four, three = build_dtilde4()
-
-    def rep(name: str) -> Representation:
-        supp = _REGULAR_SUPPORTS[name]
-        dims = tuple(1 if v in supp else 0 for v in ("1", "2", "3", "4")) + (1,)
-        mats = {f"r{v}": ((1,),) for v in supp}
-        return make_representation(q, fld, dims, mats)
+    _, four, three = build_dtilde4()
 
     def check_cycle(a: Automorphism, names: list[str]) -> None:
         for i, name in enumerate(names):
-            twisted = twist_auto(a, rep(name))
-            nxt = rep(names[(i + 1) % len(names)])
+            twisted = twist_auto(a, _regular_rep(name, fld))
+            nxt = _regular_rep(names[(i + 1) % len(names)], fld)
             if twisted.dims != nxt.dims or not is_isomorphic(twisted, nxt):
                 raise CrossCheckFailed(
                     f"twist of {name} is not {names[(i + 1) % len(names)]}"
@@ -199,7 +184,8 @@ def _calibrate(fld: FiniteField) -> None:
     complementary = [("E0", "E1"), ("E0'", "E1'"), ("E0''", "E1''")]
     for left, right in complementary:
         summed = tuple(
-            x + y for x, y in zip(rep(left).dims, rep(right).dims)
+            x + y
+            for x, y in zip(_regular_rep(left, fld).dims, _regular_rep(right, fld).dims)
         )
         if summed != delta:
             raise CrossCheckFailed(f"{left} + {right} does not sum to the null root")

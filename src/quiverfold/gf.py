@@ -317,9 +317,14 @@ class FiniteField:
         return add.astype(dtype), mul.astype(dtype)
 
 
-@cache
 def make_field(p: int, m: int = 1) -> FiniteField:
-    """The canonical GF(p^m).  Cached, so repeated calls share tables."""
+    """The canonical GF(p^m).  Cached on (p, m) however they are passed, so
+    repeated calls share one object and its tables."""
+    return _make_field(p, m)
+
+
+@cache
+def _make_field(p: int, m: int) -> FiniteField:
     if p >= _TRIAL_LIMIT**2:
         raise BudgetExceeded(f"characteristic {p} is not below 2**32", predicted=p)
     if p < 2 or _prime_factors(p) != [p]:

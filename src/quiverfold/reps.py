@@ -378,7 +378,11 @@ def is_indecomposable(x: Representation, end_cap: int = 2**20) -> bool:
     return _first_nontrivial_idempotent(x, end_cap) is None
 
 
-def is_isomorphic(x: Representation, y: Representation, hom_cap: int = 2**20) -> bool:
+# the largest hom space is_isomorphic searches for an invertible intertwiner
+_HOM_CAP = 2**20
+
+
+def is_isomorphic(x: Representation, y: Representation) -> bool:
     """Exhaustive search for an invertible intertwiner."""
     _check_same_world(x, y)
     if x.dims != y.dims:
@@ -388,9 +392,9 @@ def is_isomorphic(x: Representation, y: Representation, hom_cap: int = 2**20) ->
     f = x.field
     hom = hom_space(x, y)
     size = f.q ** hom.dim
-    if size > hom_cap:
+    if size > _HOM_CAP:
         raise HomSpaceTooLarge(
-            f"hom space has {f.q}^{hom.dim} elements, cap is {hom_cap}",
+            f"hom space has {f.q}^{hom.dim} elements, cap is {_HOM_CAP}",
             predicted=size,
         )
     for coeffs in product(range(f.q), repeat=hom.dim):
@@ -608,9 +612,7 @@ def s_fold_functor(
 # --- twist-orbit sums ---
 
 
-def ii_orbit_sum(
-    a: Automorphism, z: Representation, hom_cap: int = 2**20
-) -> tuple[Representation, int]:
+def ii_orbit_sum(a: Automorphism, z: Representation) -> tuple[Representation, int]:
     """(Z + twist(Z) + ... + twist^{r-1}(Z), r) where r is the least period
     with twist^r(Z) isomorphic to Z."""
     if a.quiver != z.quiver:
@@ -618,7 +620,7 @@ def ii_orbit_sum(
     total = z
     cur = twist_auto(a, z)
     r = 1
-    while not (cur.dims == z.dims and is_isomorphic(cur, z, hom_cap)):
+    while not (cur.dims == z.dims and is_isomorphic(cur, z)):
         total = direct_sum(total, cur)
         cur = twist_auto(a, cur)
         r += 1

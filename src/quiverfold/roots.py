@@ -249,9 +249,11 @@ def _nonneg_vectors(n: int, h_max: int):
             yield v
 
 
-def positive_roots_up_to(
-    lat: CartanLattice, height: int, cap: int = 10**6
-) -> RootSet:
+# the most roots positive_roots_up_to lists before it refuses
+_ROOT_CAP = 10**6
+
+
+def positive_roots_up_to(lat: CartanLattice, height: int) -> RootSet:
     """All positive roots of coordinate-sum height at most `height`.
 
     Real roots are the reflection closure of the simples; imaginary roots
@@ -264,27 +266,20 @@ def positive_roots_up_to(
     found: dict[tuple[int, ...], RootKind] = {}
 
     def push_closure(seeds, kind: RootKind):
-        todo = [s for s in seeds if s not in found]
-        for s in todo:
-            found[s] = kind
-            if len(found) > cap:
-                raise BudgetExceeded(
-                    f"more than {cap} roots below height {height}", predicted=None
-                )
+        todo = list(seeds)
         while todo:
             w = todo.pop()
+            if w in found:
+                continue
+            found[w] = kind
+            if len(found) > _ROOT_CAP:
+                raise BudgetExceeded(
+                    f"more than {_ROOT_CAP} roots below height {height}", predicted=None
+                )
             for i in range(n):
                 w2 = reflect(lat, i, w)
-                if w2 in found or any(x < 0 for x in w2):
-                    continue
-                if sum(w2) > height or not any(w2):
-                    continue
-                found[w2] = kind
-                if len(found) > cap:
-                    raise BudgetExceeded(
-                        f"more than {cap} roots below height {height}", predicted=None
-                    )
-                todo.append(w2)
+                if w2 not in found and min(w2) >= 0 and 0 < sum(w2) <= height:
+                    todo.append(w2)
 
     simples = []
     for i in range(n):
@@ -324,15 +319,15 @@ class SigmaImageReport:
     real_single_orbit: bool
 
 
-def sigma_root_image(a: Automorphism, height: int, cap: int = 10**6) -> SigmaImageReport:
+def sigma_root_image(a: Automorphism, height: int) -> SigmaImageReport:
     q = a.quiver
     n = a.order
     fd = fold(a)
     gamma = folded_lattice(fd)
-    folded = positive_roots_up_to(gamma, height, cap)
+    folded = positive_roots_up_to(gamma, height)
 
     lat = quiver_lattice(q)
-    unfolded = positive_roots_up_to(lat, n * height, cap)
+    unfolded = positive_roots_up_to(lat, n * height)
 
     image: set[tuple[int, ...]] = set()
     orbit_seen: dict[tuple[int, ...], set] = {}

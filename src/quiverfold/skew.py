@@ -46,33 +46,13 @@ def unfold(vq: ValuedQuiver) -> Automorphism:
         raise NotUnfoldable("symmetriser entries must be positive")
 
     vertices: list[str] = []
-    for v, dv in zip(vq.vertices, vq.d):
-        vertices.extend(f"{v}:{mu}" for mu in range(dv))
-
-    arrows: list[tuple[str, str, str]] = []
-    for e in vq.edges:
-        du = vq.d[vq.vertex_index[e.source]]
-        dv = vq.d[vq.vertex_index[e.target]]
-        g = gcd(du, dv)
-        mult = e.b // lcm(du, dv)
-        for mu in range(du):
-            for nu in range(dv):
-                if (mu - nu) % g != 0:
-                    continue
-                for k in range(mult):
-                    arrows.append(
-                        (
-                            f"{e.source}>{e.target}:{mu}:{nu}:{k}",
-                            f"{e.source}:{mu}",
-                            f"{e.target}:{nu}",
-                        )
-                    )
-    quiver = validate_quiver(vertices, arrows)
-
     vmap: dict[str, str] = {}
     for v, dv in zip(vq.vertices, vq.d):
         for mu in range(dv):
+            vertices.append(f"{v}:{mu}")
             vmap[f"{v}:{mu}"] = f"{v}:{(mu + 1) % dv}"
+
+    arrows: list[tuple[str, str, str]] = []
     amap: dict[str, str] = {}
     for e in vq.edges:
         du = vq.d[vq.vertex_index[e.source]]
@@ -84,9 +64,10 @@ def unfold(vq: ValuedQuiver) -> Automorphism:
                 if (mu - nu) % g != 0:
                     continue
                 for k in range(mult):
-                    amap[f"{e.source}>{e.target}:{mu}:{nu}:{k}"] = (
-                        f"{e.source}>{e.target}:{(mu + 1) % du}:{(nu + 1) % dv}:{k}"
-                    )
+                    rid = f"{e.source}>{e.target}:{mu}:{nu}:{k}"
+                    arrows.append((rid, f"{e.source}:{mu}", f"{e.target}:{nu}"))
+                    amap[rid] = f"{e.source}>{e.target}:{(mu + 1) % du}:{(nu + 1) % dv}:{k}"
+    quiver = validate_quiver(vertices, arrows)
     return validate_automorphism(quiver, vmap, amap)
 
 
@@ -257,17 +238,22 @@ def _arrow_map_consistent(
     return True
 
 
-def double_skew_check(a: Automorphism, vertex_cap: int = 10) -> DoubleSkewReport:
+# the most vertices double_skew_check searches an isomorphism over
+_DOUBLE_SKEW_VERTEX_CAP = 10
+
+
+def double_skew_check(a: Automorphism) -> DoubleSkewReport:
     """Search for an isomorphism between (Q, a) and its double skew."""
     s1 = skew(a)
     s2 = skew(s1.auto)
     a2 = s2.auto
     q1, q2 = a.quiver, a2.quiver
 
-    if len(q1.vertices) > vertex_cap or len(q2.vertices) > vertex_cap:
+    most = max(len(q1.vertices), len(q2.vertices))
+    if most > _DOUBLE_SKEW_VERTEX_CAP:
         raise BudgetExceeded(
-            f"double skew check capped at {vertex_cap} vertices",
-            predicted=max(len(q1.vertices), len(q2.vertices)),
+            f"double skew check capped at {_DOUBLE_SKEW_VERTEX_CAP} vertices",
+            predicted=most,
         )
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return DoubleSkewReport(False, None, s1.auto.order, a2.order)

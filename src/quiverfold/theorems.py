@@ -5,6 +5,14 @@ classes over boxes of dimension vectors, group them into orbits under a
 twist (by the automorphism, by Frobenius, or by a composite of both), and
 compare the orbit counts against the root data of the folded form.
 
+The three root theorems (Kac's, the folded one and the species one) are one
+statement, and one sweep, ``_check_roots``, checks it: it classifies every
+nonzero vector up to the height bound and holds the classes there to three
+rules.  A non-root has no class; a real root has exactly one, which has as
+many summands as the root's length where a length is given; an imaginary
+root has at least one.  Each verify function only plans its job and says
+how to list the classes at a vector.
+
 Oversized state spaces are handled by reflection reduction: at a vertex
 orbit that is entirely sinks or entirely sources, the reflection functors
 give a twist-compatible bijection between indecomposable classes at d and
@@ -41,10 +49,10 @@ from .errors import (
 from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
 from .roots import (
+    CartanLattice,
     _nonneg_vectors,
     classify,
     folded_lattice,
-    positive_roots_up_to,
     quiver_lattice,
     s_fold,
 )
@@ -52,14 +60,6 @@ from .skew import unfold
 from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
 
 Vec = tuple[int, ...]
-
-
-def _vec_sum(vecs: Sequence[Vec]) -> Vec:
-    out = [0] * len(vecs[0])
-    for v in vecs:
-        for i, x in enumerate(v):
-            out[i] += x
-    return tuple(out)
 
 
 def _box(d: Vec) -> Iterator[Vec]:
@@ -262,7 +262,7 @@ class _TwistOrbitEngine:
 
     def orbits_summing_to(self, d: Vec) -> list[list[Handle]]:
         """The orbits over d's box whose member dimension vectors add up to d."""
-        return [o for o in self.orbits(d) if _vec_sum([h[0] for h in o]) == d]
+        return [o for o in self.orbits(d) if tuple(map(sum, zip(*(h[0] for h in o)))) == d]
 
 
 # --- invariant-subfield indecomposables ---
@@ -330,24 +330,7 @@ def ii_classes(
         raise NotFixed(f"dimension vector {dd} is not fixed by the automorphism")
     if not any(dd):
         return ()
-    return _ii_classes(_auto_engine(a, fld, state_cap), dd)
-
-
-def _auto_engine(a: Automorphism, fld: FiniteField, state_cap: int) -> _TwistOrbitEngine:
-    """The engine of a job that twists by the automorphism a."""
-    return _TwistOrbitEngine(
-        a,
-        fld,
-        twist_rep=twist_auto,
-        dims_act=lambda b: act_on_dimension_vector(a, b),
-        order_bound=a.order,
-        state_cap=state_cap,
-    )
-
-
-def _ii_classes(engine: _TwistOrbitEngine, dd: Vec) -> tuple[IIClass, ...]:
-    """The twist-orbit-sum classes at a nonzero fixed vector dd."""
-    a = engine.a
+    engine = _auto_engine(a, fld, state_cap)
     out = []
     for orbit in engine.orbits_summing_to(dd):
         beta, _, _, cid = orbit[0]
@@ -361,8 +344,8 @@ def _ii_classes(engine: _TwistOrbitEngine, dd: Vec) -> tuple[IIClass, ...]:
                 base_class_id=cid,
                 direct=ctx is not None and ctx.is_direct,
                 _auto=a,
-                _field=engine.field,
-                _state_cap=engine.state_cap,
+                _field=fld,
+                _state_cap=state_cap,
             )
         )
     if out:
@@ -372,6 +355,18 @@ def _ii_classes(engine: _TwistOrbitEngine, dd: Vec) -> tuple[IIClass, ...]:
                 f"dims {dd} carries twist-orbit sums but folds to a non-root"
             )
     return tuple(out)
+
+
+def _auto_engine(a: Automorphism, fld: FiniteField, state_cap: int) -> _TwistOrbitEngine:
+    """The engine of a job that twists by the automorphism a."""
+    return _TwistOrbitEngine(
+        a,
+        fld,
+        twist_rep=twist_auto,
+        dims_act=lambda b: act_on_dimension_vector(a, b),
+        order_bound=a.order,
+        state_cap=state_cap,
+    )
 
 
 # --- species counting through the unfolded quiver ---
@@ -476,6 +471,53 @@ class TheoremReport:
         }
 
 
+def _check_roots(
+    title: str,
+    spec: str,
+    height: int,
+    lat: CartanLattice,
+    classes: Callable[[Vec], Sequence],
+    words: tuple[str, str, str],
+    length: Callable[[Vec], int] | None = None,
+) -> TheoremReport:
+    """The sweep behind the three root theorems: classify every nonzero
+    vector of the lattice up to the height bound and hold its classes to
+    the theorem.
+
+    ``classes(alpha)`` lists the classes at alpha, one entry each; when
+    ``length`` is given, each entry is the class's number of summands and
+    is recorded as its period.  ``words`` is the check's wording: its root
+    noun, the phrase for an empty root and the template of a class count,
+    whose ``{es}`` is the plural ending, "(es)" at a non-root and "es" at a
+    real root.
+    """
+    noun, none, counted = words
+    records = []
+    witnesses = []
+    for alpha in _nonneg_vectors(len(lat.names), height):
+        kind = classify(lat, alpha).kind
+        found = classes(alpha)
+        n = len(found)
+        periods = tuple(found) if length else ()
+        exp = length(alpha) if length and kind == "real" else None
+        if n or kind != "nonroot":
+            records.append(DimensionRecord(alpha, kind, n, periods, exp))
+        if kind == "nonroot" and n:
+            has = counted.format(n=n, es="(es)")
+            witnesses.append(f"{alpha} is not a {noun} but has {has}")
+        elif kind == "real" and n != 1:
+            has = counted.format(n=n, es="es")
+            witnesses.append(f"real {noun} {alpha} has {has}, not 1")
+        elif exp is not None and periods[0] != exp:
+            witnesses.append(
+                f"real {noun} {alpha}: class has {periods[0]} summands, "
+                f"root length is {exp}"
+            )
+        elif kind == "imaginary" and n == 0:
+            witnesses.append(f"imaginary {noun} {alpha} has {none}")
+    return TheoremReport(title, spec, height, tuple(records), tuple(witnesses))
+
+
 def verify_kac(
     quiver: Quiver,
     fld: FiniteField,
@@ -484,33 +526,16 @@ def verify_kac(
 ) -> TheoremReport:
     """Indecomposable dimension vectors up to the height bound are exactly
     the positive roots, with exactly one class at each real root."""
-    lat = quiver_lattice(quiver)
-    rs = positive_roots_up_to(lat, height)
-    kind_of = {r.vector: r.kind for r in rs.records}
-    vectors = list(_nonneg_vectors(len(quiver.vertices), height))
     from .catalog import isoclasses, plan_isoclasses
 
-    plan_isoclasses(quiver, vectors, fld, state_cap)
-    records = []
-    witnesses = []
-    for d in vectors:
-        cat = isoclasses(quiver, d, fld, state_cap=state_cap)
-        n = len(cat.indec_class_ids())
-        kind = kind_of.get(d, "nonroot")
-        if n or kind != "nonroot":
-            records.append(DimensionRecord(d, kind, n))
-        if kind == "nonroot" and n:
-            witnesses.append(f"{d} is not a root but has {n} indecomposable class(es)")
-        elif kind == "real" and n != 1:
-            witnesses.append(f"real root {d} has {n} indecomposable classes, not 1")
-        elif kind == "imaginary" and n == 0:
-            witnesses.append(f"imaginary root {d} has no indecomposable class")
-    return TheoremReport(
+    plan_isoclasses(quiver, _nonneg_vectors(len(quiver.vertices), height), fld, state_cap)
+    return _check_roots(
         "kac dimension-vector check",
         fld.spec,
         height,
-        tuple(records),
-        tuple(witnesses),
+        quiver_lattice(quiver),
+        lambda d: isoclasses(quiver, d, fld, state_cap=state_cap).indec_class_ids(),
+        ("root", "no indecomposable class", "{n} indecomposable class{es}"),
     )
 
 
@@ -533,37 +558,20 @@ def verify_main_theorem(
         )
     fd = fold(a)
     lat = folded_lattice(fd)
-    alphas = list(_nonneg_vectors(len(lat.names), height))
     engine = _auto_engine(a, fld, state_cap)
-    engine.plan(b for alpha in alphas for b in _box(f_inverse(a, alpha)))
-    records = []
-    witnesses = []
-    for alpha in alphas:
-        classes = _ii_classes(engine, f_inverse(a, alpha))
-        kind = classify(lat, alpha).kind
-        periods = tuple(c.period for c in classes)
-        n = len(classes)
-        exp = root_length(fd, alpha) if kind == "real" else None
-        if n or kind != "nonroot":
-            records.append(DimensionRecord(alpha, kind, n, periods, exp))
-        if kind == "nonroot" and n:
-            witnesses.append(f"{alpha} is not a folded root but has {n} class(es)")
-        elif kind == "real":
-            if n != 1:
-                witnesses.append(f"real folded root {alpha} has {n} classes, not 1")
-            elif periods[0] != exp:
-                witnesses.append(
-                    f"real folded root {alpha}: class has {periods[0]} summands, "
-                    f"root length is {exp}"
-                )
-        elif kind == "imaginary" and n == 0:
-            witnesses.append(f"imaginary folded root {alpha} has no class")
-    return TheoremReport(
+    engine.plan(
+        b
+        for alpha in _nonneg_vectors(len(lat.names), height)
+        for b in _box(f_inverse(a, alpha))
+    )
+    return _check_roots(
         "folded dimension-vector check",
         fld.spec,
         height,
-        tuple(records),
-        tuple(witnesses),
+        lat,
+        lambda alpha: [len(o) for o in engine.orbits_summing_to(f_inverse(a, alpha))],
+        ("folded root", "no class", "{n} class{es}"),
+        length=lambda alpha: root_length(fd, alpha),
     )
 
 
@@ -578,30 +586,16 @@ def verify_species_theorem(
     p, mbase = prime_power(q)
     lat = folded_lattice(vq)
     alphas = list(_nonneg_vectors(len(lat.names), height))
-    dks: list[Vec] = []
     if alphas:  # with no alphas there is no unfolding to make
         engine = _species_engine(vq, q, state_cap)
-        dks = [f_inverse(engine.a, alpha) for alpha in alphas]
-        engine.plan(b for dk in dks for b in _box(dk))
-    records = []
-    witnesses = []
-    for alpha, dk in zip(alphas, dks):
-        n = len(engine.orbits_summing_to(dk))
-        kind = classify(lat, alpha).kind
-        if n or kind != "nonroot":
-            records.append(DimensionRecord(alpha, kind, n))
-        if kind == "nonroot" and n:
-            witnesses.append(f"{alpha} is not a root but has species count {n}")
-        elif kind == "real" and n != 1:
-            witnesses.append(f"real root {alpha} has species count {n}, not 1")
-        elif kind == "imaginary" and n == 0:
-            witnesses.append(f"imaginary root {alpha} has species count 0")
-    return TheoremReport(
+        engine.plan(b for alpha in alphas for b in _box(f_inverse(engine.a, alpha)))
+    return _check_roots(
         "species counting check",
         f"{p}^{mbase}" if mbase > 1 else str(p),
         height,
-        tuple(records),
-        tuple(witnesses),
+        lat,
+        lambda alpha: engine.orbits_summing_to(f_inverse(engine.a, alpha)),
+        ("root", "species count 0", "species count {n}"),
     )
 
 

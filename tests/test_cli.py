@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, text output, JSON determinism."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -171,6 +172,22 @@ def test_verify_failure_exits_one(flip_doc, capsys, monkeypatch):
     assert "FAIL made-up witness" in capsys.readouterr().out
 
 
+def test_verify_main_nonroot_failure_exits_one(flip_doc, capsys, monkeypatch):
+    classify = theorems.classify
+
+    class NonRoot:
+        kind = "nonroot"
+
+    monkeypatch.setattr(
+        theorems,
+        "classify",
+        lambda lat, v: NonRoot if tuple(v) == (1, 1) else classify(lat, v),
+    )
+    code = cli.main(["verify", "main", flip_doc, "--field", "3", "--max-height", "2"])
+    assert code == 1
+    assert "FAIL (1, 1) is not a folded root but has 1 class(es)" in capsys.readouterr().out
+
+
 def test_verify_needs_plain_quiver(pair_doc, capsys):
     code = cli.main(["verify", "kac", pair_doc, "--field", "2", "--max-height", "2"])
     assert code == 2
@@ -327,6 +344,22 @@ def test_lazy_exports_resolve_to_submodule_objects():
     assert {"fold", "__version__", "catalog", "theorems"} <= set(dir(qf))
     with pytest.raises(AttributeError, match="no_such_name"):
         qf.no_such_name
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every callable the benchmark's tracer wraps is defined where it
+    looks, so a traced run records none of them as absent."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for name, (module, attr_path) in tracing.TARGETS.items():
+        owner = importlib.import_module(module)
+        *cls_path, attr = attr_path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), name
 
 
 def test_skew_stays_the_function_after_its_module_loads(tmp_path):

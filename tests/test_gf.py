@@ -52,6 +52,9 @@ def test_gf9_products():
 def test_field_factory_is_cached():
     assert qf.make_field(2, 2) is qf.make_field(2, 2)
     assert qf.field_from_spec("2^2") is qf.make_field(2, 2)
+    # a prime field is one object whether or not its degree is passed, so
+    # catalogs stored under (p, m) never mix fields
+    assert qf.make_field(3) is qf.make_field(3, 1) is qf.make_field(p=3, m=1)
     assert qf.parse_field_spec(" 7 ") == (7, 1)
     assert qf.parse_field_spec("3^2") == (3, 2)
 

@@ -7,6 +7,7 @@ from quiverfold.errors import (
     BudgetExceeded,
     EndRingTooLarge,
     FieldMismatch,
+    HomSpaceTooLarge,
     LatticeMismatch,
     NotInSpan,
     NotSink,
@@ -77,6 +78,15 @@ def test_end_ring_cap_is_a_budget(a2, F2):
         qf.is_indecomposable(two, end_cap=1)
     assert isinstance(ei.value, EndRingTooLarge)
     assert ei.value.predicted == 2**4
+
+
+def test_hom_space_cap_is_a_budget(a2, F2):
+    # End(P^5) has 2^25 elements, past the 2^20 the isomorphism search allows
+    five = qf.direct_sum_list([P(a2, F2)] * 5, a2, F2)
+    with pytest.raises(HomSpaceTooLarge) as ei:
+        qf.is_isomorphic(five, five)
+    assert ei.value.predicted == 2**25
+    assert str(ei.value) == "hom space has 2^25 elements, cap is 1048576"
 
 
 def test_direct_sum_and_decompose(a2, F2):

@@ -7,7 +7,8 @@ grows Weyl orbits by breadth-first closure without using any package code.
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import ZeroVector
+from quiverfold import roots
+from quiverfold.errors import BudgetExceeded, ZeroVector
 
 
 def folded(a):
@@ -192,6 +193,15 @@ def test_s_fold_composite(a3_flip):
         assert qf.f_map(flip, qf.s_fold(flip, 0, v)) == qf.reflect(
             lat, 0, qf.f_map(flip, v)
         )
+
+
+def test_root_count_cap(a2, monkeypatch):
+    # a2 has three positive roots; a cap of two refuses the listing
+    monkeypatch.setattr(roots, "_ROOT_CAP", 2)
+    with pytest.raises(BudgetExceeded, match="more than 2 roots below height 3"):
+        qf.positive_roots_up_to(qf.quiver_lattice(a2), 3)
+    monkeypatch.setattr(roots, "_ROOT_CAP", 3)
+    assert len(qf.positive_roots_up_to(qf.quiver_lattice(a2), 3).records) == 3
 
 
 def test_sigma_root_image(a3_flip):

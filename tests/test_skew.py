@@ -3,7 +3,7 @@
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import NotUnfoldable
+from quiverfold.errors import BudgetExceeded, NotUnfoldable
 from quiverfold.skew import double_skew_check, skew, unfold
 
 
@@ -106,3 +106,12 @@ def test_double_skew_small_fixtures(a3_flip, dtilde4):
     assert rep4.found
     # the recovered map is an automorphism-intertwining bijection
     assert set(rep4.vertex_map) == set(four.quiver.vertices)
+
+
+def test_double_skew_refuses_past_vertex_cap():
+    # an eleven-vertex line is one vertex past the search's cap
+    names = [str(k) for k in range(11)]
+    q = qf.validate_quiver(names, [(f"a{k}", names[k], names[k + 1]) for k in range(10)])
+    with pytest.raises(BudgetExceeded, match="capped at 10 vertices") as ei:
+        double_skew_check(qf.validate_automorphism(q, {}))
+    assert ei.value.predicted == 11

@@ -231,6 +231,47 @@ def test_verify_main_small(a3_flip, F2):
     assert rows[(1, 1)].expected_length == 1
 
 
+def test_verify_main_reports_classes_at_a_nonroot(a3_flip, F3, monkeypatch):
+    # a folded non-root that carries a class is a counterexample: the report
+    # fails with its witness instead of raising
+    classify = theorems.classify
+
+    class NonRoot:
+        kind = "nonroot"
+
+    monkeypatch.setattr(
+        theorems,
+        "classify",
+        lambda lat, v: NonRoot if tuple(v) == (1, 1) else classify(lat, v),
+    )
+    report = qf.verify_main_theorem(a3_flip[1], F3, 2)
+    assert not report.passed
+    assert report.witnesses == ("(1, 1) is not a folded root but has 1 class(es)",)
+    rows = {r.vector: r for r in report.records}
+    assert rows[(1, 1)].kind == "nonroot"
+    assert rows[(1, 1)].periods == (1,)
+    assert rows[(1, 1)].expected_length is None
+
+
+def test_verify_main_three_cycle_report_frozen(dtilde4):
+    # over GF(2) the 3-cycle has no twist-orbit sum at the imaginary folded
+    # root (1, 1, 2); the whole report is frozen
+    report = qf.verify_main_theorem(dtilde4[2], qf.make_field(2), 4)
+    assert report.lines() == [
+        "folded dimension-vector check: field 2, height 4",
+        "  (0, 0, 1)  real      classes=1 periods=[1] expected_length=1",
+        "  (0, 1, 0)  real      classes=1 periods=[1] expected_length=1",
+        "  (0, 1, 1)  real      classes=1 periods=[1] expected_length=1",
+        "  (1, 0, 0)  real      classes=1 periods=[3] expected_length=3",
+        "  (1, 0, 1)  real      classes=1 periods=[1] expected_length=1",
+        "  (1, 0, 2)  real      classes=1 periods=[1] expected_length=1",
+        "  (1, 0, 3)  real      classes=1 periods=[3] expected_length=3",
+        "  (1, 1, 1)  real      classes=1 periods=[1] expected_length=1",
+        "  (1, 1, 2)  imaginary classes=0",
+        "FAIL imaginary folded root (1, 1, 2) has no class",
+    ]
+
+
 def test_verify_main_counterexample_slice(counterexample, F5):
     q, rot = counterexample
     report = qf.verify_main_theorem(rot, F5, 2)
