@@ -29,14 +29,14 @@ _EXPORTED_BY = {
         orbit_structure validate_automorphism validate_quiver
     """,
     "cartan": """
-        FoldData SymmetricGCM ValuedEdge ValuedQuiver bilinear_gamma
+        CartanLattice FoldData ValuedEdge ValuedQuiver bilinear_gamma
         bilinear_q euler_form f_inverse f_map fold make_valued_quiver
-        root_length sigma symmetric_gcm
+        quiver_lattice root_length sigma
     """,
     "roots": """
-        CartanLattice Classification RootRecord RootSet SigmaImageReport
-        apply_reflections classify defect folded_lattice h_map null_root
-        positive_roots_up_to quiver_lattice reflect s_fold sigma_root_image
+        Classification RootRecord RootSet SigmaImageReport apply_reflections
+        classify defect folded_lattice h_map null_root positive_roots_up_to
+        reflect s_fold sigma_root_image
     """,
     "skew": "ArrowOrigin DoubleSkewReport SkewQuiver double_skew_check skew unfold",
     "gf": """

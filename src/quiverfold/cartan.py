@@ -1,11 +1,13 @@
-"""Folding a quiver with automorphism into symmetrisable Cartan data.
+"""The Cartan lattice of a quiver or of its fold, and the maps between them.
 
-The symmetric generalized Cartan matrix of a quiver counts arrows between
-distinct vertices (in either direction).  Folding along an admissible
-automorphism produces the triple (B, D, C): B is the symmetric form on the
-orbit lattice, D the diagonal of orbit sizes, and C = D^{-1} B the
-symmetrisable generalized Cartan matrix.  B and D are stored losslessly;
-the familiar edge value pairs (|c_ji|, |c_ij|) are derived for display.
+A ``CartanLattice`` holds named coordinates, a symmetric form B and a
+symmetriser D, with C = D^{-1} B the symmetrisable generalized Cartan
+matrix; ``_lattice`` builds every one.  A quiver's lattice has d = 1 and one
+edge per arrow.  Folding along an admissible automorphism gives a valued
+quiver on the orbits (orbit sizes as weights, arrow-orbit lengths summed per
+pair of orbits as counts), whose lattice is the folded one.  B and D are
+stored losslessly; the familiar edge value pairs (|c_ji|, |c_ij|) are
+derived for display.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -34,30 +36,76 @@ def _check_len(name: str, v: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(int(x) for x in v)
 
 
-def _sym_pairing(matrix: Matrix, x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(
-        xi * sum(matrix[i][j] * y[j] for j in range(len(y)))
-        for i, xi in enumerate(x)
-    )
+# --- lattices ---
 
 
 @dataclass(frozen=True)
-class SymmetricGCM:
-    quiver: Quiver
-    matrix: Matrix
+class CartanLattice:
+    """A root lattice: named coordinates, symmetric form B, symmetriser D."""
+
+    names: tuple[str, ...]
+    b_matrix: Matrix
+    d: tuple[int, ...]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {v: k for k, v in enumerate(self.names)}
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.names)
+        return tuple(
+            tuple(j for j in range(n) if j != i and self.b_matrix[i][j] != 0)
+            for i in range(n)
+        )
+
+    @cached_property
+    def c_matrix(self) -> Matrix:
+        """C = D^{-1} B."""
+        return tuple(
+            tuple(x // di for x in row) for row, di in zip(self.b_matrix, self.d)
+        )
+
+    def check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
+        if len(v) != len(self.names):
+            raise LatticeMismatch(
+                f"vector has length {len(v)}, lattice has {len(self.names)} vertices"
+            )
+        return tuple(int(x) for x in v)
+
+    def pairing(self, v: Sequence[int], i: int) -> int:
+        """(Bv)_i."""
+        return sum(self.b_matrix[i][j] * v[j] for j in range(len(v)))
+
+    def form(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """x^T B y."""
+        xs = self.check_vector(x)
+        ys = self.check_vector(y)
+        return sum(xi * self.pairing(ys, i) for i, xi in enumerate(xs))
 
 
-def symmetric_gcm(quiver: Quiver) -> SymmetricGCM:
-    """The symmetric generalized Cartan matrix of the underlying graph:
-    2 on the diagonal, minus the number of connecting arrows off it."""
-    n = len(quiver.vertices)
+def _lattice(
+    names: tuple[str, ...], d: tuple[int, ...], edges: Iterable[tuple[int, int, int]]
+) -> CartanLattice:
+    """The lattice with 2 d_i on the diagonal of B and, for each edge
+    (i, j, b), b subtracted at (i, j) and at (j, i)."""
+    n = len(names)
+    b = [[2 * d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, count in edges:
+        b[i][j] -= count
+        b[j][i] -= count
+    return CartanLattice(names, tuple(tuple(row) for row in b), d)
+
+
+def quiver_lattice(quiver: Quiver) -> CartanLattice:
+    """The symmetric lattice of the underlying graph: 2 on the diagonal,
+    minus the number of connecting arrows off it."""
     idx = quiver.vertex_index
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for r in quiver.arrows:
-        i, j = idx[r.source], idx[r.target]
-        a[i][j] -= 1
-        a[j][i] -= 1
-    return SymmetricGCM(quiver, tuple(tuple(row) for row in a))
+    return _lattice(
+        quiver.vertices,
+        (1,) * len(quiver.vertices),
+        ((idx[r.source], idx[r.target], 1) for r in quiver.arrows),
+    )
 
 
 # --- valued quivers ---
@@ -84,25 +132,17 @@ class ValuedQuiver:
         return {v: k for k, v in enumerate(self.vertices)}
 
     @cached_property
-    def b_matrix(self) -> Matrix:
-        n = len(self.vertices)
+    def lattice(self) -> CartanLattice:
         idx = self.vertex_index
-        b = [[0] * n for _ in range(n)]
-        for k in range(n):
-            b[k][k] = 2 * self.d[k]
-        for e in self.edges:
-            i, j = idx[e.source], idx[e.target]
-            b[i][j] -= e.b
-            b[j][i] -= e.b
-        return tuple(tuple(row) for row in b)
-
-    @cached_property
-    def c_matrix(self) -> Matrix:
-        b = self.b_matrix
-        n = len(self.vertices)
-        return tuple(
-            tuple(b[i][j] // self.d[i] for j in range(n)) for i in range(n)
+        return _lattice(
+            self.vertices,
+            self.d,
+            ((idx[e.source], idx[e.target], e.b) for e in self.edges),
         )
+
+    @property
+    def b_matrix(self) -> Matrix:
+        return self.lattice.b_matrix
 
     def edge_pair(self, e: ValuedEdge) -> tuple[int, int]:
         """Display pair (|c_vu|, |c_uv|) for the edge u -> v."""
@@ -170,15 +210,11 @@ def make_valued_quiver(
 
 @dataclass(frozen=True)
 class FoldData:
-    """Result of folding: exact B and D (hence C), and the valued quiver on
-    the orbit vertices."""
+    """Result of folding: the orbit structure and the valued quiver on the
+    orbit vertices, whose lattice holds B, D and C."""
 
     orbits: OrbitStructure
-    b_matrix: Matrix
-
-    @property
-    def auto(self) -> Automorphism:
-        return self.orbits.auto
+    valued_quiver: ValuedQuiver
 
     @property
     def d(self) -> tuple[int, ...]:
@@ -188,69 +224,47 @@ class FoldData:
     def orbit_names(self) -> tuple[str, ...]:
         return self.orbits.orbit_names
 
-    @cached_property
-    def c_matrix(self) -> Matrix:
-        n = len(self.d)
-        for i in range(n):
-            for j in range(n):
-                if self.b_matrix[i][j] % self.d[i] != 0:
-                    raise LatticeMismatch("symmetriser does not divide the form")
-        return tuple(
-            tuple(self.b_matrix[i][j] // self.d[i] for j in range(n)) for i in range(n)
-        )
+    @property
+    def lattice(self) -> CartanLattice:
+        return self.valued_quiver.lattice
 
-    @cached_property
-    def valued_quiver(self) -> ValuedQuiver:
-        st = self.orbits
-        seen: dict[frozenset, ValuedEdge] = {}
-        order: list[frozenset] = []
-        names = st.orbit_names
-        for k, (si, ti) in enumerate(st.arrow_orbit_ends):
-            key = frozenset((si, ti))
-            if key not in seen:
-                seen[key] = ValuedEdge(names[si], names[ti], st.arrow_orbit_lengths[k])
-                order.append(key)
-            else:
-                e = seen[key]
-                seen[key] = ValuedEdge(e.source, e.target, e.b + st.arrow_orbit_lengths[k])
-        return ValuedQuiver(names, st.d, tuple(seen[k] for k in order))
+    @property
+    def b_matrix(self) -> Matrix:
+        return self.lattice.b_matrix
+
+    @property
+    def c_matrix(self) -> Matrix:
+        return self.lattice.c_matrix
 
 
 def fold(a: Automorphism) -> FoldData:
-    """Fold the quiver of `a` along `a` into symmetrisable Cartan data."""
+    """Fold the quiver of `a` along `a` into symmetrisable Cartan data.
+
+    Arrow orbits between the same two vertex orbits merge into one valued
+    edge, oriented as the first of them."""
     st = orbit_structure(a)
-    m = len(st.vertex_orbits)
-    b = [[0] * m for _ in range(m)]
-    for k in range(m):
-        b[k][k] = 2 * st.d[k]
-    for k, (si, ti) in enumerate(st.arrow_orbit_ends):
-        ell = st.arrow_orbit_lengths[k]
-        b[si][ti] -= ell
-        b[ti][si] -= ell
-    return FoldData(st, tuple(tuple(row) for row in b))
+    names = st.orbit_names
+    edges: dict[frozenset, ValuedEdge] = {}
+    for (si, ti), ell in zip(st.arrow_orbit_ends, st.arrow_orbit_lengths):
+        key = frozenset((si, ti))
+        e = edges.get(key) or ValuedEdge(names[si], names[ti], 0)
+        edges[key] = ValuedEdge(e.source, e.target, e.b + ell)
+    return FoldData(st, ValuedQuiver(names, st.d, tuple(edges.values())))
 
 
 # --- bilinear forms ---
 
 
-def bilinear_q(carrier: SymmetricGCM | Quiver, x: Sequence[int], y: Sequence[int]) -> int:
+def bilinear_q(quiver: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
     """Symmetric form x^T A y of the unfolded lattice."""
-    gcm = symmetric_gcm(carrier) if isinstance(carrier, Quiver) else carrier
-    n = len(gcm.matrix)
-    xs = _check_len("x", x, n)
-    ys = _check_len("y", y, n)
-    return _sym_pairing(gcm.matrix, xs, ys)
+    return quiver_lattice(quiver).form(x, y)
 
 
 def bilinear_gamma(
     carrier: FoldData | ValuedQuiver, x: Sequence[int], y: Sequence[int]
 ) -> int:
     """Symmetric form x^T B y of the folded (valued) lattice."""
-    b = carrier.b_matrix if isinstance(carrier, FoldData) else carrier.b_matrix
-    n = len(b)
-    xs = _check_len("x", x, n)
-    ys = _check_len("y", y, n)
-    return _sym_pairing(b, xs, ys)
+    return carrier.lattice.form(x, y)
 
 
 def euler_form(quiver: Quiver, x: Sequence[int], y: Sequence[int]) -> int:

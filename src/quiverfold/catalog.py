@@ -55,6 +55,7 @@ available as an independent route and is cross-checked in the tests.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import cycle, product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -79,8 +80,23 @@ from .reps import (
 )
 
 # numpy loads after the package's own modules: compiling their source with
-# numpy already in memory raised a process's peak RSS by about 1 MB
-import numpy as np
+# numpy already in memory raised a process's peak RSS by about 1 MB.  The
+# package calls no BLAS routine, yet numpy's OpenBLAS starts a worker thread
+# per core as it loads: on a two-core Xeon that cost about 0.06 s of a cold
+# process, beside the main thread or after it as the other core was free or
+# not, so one cold build took 0.10 s and the next 0.22 s.  Unless the caller
+# chose a thread count, numpy loads with a pool of one, and the environment
+# is restored for child processes.
+_PIN_BLAS = not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+)
+if _PIN_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PIN_BLAS:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 _CHUNK = 1 << 18  # block values per batch while a move table is built
 _BATCH = 1 << 14  # states pushed through a move at once

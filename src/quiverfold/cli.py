@@ -59,15 +59,14 @@ def _need_auto(doc: dict) -> Automorphism:
 
 
 def _lattice_for(doc: dict):
-    from .cartan import fold
-    from .roots import folded_lattice, quiver_lattice
+    from .cartan import fold, quiver_lattice
     from .serialize import is_valued_document, quiver_from_dict, valued_from_dict
 
     if is_valued_document(doc):
-        return folded_lattice(valued_from_dict(doc))
+        return valued_from_dict(doc).lattice
     q, a = quiver_from_dict(doc)
     if a is not None and not a.is_identity:
-        return folded_lattice(fold(a))
+        return fold(a).lattice
     return quiver_lattice(q)
 
 

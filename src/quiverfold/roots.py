@@ -1,7 +1,9 @@
 """Root systems of symmetrisable Kac-Moody lattices, by exact descent.
 
-A lattice is a tuple of vertex names with the symmetric form B and the
-symmetriser D.  Simple reflections act by r_i(v) = v - ((Bv)_i / d_i) e_i,
+The lattices are ``cartan.CartanLattice``s (vertex names, the symmetric
+form B and the symmetriser D), which this module re-exports together with
+``quiver_lattice``; ``folded_lattice`` is the lattice of a fold or of a
+valued quiver.  Simple reflections act by r_i(v) = v - ((Bv)_i / d_i) e_i,
 which is always integral here.  Classification walks a vector down by
 height: reflecting at the least vertex with positive pairing either reaches
 a simple root (real), a vector in the fundamental region with connected
@@ -19,7 +21,16 @@ from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Iterable, Literal, Sequence
 
-from .cartan import FoldData, ValuedQuiver, Matrix, euler_form, fold, sigma, f_map, symmetric_gcm
+from .cartan import (
+    CartanLattice,
+    FoldData,
+    ValuedQuiver,
+    euler_form,
+    f_map,
+    fold,
+    quiver_lattice,
+    sigma,
+)
 from .errors import (
     BudgetExceeded,
     LatticeMismatch,
@@ -32,47 +43,8 @@ from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structu
 RootKind = Literal["real", "imaginary", "nonroot"]
 
 
-@dataclass(frozen=True)
-class CartanLattice:
-    """A root lattice: named coordinates, symmetric form B, symmetriser D."""
-
-    names: tuple[str, ...]
-    b_matrix: Matrix
-    d: tuple[int, ...]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: k for k, v in enumerate(self.names)}
-
-    @cached_property
-    def neighbours(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.names)
-        return tuple(
-            tuple(j for j in range(n) if j != i and self.b_matrix[i][j] != 0)
-            for i in range(n)
-        )
-
-    def check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != len(self.names):
-            raise LatticeMismatch(
-                f"vector has length {len(v)}, lattice has {len(self.names)} vertices"
-            )
-        return tuple(int(x) for x in v)
-
-    def pairing(self, v: Sequence[int], i: int) -> int:
-        """(Bv)_i."""
-        return sum(self.b_matrix[i][j] * v[j] for j in range(len(v)))
-
-
-def quiver_lattice(quiver: Quiver) -> CartanLattice:
-    gcm = symmetric_gcm(quiver)
-    return CartanLattice(quiver.vertices, gcm.matrix, (1,) * len(quiver.vertices))
-
-
 def folded_lattice(carrier: FoldData | ValuedQuiver) -> CartanLattice:
-    if isinstance(carrier, FoldData):
-        return CartanLattice(carrier.orbit_names, carrier.b_matrix, carrier.d)
-    return CartanLattice(carrier.vertices, carrier.b_matrix, carrier.d)
+    return carrier.lattice
 
 
 def _resolve_vertex(lat: CartanLattice, i: int | str) -> int:
@@ -322,9 +294,7 @@ class SigmaImageReport:
 def sigma_root_image(a: Automorphism, height: int) -> SigmaImageReport:
     q = a.quiver
     n = a.order
-    fd = fold(a)
-    gamma = folded_lattice(fd)
-    folded = positive_roots_up_to(gamma, height)
+    folded = positive_roots_up_to(fold(a).lattice, height)
 
     lat = quiver_lattice(q)
     unfolded = positive_roots_up_to(lat, n * height)

@@ -38,7 +38,7 @@ from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cartan import ValuedQuiver, f_inverse, f_map, fold, root_length
+from .cartan import CartanLattice, ValuedQuiver, f_inverse, f_map, fold, quiver_lattice, root_length
 from .errors import (
     BudgetExceeded,
     CharacteristicWarning,
@@ -48,14 +48,7 @@ from .errors import (
 )
 from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
-from .roots import (
-    CartanLattice,
-    _nonneg_vectors,
-    classify,
-    folded_lattice,
-    quiver_lattice,
-    s_fold,
-)
+from .roots import _nonneg_vectors, classify, s_fold
 from .skew import unfold
 from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
 
@@ -79,7 +72,6 @@ class _ReductionContext:
 
     auto: Automorphism  # the transported automorphism; its quiver is current
     dims: Vec
-    last_orbit: tuple[str, ...] | None
     steps: tuple[tuple[tuple[str, ...], str], ...]
 
     @property
@@ -100,13 +92,12 @@ def _reduce_context(
     cur_a = a
     cur_dims = a.quiver.check_vector(beta)
     steps: list[tuple[tuple[str, ...], str]] = []
-    last_orbit: tuple[str, ...] | None = None
     while True:
         q = cur_a.quiver
         n_entries = q.entry_count(cur_dims)
         size = fld.q**n_entries
         if size <= state_cap:
-            return _ReductionContext(cur_a, cur_dims, last_orbit, tuple(steps))
+            return _ReductionContext(cur_a, cur_dims, tuple(steps))
         chosen = None
         for orbit in orbit_structure(cur_a).vertex_orbits:
             if all(q.is_sink(v) for v in orbit):
@@ -138,7 +129,6 @@ def _reduce_context(
             q.reversed_at(orbit), cur_a.vertex_image, cur_a.arrow_image
         )
         cur_dims = new_dims
-        last_orbit = orbit
 
 
 # --- twist-orbit engine ---
@@ -190,22 +180,11 @@ class _TwistOrbitEngine:
         if ctx is None:
             hs: tuple[Handle, ...] = ()
         else:
-            qr = ctx.auto.quiver
-            gamma = ctx.dims
-            excluded = (
-                ctx.last_orbit is not None
-                and sum(gamma) == 1
-                and qr.vertices[gamma.index(1)] in ctx.last_orbit
-            )
-            if excluded:
-                # the reduced vector is the simple at a member of the last
-                # reflected orbit; that class has no preimage upstairs
-                hs = ()
-            else:
-                from .catalog import isoclasses
+            from .catalog import isoclasses
 
-                cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
-                hs = tuple((beta, qr, gamma, cid) for cid in cat.indec_class_ids())
+            qr = ctx.auto.quiver
+            cat = isoclasses(qr, ctx.dims, self.field, state_cap=self.state_cap)
+            hs = tuple((beta, qr, ctx.dims, cid) for cid in cat.indec_class_ids())
         self.handles[beta] = hs
         return hs
 
@@ -349,7 +328,7 @@ def ii_classes(
             )
         )
     if out:
-        kind = classify(folded_lattice(fold(a)), f_map(a, dd)).kind
+        kind = classify(fold(a).lattice, f_map(a, dd)).kind
         if kind not in ("real", "imaginary"):
             raise CrossCheckFailed(
                 f"dims {dd} carries twist-orbit sums but folds to a non-root"
@@ -557,7 +536,7 @@ def verify_main_theorem(
             )
         )
     fd = fold(a)
-    lat = folded_lattice(fd)
+    lat = fd.lattice
     engine = _auto_engine(a, fld, state_cap)
     engine.plan(
         b
@@ -584,7 +563,7 @@ def verify_species_theorem(
     """Species counts are positive exactly on the positive roots of the
     valued quiver's form, and equal to one on the real ones."""
     p, mbase = prime_power(q)
-    lat = folded_lattice(vq)
+    lat = vq.lattice
     alphas = list(_nonneg_vectors(len(lat.names), height))
     if alphas:  # with no alphas there is no unfolding to make
         engine = _species_engine(vq, q, state_cap)

@@ -445,3 +445,16 @@ def test_twist_period_must_close(a3_flip, F2, monkeypatch):
         frobenius_period(cat, 0)
     with pytest.raises(TwistPeriodBroken):
         auto_period(cat, flip, 0)
+    # over GF(8) the Frobenius order is 3; a class that returns after two
+    # twists has a period that does not divide it
+    cat8 = isoclasses(q, (1, 0, 1), qf.make_field(2, 3))
+    found = iter([-1, 0])
+    monkeypatch.setattr(IsoClassCatalog, "class_of", lambda self, rep: next(found))
+    with pytest.raises(TwistPeriodBroken, match="period 2 does not divide its order 3"):
+        frobenius_period(cat8, 0)
+
+
+def test_auto_period_needs_the_catalogs_quiver(a2, a3_flip, F2):
+    cat = isoclasses(a2, (1, 0), F2)
+    with pytest.raises(SpaceMismatch):
+        auto_period(cat, a3_flip[1], 0)

@@ -94,6 +94,52 @@ def test_classify_bad_vector_length(pair_doc, capsys):
     assert "length 4" in capsys.readouterr().err
 
 
+@pytest.fixture
+def a3_doc(tmp_path):
+    q, _ = qf.build_a3_flip()
+    path = tmp_path / "a3.json"
+    path.write_text(qf.json_dumps(qf.quiver_to_dict(q)))
+    return str(path)
+
+
+def _real(vector, simple, word):
+    return {"fundamental": None, "kind": "real", "reason": None, "sign": 1,
+            "simple": simple, "vector": vector, "word": word}
+
+
+def _roots(height, vectors):
+    return {"height": height, "roots": [{"kind": "real", "vector": v} for v in vectors]}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, want",
+    [
+        ("a3", ["classify", "--dim", "1,1,0"], _real([1, 1, 0], "2", ["1"])),
+        (
+            "a3",
+            ["classify", "--dim", "1,2,1"],
+            {"fundamental": None, "kind": "nonroot",
+             "reason": "reflection at '1' leaves the positive cone", "sign": 1,
+             "simple": None, "vector": [1, 2, 1], "word": ["2"]},
+        ),
+        (
+            "a3",
+            ["roots", "--max-height", "3"],
+            _roots(3, [[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0], [1, 1, 1]]),
+        ),
+        ("flip", ["classify", "--dim", "1,2"], _real([1, 2], "1", ["2"])),
+        ("flip", ["roots", "--max-height", "3"], _roots(3, [[0, 1], [1, 0], [1, 1], [1, 2]])),
+    ],
+    ids=["a3-classify-real", "a3-classify-nonroot", "a3-roots", "flip-classify", "flip-roots"],
+)
+def test_lattice_of_plain_documents(a3_doc, flip_doc, capsys, doc, argv, want):
+    # a plain quiver classifies on its own lattice, a quiver with an
+    # automorphism on its fold's
+    path = {"a3": a3_doc, "flip": flip_doc}[doc]
+    assert cli.main([argv[0], path, *argv[1:], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
 def test_indecs_with_end_crosscheck(flip_doc, capsys):
     code = cli.main(
         ["indecs", flip_doc, "--field", "2", "--dim", "1,1,1", "--cap-end", "4096"]
@@ -397,6 +443,28 @@ def test_import_loads_no_submodule(tmp_path):
     bare, setup = json.loads(res.stdout)
     assert bare == []
     assert setup == ["errors", "fixtures", "gf", "quiver", "reps"]
+
+
+def test_catalog_loads_numpy_with_one_blas_thread(tmp_path, monkeypatch):
+    """Loading the catalog starts no OpenBLAS worker thread and leaves the
+    environment as it was; a thread count the caller chose is kept."""
+    code = (
+        "import json, os\n"
+        "import quiverfold.catalog\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    res = _run_child(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    env, threads = json.loads(res.stdout)
+    assert env is None and threads in (1, None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    res = _run_child(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)[0] == "2"
 
 
 def _run_child(code: str, cwd) -> subprocess.CompletedProcess:

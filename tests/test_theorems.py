@@ -253,6 +253,43 @@ def test_verify_main_reports_classes_at_a_nonroot(a3_flip, F3, monkeypatch):
     assert rows[(1, 1)].expected_length is None
 
 
+def test_verify_kac_reports_class_count_at_a_real_root(F2, monkeypatch):
+    # the Kronecker quiver has q + 1 indecomposables at its imaginary root
+    # (1, 1); called real, the root carries too many classes
+    kronecker = qf.validate_quiver(["u", "v"], [("r", "u", "v"), ("s", "u", "v")])
+    classify = theorems.classify
+
+    class Real:
+        kind = "real"
+
+    monkeypatch.setattr(
+        theorems,
+        "classify",
+        lambda lat, v: Real if tuple(v) == (1, 1) else classify(lat, v),
+    )
+    report = qf.verify_kac(kronecker, F2, 2)
+    assert not report.passed
+    assert report.witnesses == ("real root (1, 1) has 3 indecomposable classes, not 1",)
+    assert report.lines()[-1] == "FAIL " + report.witnesses[0]
+
+
+def test_verify_main_reports_summands_against_root_length(a3_flip, F3, monkeypatch):
+    root_length = theorems.root_length
+    monkeypatch.setattr(
+        theorems,
+        "root_length",
+        lambda fd, w: 3 if tuple(w) == (1, 0) else root_length(fd, w),
+    )
+    report = qf.verify_main_theorem(a3_flip[1], F3, 2)
+    assert not report.passed
+    assert report.witnesses == (
+        "real folded root (1, 0): class has 2 summands, root length is 3",
+    )
+    rows = {r.vector: r for r in report.records}
+    assert rows[(1, 0)].periods == (2,)
+    assert rows[(1, 0)].expected_length == 3
+
+
 def test_verify_main_three_cycle_report_frozen(dtilde4):
     # over GF(2) the 3-cycle has no twist-orbit sum at the imaginary folded
     # root (1, 1, 2); the whole report is frozen
@@ -353,6 +390,26 @@ def test_multiset_crosscheck(a2, F2):
     assert rows[(2, 2)].count == 3
     assert rows[(2, 2)].crosscheck == 3
     assert "multisets=3" in report.lines()[1 + list(rows).index((2, 2))]
+
+
+def test_multiset_crosscheck_reports_a_hidden_class(a2, F2, monkeypatch):
+    # hiding one of the two indecomposables at (1, 1) leaves one multiset
+    # for the catalog's two classes there
+    from quiverfold.catalog import IsoClassCatalog
+
+    indec_class_ids = IsoClassCatalog.indec_class_ids
+    monkeypatch.setattr(
+        IsoClassCatalog,
+        "indec_class_ids",
+        lambda self: indec_class_ids(self)[1:] if self.dims == (1, 1) else indec_class_ids(self),
+    )
+    report = qf.multiset_crosscheck(a2, F2, 2)
+    assert not report.passed
+    assert report.witnesses == (
+        "(1, 1): catalog has 2 classes, multisets of indecomposables give 1",
+    )
+    rows = {r.vector: r for r in report.records}
+    assert (rows[(1, 1)].count, rows[(1, 1)].crosscheck) == (2, 1)
 
 
 def test_report_round_trip(a2, F2):
