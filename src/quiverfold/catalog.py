@@ -47,18 +47,18 @@ matrices is applied to every block, and the result is looked up in the
 labels of slice k.
 
 Indecomposability flags for a whole catalog come from a direct-sum sieve:
-a class is decomposable exactly when it contains indec(beta) + class(d-beta)
-for some proper sub-dimension beta, walked bottom-up through the memoised
-store.  The per-representation idempotent search in rep-algebra stays
-available as an independent route and is cross-checked in the tests.
+a class is decomposable exactly when it holds X + Y with X indecomposable
+at a proper sub-vector beta.  The sieve walks the memoised box below d once
+and pairs only the beta that carry an indecomposable with the classes at
+d - beta.  The idempotent search in reps stays as a second, tested route.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import cycle, product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import cycle
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -67,7 +67,7 @@ from .errors import (
     TwistPeriodBroken,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver
+from .quiver import Automorphism, Quiver, _box
 from .reps import (
     Mat,
     Representation,
@@ -280,7 +280,7 @@ class StateSpace:
     def __init__(self, quiver: Quiver, field: FiniteField, dims: Sequence[int]):
         self.quiver = quiver
         self.field = field
-        self.dims = quiver.check_vector(dims)
+        self.dims = quiver.check_dims(dims)
         idx = quiver.vertex_index
         self.shapes = []
         self.offsets = []
@@ -530,7 +530,7 @@ class IsoClassCatalog:
     @property
     def indec_flags(self) -> np.ndarray:
         if self._indec is None:
-            _sieve_indec(self)
+            self._indec = _sieve_indec(self)
         return self._indec
 
     def indec_class_ids(self) -> tuple[int, ...]:
@@ -550,14 +550,15 @@ def _store_key(quiver: Quiver, field: FiniteField, dd: tuple[int, ...]) -> tuple
     return (quiver, field.p, field.m, dd)
 
 
-def _oversized(space: StateSpace, state_cap: int, planned: bool = False) -> BudgetExceeded:
-    q = space.field.q
-    note = "; refused while planning, before any catalog was built" if planned else ""
-    return BudgetExceeded(
-        f"state space at dims {space.dims} over GF({q}) holds {q}^{space.n_entries} "
-        f"= {space.size} representations, cap is {state_cap}{note}",
-        predicted=space.size,
-    )
+def _check_size(quiver: Quiver, field: FiniteField, dd: tuple, cap: int, planned=False) -> None:
+    q, n = field.q, quiver.entry_count(dd)
+    if q**n > cap:
+        note = "; refused while planning, before any catalog was built" if planned else ""
+        raise BudgetExceeded(
+            f"state space at dims {dd} over GF({q}) holds {q}^{n} = {q**n} "
+            f"representations, cap is {cap}{note}",
+            predicted=q**n,
+        )
 
 
 def plan_isoclasses(
@@ -573,12 +574,9 @@ def plan_isoclasses(
     within the cap.  This is arithmetic on state-space sizes only.
     """
     for dims in vectors:
-        dd = quiver.check_vector(dims)
-        if _store_key(quiver, field, dd) in _STORE:
-            continue
-        space = StateSpace(quiver, field, dd)
-        if space.size > state_cap:
-            raise _oversized(space, state_cap, planned=True)
+        dd = quiver.check_dims(dims)
+        if _store_key(quiver, field, dd) not in _STORE:
+            _check_size(quiver, field, dd, state_cap, planned=True)
 
 
 def isoclasses(
@@ -588,15 +586,14 @@ def isoclasses(
     state_cap: int = 2**24,
 ) -> IsoClassCatalog:
     """Classify all representations of the dimension vector, memoised."""
-    dd = quiver.check_vector(dims)
+    dd = quiver.check_dims(dims)
     key = _store_key(quiver, field, dd)
     got = _STORE.get(key)
     if got is not None:
         return got
 
+    _check_size(quiver, field, dd, state_cap)
     space = StateSpace(quiver, field, dd)
-    if space.size > state_cap:
-        raise _oversized(space, state_cap)
     first = space.top[1] * space.top[2]  # the entries from here on vary within a slice
     slices = space.slices()
     reps, sizes = [], []
@@ -623,27 +620,23 @@ def isoclasses(
     return cat
 
 
-def _sub_dimensions(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All beta with 0 <= beta <= dims componentwise, excluding 0 and dims."""
-    for beta in product(*(range(d + 1) for d in dims)):
-        if any(beta) and beta != dims:
-            yield beta
-
-
-def _sieve_indec(cat: IsoClassCatalog) -> None:
-    # the zero representation is not indecomposable, and has no sub-dimensions
+def _sieve_indec(cat: IsoClassCatalog) -> np.ndarray:
+    # the zero representation is not indecomposable, and has no sub-vectors
     flags = np.full(cat.n_classes, any(cat.dims))
-    q, f = cat.quiver, cat.field
-    for beta in _sub_dimensions(cat.dims):
-        gamma = tuple(a - b for a, b in zip(cat.dims, beta))
-        sub = isoclasses(q, beta, f, state_cap=cat.space.size + 1)
-        comp = isoclasses(q, gamma, f, state_cap=cat.space.size + 1)
+    q, f, cap = cat.quiver, cat.field, cat.space.size + 1
+    for beta in _box(cat.dims):
+        if beta == cat.dims:
+            continue
+        sub = isoclasses(q, beta, f, state_cap=cap)
+        if not sub.indec_class_ids():
+            continue
+        comp = isoclasses(q, tuple(a - b for a, b in zip(cat.dims, beta)), f, state_cap=cap)
         for ii in sub.indec_class_ids():
             left = sub.representative(ii)
             for cj in range(comp.n_classes):
                 total = direct_sum(left, comp.representative(cj))
                 flags[cat.class_of(total)] = False
-    cat._indec = flags
+    return flags
 
 
 def indecomposable_classes(

@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="path to a JSON document ('-' for stdin)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     for name in ("indecs", "ii-indecs", "species-count", "verify"):
-        cmds[name].add_argument("--field", help="finite field, e.g. 5 or 2^3")
+        cmds[name].add_argument("--field", help="finite field by its size, e.g. 5, 4 or 2^2")
         cmds[name].add_argument(
             "--cap-states",
             type=int,

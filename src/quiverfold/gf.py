@@ -59,13 +59,13 @@ def parse_field_spec(spec: str) -> tuple[int, int]:
 
 
 def prime_power(q: int | str) -> tuple[int, int]:
-    """(p, m) with p prime and q = p^m, from an integer or a "p"/"p^m" spec."""
-    if isinstance(q, str):
+    """(p, m) with p prime and q = p^m, from an integer such as 4 or "4", or "p^m"."""
+    if isinstance(q, str) and "^" in q:
         return parse_field_spec(q)
-    n = int(q)
+    n = parse_field_spec(q)[0] if isinstance(q, str) else int(q)
     primes = _prime_factors(n)
     if len(primes) != 1:
-        raise NotPrime(f"{q} is not a prime power")
+        raise NotPrime(f"{n} is not a prime power")
     m = 1
     while primes[0] ** m < n:
         m += 1
@@ -335,8 +335,7 @@ def _make_field(p: int, m: int) -> FiniteField:
 
 
 def field_from_spec(spec: str) -> FiniteField:
-    p, m = parse_field_spec(spec)
-    return make_field(p, m)
+    return make_field(*prime_power(spec))
 
 
 def frobenius(field: FiniteField, s: int, x: int) -> int:

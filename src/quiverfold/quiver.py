@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -104,11 +105,25 @@ class Quiver:
             )
         return tuple(int(x) for x in v)
 
+    def check_dims(self, v: Sequence[int]) -> tuple[int, ...]:
+        """check_vector, also requiring every entry to be non-negative."""
+        dd = self.check_vector(v)
+        if any(x < 0 for x in dd):
+            raise LatticeMismatch("dimensions must be non-negative")
+        return dd
+
     def entry_count(self, dims: Sequence[int]) -> int:
         """Matrix entries of a representation at dims: the sum over the
         arrows of d_target * d_source."""
         idx = self.vertex_index
         return sum(dims[idx[a.target]] * dims[idx[a.source]] for a in self.arrows)
+
+
+def _box(d: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All nonzero beta with beta <= d componentwise (d itself included)."""
+    for beta in product(*(range(x + 1) for x in d)):
+        if any(beta):
+            yield beta
 
 
 def validate_quiver(vertices: Sequence[str], arrows: Iterable) -> Quiver:

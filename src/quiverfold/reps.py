@@ -162,9 +162,7 @@ def make_representation(
 ) -> Representation:
     """Validate shapes and entries and build a representation.  Omitted
     matrices default to zero."""
-    dd = quiver.check_vector(dims)
-    if any(x < 0 for x in dd):
-        raise LatticeMismatch("dimensions must be non-negative")
+    dd = quiver.check_dims(dims)
     idx = quiver.vertex_index
     mats: list[Mat] = []
     for k, arr in enumerate(quiver.arrows):

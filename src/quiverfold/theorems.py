@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cartan import CartanLattice, ValuedQuiver, f_inverse, f_map, fold, quiver_lattice, root_length
 from .errors import (
@@ -47,19 +46,12 @@ from .errors import (
     TwistPeriodBroken,
 )
 from .gf import FiniteField, make_field, prime_power
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
+from .quiver import Automorphism, Quiver, _box, act_on_dimension_vector, orbit_structure
 from .roots import _nonneg_vectors, classify, s_fold
 from .skew import unfold
 from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
 
 Vec = tuple[int, ...]
-
-
-def _box(d: Vec) -> Iterator[Vec]:
-    """All nonzero beta with beta <= d componentwise (d itself included)."""
-    for beta in product(*(range(x + 1) for x in d)):
-        if any(beta):
-            yield beta
 
 
 # --- reflection reduction ---
@@ -304,7 +296,7 @@ def ii_classes(
     the number of indecomposable summands.
     """
     q = a.quiver
-    dd = q.check_vector(d)
+    dd = q.check_dims(d)
     if act_on_dimension_vector(a, dd) != dd:
         raise NotFixed(f"dimension vector {dd} is not fixed by the automorphism")
     if not any(dd):
@@ -384,7 +376,8 @@ def species_count(
     of alpha.
     """
     engine = _species_engine(vq, q, state_cap)
-    return len(engine.orbits_summing_to(f_inverse(engine.a, alpha)))
+    d = engine.a.quiver.check_dims(f_inverse(engine.a, alpha))
+    return len(engine.orbits_summing_to(d))
 
 
 # --- theorem reports ---

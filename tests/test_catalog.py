@@ -7,6 +7,7 @@ explicit GL generators, idempotent search for indecomposability).
 
 import importlib.util
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from quiverfold.catalog import (
     plan_isoclasses,
     twist_annotations,
 )
-from quiverfold.errors import BudgetExceeded, SpaceMismatch, TwistPeriodBroken
+from quiverfold.errors import BudgetExceeded, LatticeMismatch, SpaceMismatch, TwistPeriodBroken
 from quiverfold.reps import identity, mat_mul, rank
 
 
@@ -134,6 +135,23 @@ def test_plan_passes_stored_catalogs(a2, F2):
         plan_isoclasses(a2, [(2, 2), (1, 2), (2, 1)], F2, state_cap=1)
     assert ei.value.predicted == 2**2
     assert "dims (1, 2)" in str(ei.value)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda q, d, f: isoclasses(q, d, f),
+        lambda q, d, f: plan_isoclasses(q, [d], f),
+        lambda q, d, f: cat_mod.StateSpace(q, f, d),
+        lambda q, d, f: qf.make_representation(q, f, d),
+    ],
+    ids=["isoclasses", "plan_isoclasses", "StateSpace", "make_representation"],
+)
+def test_negative_dims_refused(entry, dtilde4, F2):
+    # the second vector has no matrix entry, so only the sign check refuses it
+    for dims in [(1, 0, 0, 0, -1), (0, 0, 0, 0, -1)]:
+        with pytest.raises(LatticeMismatch, match="^dimensions must be non-negative$"):
+            entry(dtilde4[0], dims, F2)
 
 
 def test_store_memoizes(a2, F2):
@@ -378,6 +396,42 @@ def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkey
     monkeypatch.setattr(cat_mod, "_BATCH", 7)
     clear_catalog_store()
     assert [_labelling(isoclasses(q, d, f)) for q, d, f in cases] == whole
+    clear_catalog_store()
+
+
+@pytest.mark.parametrize(
+    "name, dims, p",
+    [
+        ("a3", (1, 2, 1), 2),
+        ("a3", (1, 2, 1), 3),
+        ("a3", (2, 2, 2), 2),
+        ("kronecker", (2, 2), 2),
+        ("kronecker", (2, 3), 2),
+        ("star", (1, 1, 1, 1, 2), 2),
+    ],
+    ids=["a3-121-gf2", "a3-121-gf3", "a3-222-gf2", "kronecker-22-gf2", "kronecker-23-gf2",
+         "star-delta-gf2"],
+)
+def test_sieve_matches_idempotent_search(name, dims, p, a3, dtilde4):
+    """Class by class, the sieve's flag is the idempotent search's verdict on
+    the class representative.  The cases include sub-vectors with no
+    indecomposable, such as (0, 2) on Kronecker and (0, 2, 0) on a3, which
+    the sieve does not pair."""
+    cat = isoclasses(_quiver(name, a3, dtilde4), dims, qf.make_field(p))
+    flags = [qf.is_indecomposable(cat.representative(ci)) for ci in range(cat.n_classes)]
+    assert cat.indec_flags.tolist() == flags
+
+
+def test_sieve_stores_its_box(dtilde4, F2):
+    """Sieving star delta builds exactly the catalogs of the nonzero vectors
+    below it, each once: 47 of them, delta included."""
+    star = dtilde4[0]
+    delta = (1, 1, 1, 1, 2)
+    clear_catalog_store()
+    isoclasses(star, delta, F2).indec_flags
+    below = {b for b in product(*(range(x + 1) for x in delta)) if any(b)}
+    assert len(below) == 47
+    assert set(cat_mod._STORE) == {(star, 2, 1, b) for b in below}
     clear_catalog_store()
 
 

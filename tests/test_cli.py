@@ -167,6 +167,37 @@ def test_malformed_field_exits_two(flip_doc, capsys, spec):
     assert "error:" in capsys.readouterr().err
 
 
+def test_one_integer_field_size(flip_doc, capsys):
+    # "4" names GF(4), as "2^2" does
+    outs = []
+    for spec in ("4", "2^2"):
+        argv = ["indecs", flip_doc, "--field", spec, "--dim", "1,1,1", "--json"]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, doc, field, dims",
+    [
+        ("indecs", "star", "2", "1,1,1,1,-1"),
+        ("ii-indecs", "cx", "5", "1,1,1,-1,-1"),
+        ("species-count", "pair", "3", "1,-1"),
+    ],
+)
+def test_negative_dims_exit_two(tmp_path, pair_doc, capsys, command, doc, field, dims):
+    # a refused input exits 2; exit 1 is kept for a failed theorem check
+    docs = {"star": qf.build_dtilde4()[:2], "cx": qf.build_counterexample()}
+    path = pair_doc
+    if doc in docs:
+        path = tmp_path / f"{doc}.json"
+        path.write_text(qf.json_dumps(qf.quiver_to_dict(*docs[doc])))
+    assert cli.main([command, str(path), "--field", field, "--dim", dims]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: dimensions must be non-negative\n"
+    assert captured.out == ""
+
+
 def test_ii_indecs_text(tmp_path, capsys):
     q, rot = qf.build_counterexample()
     path = tmp_path / "cx.json"

@@ -52,6 +52,7 @@ def test_gf9_products():
 def test_field_factory_is_cached():
     assert qf.make_field(2, 2) is qf.make_field(2, 2)
     assert qf.field_from_spec("2^2") is qf.make_field(2, 2)
+    assert qf.field_from_spec("4") is qf.make_field(2, 2)
     # a prime field is one object whether or not its degree is passed, so
     # catalogs stored under (p, m) never mix fields
     assert qf.make_field(3) is qf.make_field(3, 1) is qf.make_field(p=3, m=1)
@@ -84,9 +85,15 @@ def test_prime_power():
     assert prime_power(7**12) == (7, 12)
     assert prime_power(65521) == (65521, 1)
     assert prime_power("3^2") == (3, 2)
+    # one integer names a field size, as it does when passed as an int
+    assert prime_power("4") == prime_power(" 4 ") == (2, 2)
+    assert prime_power("7") == (7, 1)
     for q in (-4, 0, 1, 6, 12, 2**5 * 3):
-        with pytest.raises(NotPrime):
-            prime_power(q)
+        for spec in (q, str(q)):
+            with pytest.raises(NotPrime):
+                prime_power(spec)
+            with pytest.raises(NotPrime):
+                qf.field_from_spec(str(spec))
 
 
 def test_huge_characteristic_refused_at_once():

@@ -14,6 +14,7 @@ from quiverfold.errors import (
     BudgetExceeded,
     CharacteristicWarning,
     CrossCheckFailed,
+    LatticeMismatch,
     NotFixed,
     NotPrime,
     TwistPeriodBroken,
@@ -58,6 +59,12 @@ def test_ii_classes_requires_fixed_vector(a3_flip, F2):
     with pytest.raises(NotFixed):
         qf.ii_classes(flip, (1, 1, 0), F2)
     assert qf.ii_classes(flip, (0, 0, 0), F2) == ()
+
+
+def test_ii_classes_refuses_negative_dims(counterexample, F5):
+    # the vector is fixed by the rotation, so only the sign check refuses it
+    with pytest.raises(LatticeMismatch, match="^dimensions must be non-negative$"):
+        qf.ii_classes(counterexample[1], (1, 1, 1, -1, -1), F5)
 
 
 def test_ii_classes_counterexample(counterexample, F5):
@@ -145,10 +152,16 @@ def test_species_count_frozen_values(pair21):
 def test_species_count_field_spec_forms(pair21):
     assert qf.species_count(pair21, (1, 1), "2") == 1
     assert qf.species_count(pair21, (1, 1), 3) == 1
+    assert qf.species_count(pair21, (1, 1), "4") == qf.species_count(pair21, (1, 1), "2^2") == 1
     with pytest.raises(NotPrime):
         qf.species_count(pair21, (1, 1), 6)
     with pytest.raises(NotPrime):
         qf.species_count(pair21, (1, 1), "2^")
+
+
+def test_species_count_refuses_negative_alpha(pair21):
+    with pytest.raises(LatticeMismatch, match="^dimensions must be non-negative$"):
+        qf.species_count(pair21, (1, -1), 3)
 
 
 def test_species_count_budget():
