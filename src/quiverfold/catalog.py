@@ -11,40 +11,45 @@ such element, given by its matrices at a few vertices.  GL(d) is generated
 by the scaling of row 0 by a primitive element, one transvection and the
 d-cycle.  The canonical representative of a class is its least state.
 
-Slices.  The top block, the first non-empty one, is the most significant,
-so the least state of an orbit carries as top block the least matrix of the
-top block's GL x GL orbit: for a top block of shape r x c and rank k that
-is the rank-k normal form N_k, the anti-diagonal in the bottom-right k x k
-corner.  Slice k is the set of states whose top block is N_k, a contiguous
-range of ``q**(n_entries - r*c)`` states, and the states of an orbit that
-lie in it form one orbit of the stabiliser H_k of N_k.  So the classes are
-the H_k-orbits of the slices k = 0 .. min(r, c), and by orbit-stabiliser a
-class of slice k has size |G.N_k| * |H_k.x|, where |G.N_k| is the number of
-rank-k r x c matrices.  H_0 = G.  For k > 0, H_k is generated by G's
-generators at every vertex other than s and t, and by the stabiliser of
-[[I_k, 0], [0, 0]] carried to N_k by permuting rows and columns: GL(k)
-acting jointly at s and t, GL(r-k) at t, GL(c-k) at s, one upper
-transvection at t and one lower transvection at s.  Slices ascend with N_k,
-so the classes come out in order of their least state.
+Slices.  G maps a block to zero only from zero, so all states of an orbit
+share their first non-zero block j, and as the blocks before it are zero,
+block j is the most significant part of the state.  The least state of an
+orbit therefore carries as block j the least matrix of block j's GL x GL
+orbit: for block j of shape r x c and rank k that is the rank-k normal form
+N_k, the anti-diagonal in the bottom-right k x k corner.  Slice (j, k) is the
+set of states whose blocks before j are zero and whose block j is N_k, a
+contiguous range of ``q**(n_entries - off_j - r*c)`` states, and the states
+of an orbit that lie in it form one orbit of the stabiliser H_k of N_k at
+block j.  So the classes are the zero state, a class of its own, and the
+H_k-orbits of the slices (j, k) with k = 1 .. min(r, c), and by
+orbit-stabiliser a class of slice (j, k) has size |G.N_k| * |H_k.x|, where
+|G.N_k| is the number of rank-k r x c matrices.  H_k is generated by G's
+generators at every vertex other than block j's s and t, and by the
+stabiliser of [[I_k, 0], [0, 0]] carried to N_k by permuting rows and
+columns: GL(k) acting jointly at s and t, GL(r-k) at t, GL(c-k) at s, one
+upper transvection at t and one lower transvection at s.  Slices ascend
+with N_k within a block, and a later block's slices lie below an earlier
+one's, so the classes come out in order of their least state.
 
-A move acts on each arrow block on its own, so within a slice it is stored
-as one delta table per block below the top one, built once by running the
-move on the B block values: it sends the slice's state s, counted from the
-slice's start, to ``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or
+A move acts on each arrow block on its own, so within slice (j, k) it is
+stored as one delta table per block after block j, built once by running
+the move on the B block values: it sends the slice's state s, counted from
+the slice's start, to ``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or
 encode of the state.  A slice is labelled by min-label hooking: each state
 points at a state of its orbit no greater than itself, at first itself, and
 each move hooks the larger pointer of s and of its image onto the smaller,
-with pointers jumped to their roots, until no move hooks.  The roots are
-then the orbits' least states; forward moves suffice because every
+with pointers jumped towards their roots, until no move hooks.  The roots
+are then the orbits' least states; forward moves suffice because every
 generator has finite order.  Labels are held in the narrowest unsigned
 dtype that fits the slice's class count; once every slice is
 labelled, each keeps its labels as the catalog's class ids, in the narrowest
 dtype that fits them all.
 
 ``class_of`` reduces a state to its slice: Gaussian elimination over F_q
-brings its top block to N_k by a pair (g_t, g_s), the move with those
-matrices is applied to every block, and the result is looked up in the
-labels of slice k.
+brings its first non-zero block j to N_k by a pair (g_t, g_s), the move
+with those matrices is applied to every block, and the result is looked up
+in the labels of slice (j, k).  A state whose block j is already N_k is
+looked up as it is.
 
 Indecomposability flags for a whole catalog come from a direct-sum sieve:
 a class is decomposable exactly when it holds X + Y with X indecomposable
@@ -57,7 +62,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import cycle
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -265,12 +269,16 @@ class _MoveTable:
 
 @dataclass
 class _Slice:
-    """The states whose top block is N_k: ``start`` .. ``start + size - 1``."""
+    """The states whose blocks before ``block`` are zero and whose block
+    ``block`` is N_rank: ``start`` .. ``start + size - 1``.  The zero state
+    is a slice of its own, with block None and rank 0."""
 
+    block: int | None
     rank: int
     start: int
     size: int
     orbit: int  # |G.N_k|
+    first: int  # the entries from here on vary within the slice
     labels: np.ndarray | None = None  # class id of each state, once labelled
 
 
@@ -297,16 +305,15 @@ class StateSpace:
         self.n_entries = quiver.entry_count(self.dims)
         self.size = field.q**self.n_entries
         self.dtype = np.uint8 if field.q <= 256 else np.uint16
-        # the top block starts at entry 0; an empty space has a 0 x 0 one
-        self.top = self.blocks[0] if self.blocks else (0, 0, 0, None, None)
-        _, r, c, _, _ = self.top
-        # the value of N_k as a top block, for each rank k
-        self.normal_forms = []
-        for k in range(min(r, c) + 1):
-            rows, cols = _normal_order(r, c, k)
-            self.normal_forms.append(
-                sum(field.q ** (r * c - 1 - rows[i] * c - cols[i]) for i in range(k))
-            )
+        # the rank k of each value N_k of each block, k >= 1
+        self.normal_ranks = []
+        for _, r, c, _, _ in self.blocks:
+            ranks = {}
+            for k in range(1, min(r, c) + 1):
+                rows, cols = _normal_order(r, c, k)
+                ranks[sum(field.q ** (r * c - 1 - rows[i] * c - cols[i]) for i in range(k))] = k
+            self.normal_ranks.append(ranks)
+        self._moves: list[_Move] | None = None
 
     def decode_batch(self, states: np.ndarray) -> np.ndarray:
         return _digits(states, self.n_entries, self.field.q, self.dtype)
@@ -353,29 +360,33 @@ class StateSpace:
         return s
 
     def moves(self) -> list[_Move]:
-        """G's generators at every vertex that a non-empty block touches."""
-        out = []
-        for v, d in enumerate(self.dims):
-            for pair in _gl_generators(self.field, d):
-                mv = _Move(self.field, self.blocks, {v: pair})
-                if mv.blocks:
-                    out.append(mv)
-        return out
+        """G's generators at every vertex that a non-empty block touches,
+        built once per space."""
+        if self._moves is None:
+            self._moves = []
+            for v, d in enumerate(self.dims):
+                for pair in _gl_generators(self.field, d):
+                    mv = _Move(self.field, self.blocks, {v: pair})
+                    if mv.blocks:
+                        self._moves.append(mv)
+        return self._moves
 
     def slices(self) -> list[_Slice]:
-        """One slice per rank k of the top block, in ascending order."""
+        """The zero state, then one slice per block j, from the last block to
+        the first, and rank k >= 1 of block j: in ascending order."""
         q = self.field.q
-        _, r, c, _, _ = self.top
-        size = q ** (self.n_entries - r * c)
-        return [
-            _Slice(k, value * size, size, _rank_count(q, r, c, k))
-            for k, value in enumerate(self.normal_forms)
-        ]
+        out = [_Slice(None, 0, 0, 1, 1, self.n_entries)]
+        for j in reversed(range(len(self.blocks))):
+            off, r, c, _, _ = self.blocks[j]
+            size = q ** (self.n_entries - off - r * c)
+            for value, k in self.normal_ranks[j].items():
+                out.append(_Slice(j, k, value * size, size, _rank_count(q, r, c, k), off + r * c))
+        return out
 
-    def stabiliser(self, k: int) -> list[_Move]:
-        """Generators of H_k, the stabiliser of N_k in G."""
+    def stabiliser(self, j: int, k: int) -> list[_Move]:
+        """Generators of H_k, the stabiliser of N_k at block j in G."""
         f = self.field
-        _, r, c, t, s = self.top
+        _, r, c, t, s = self.blocks[j]
         rows, cols = _normal_order(r, c, k)
 
         def at_t(lo: int, pair: Pair) -> dict[int, Pair]:
@@ -394,21 +405,28 @@ class StateSpace:
         others = [mv for mv in self.moves() if t not in mv.mats and s not in mv.mats]
         return others + [_Move(f, self.blocks, m) for m in mats]
 
-    def to_slice(self, state: int) -> tuple[int, int]:
-        """The rank k of the state's top block, and a state of slice k in the
-        state's orbit."""
+    def to_slice(self, state: int) -> tuple[int | None, int, int]:
+        """The state's first non-zero block j and its rank k, and a state of
+        slice (j, k) in the state's orbit; (None, 0, 0) for the zero state."""
         f, q = self.field, self.field.q
-        _, r, c, t, s = self.top
-        top = state // q ** (self.n_entries - r * c)
-        if top in self.normal_forms:
-            return self.normal_forms.index(top), state
+        for j, (off, r, c, t, s) in enumerate(self.blocks):
+            # with the blocks before j zero, this is the value of block j
+            value = state // q ** (self.n_entries - off - r * c)
+            if value:
+                break
+        else:
+            return None, 0, state
+        if value in self.normal_ranks[j]:
+            return j, self.normal_ranks[j][value], state
         ents = self.entries(state)
         # a M = red, with red in reduced row echelon form
-        red, _ = rref(f, [ents[i * c : i * c + c] + list(e) for i, e in enumerate(identity(r))])
+        red, _ = rref(
+            f, [ents[off + i * c : off + i * c + c] + list(e) for i, e in enumerate(identity(r))]
+        )
         k = sum(any(row[:c]) for row in red)
         a = [row[c:] for row in red]
         # red b^T = [[I_k, 0], [0, 0]]
-        red_t = [[red[i][j] for i in range(r)] + list(e) for j, e in enumerate(identity(c))]
+        red_t = [[red[i][x] for i in range(r)] + list(e) for x, e in enumerate(identity(c))]
         b = [row[r:] for row in rref(f, red_t)[0]]
         # carry [[I_k, 0], [0, 0]] to N_k
         rows, cols = _normal_order(r, c, k)
@@ -416,7 +434,7 @@ class StateSpace:
         for i in range(r):
             g_t[rows[i]] = tuple(a[i])
         g_t = tuple(g_t)
-        g_s_inv = tuple(tuple(b[cols.index(j)][i] for j in range(c)) for i in range(c))
+        g_s_inv = tuple(tuple(b[cols.index(x)][i] for x in range(c)) for i in range(c))
         # apply reads g_v^-1 only for arrows out of v, and g_v only for arrows into v
         heads = {blk[3] for blk in self.blocks}
         tails = {blk[4] for blk in self.blocks}
@@ -427,7 +445,7 @@ class StateSpace:
         out = 0
         for x in new[0].tolist():
             out = out * q + x
-        return k, out
+        return j, k, out
 
     def move_permutation(self, move: _Move) -> np.ndarray:
         """perm[s] is the state the move sends s to."""
@@ -442,30 +460,35 @@ def _orbit_labels(
     Vishkin, J. Algorithms 3, 1982).
 
     Throughout, parent[x] <= x and parent[x] lies in the orbit of x: a move m
-    hooks the larger of parent[s] and parent[m(s)] onto the smaller.  Once
-    every move in a row finds them equal for all s, parent is constant on
-    each orbit and names its least state."""
+    hooks the larger of parent[s] and parent[m(s)] onto the smaller, and the
+    chunk of s then jumps its pointers one step.  After each round of moves
+    that hooked, every pointer of the slice jumps to its root, which keeps
+    every equality parent[s] == parent[m(s)] already seen.  Once every move
+    in a row finds them equal for all s, parent is constant on each orbit
+    and names its least state."""
     dtype = _state_dtype(n)
     parent = np.arange(n, dtype=dtype)
     chunks = [slice(i, min(i + _BATCH, n)) for i in range(0, n, _BATCH)]
     idle = 0  # moves in a row that hooked nothing
-    for table in cycle(tables):
-        if idle == len(tables):
-            break
-        idle += 1
-        for c in chunks:
-            a, b = parent[c], parent[table(np.arange(c.start, c.stop, dtype=dtype))]
-            if (a != b).any():
-                np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-                idle = 0
-        if idle:
-            continue
-        # chunks ascend, so a pointer out of a chunk is one jump from its root
-        for c in chunks:
-            up = parent[parent[c]]
-            while not np.array_equal(up, parent[c]):
-                parent[c] = up
-                up = parent[up]
+    while idle < len(tables):
+        hooked = False
+        for table in tables:
+            if idle == len(tables):
+                break
+            idle += 1
+            for c in chunks:
+                a, b = parent[c], parent[table(np.arange(c.start, c.stop, dtype=dtype))]
+                if (a != b).any():
+                    np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+                    parent[c] = parent[parent[c]]
+                    idle, hooked = 0, True
+        if hooked:
+            # chunks ascend, so a pointer out of a chunk is one jump from its root
+            for c in chunks:
+                up = parent[parent[c]]
+                while not np.array_equal(up, parent[c]):
+                    parent[c] = up
+                    up = parent[up]
     roots = [np.flatnonzero(parent[c] == np.arange(c.start, c.stop)) + c.start for c in chunks]
     reps = np.concatenate(roots)
     # the roots' ids first: every other state reads the id of its root
@@ -494,6 +517,7 @@ class IsoClassCatalog:
         self.class_reps = class_reps
         self.sizes = sizes
         self.slices = slices
+        self._slice_at = {(sl.block, sl.rank): sl for sl in slices}
         self._indec: np.ndarray | None = None
         self._indec_ids: tuple[int, ...] | None = None
         self._rep_cache: dict[int, Representation] = {}
@@ -520,8 +544,8 @@ class IsoClassCatalog:
         return self._rep_cache[ci]
 
     def class_of_state(self, state: int) -> int:
-        k, state = self.space.to_slice(int(state))
-        sl = self.slices[k]
+        j, k, state = self.space.to_slice(int(state))
+        sl = self._slice_at[j, k]
         return int(sl.labels[state - sl.start])
 
     def class_of(self, rep: Representation) -> int:
@@ -594,11 +618,12 @@ def isoclasses(
 
     _check_size(quiver, field, dd, state_cap)
     space = StateSpace(quiver, field, dd)
-    first = space.top[1] * space.top[2]  # the entries from here on vary within a slice
     slices = space.slices()
     reps, sizes = [], []
     for sl in slices:
-        tables = [_MoveTable(space, mv, first) for mv in space.stabiliser(sl.rank)]
+        # a slice of one state, such as the zero state's, needs no move
+        moves = space.stabiliser(sl.block, sl.rank) if sl.size > 1 else []
+        tables = [_MoveTable(space, mv, sl.first) for mv in moves]
         sl.labels, got, size = _orbit_labels(sl.size, [t for t in tables if t.blocks])
         reps.append(got + sl.start)
         sizes.append(size * sl.orbit)

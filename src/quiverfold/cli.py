@@ -242,6 +242,7 @@ def _cmd_ii_indecs(ns: argparse.Namespace) -> int:
 
 
 def _cmd_species_count(ns: argparse.Namespace) -> int:
+    from .gf import field_from_spec
     from .serialize import valued_from_dict
     from .theorems import species_count
 
@@ -249,8 +250,9 @@ def _cmd_species_count(ns: argparse.Namespace) -> int:
         raise QuiverFoldError("species-count needs --field and --dim")
     vq = valued_from_dict(_load_document(ns.input))
     n = species_count(vq, ns.dim, ns.field, state_cap=ns.cap_states)
-    doc = {"alpha": list(ns.dim), "field": ns.field, "count": n}
-    _emit(ns, doc, [f"species count at {list(ns.dim)} over {ns.field}: {n}"])
+    spec = field_from_spec(ns.field).spec
+    doc = {"alpha": list(ns.dim), "field": spec, "count": n}
+    _emit(ns, doc, [f"species count at {list(ns.dim)} over {spec}: {n}"])
     return 0
 
 

@@ -46,6 +46,10 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and _prime_factors(p) == [p]
+
+
 def parse_field_spec(spec: str) -> tuple[int, int]:
     """Parse "p" or "p^m" into (p, m)."""
     s = spec.strip()
@@ -61,7 +65,10 @@ def parse_field_spec(spec: str) -> tuple[int, int]:
 def prime_power(q: int | str) -> tuple[int, int]:
     """(p, m) with p prime and q = p^m, from an integer such as 4 or "4", or "p^m"."""
     if isinstance(q, str) and "^" in q:
-        return parse_field_spec(q)
+        p, m = parse_field_spec(q)
+        if not _is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        return p, m
     n = parse_field_spec(q)[0] if isinstance(q, str) else int(q)
     primes = _prime_factors(n)
     if len(primes) != 1:
@@ -229,6 +236,8 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
+        if a <= 1 or b <= 1:  # 0 and 1 are the integers 0 and 1
+            return a * b
         f = list(self.modulus) + [1]
         prod = _pmod(_pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p), f, self.p)
         return self.element(prod + [0] * (self.m - len(prod)))
@@ -327,7 +336,7 @@ def make_field(p: int, m: int = 1) -> FiniteField:
 def _make_field(p: int, m: int) -> FiniteField:
     if p >= _TRIAL_LIMIT**2:
         raise BudgetExceeded(f"characteristic {p} is not below 2**32", predicted=p)
-    if p < 2 or _prime_factors(p) != [p]:
+    if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1 or m > _DEGREE_CAP:
         raise DegreeTooLarge(f"extension degree {m} outside 1..{_DEGREE_CAP}")

@@ -179,6 +179,9 @@ def _quiver(name, a3, dtilde4):
         "kronecker": lambda: qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")]),
         "star": lambda: dtilde4[0],
         "counterexample": lambda: qf.build_counterexample()[0],
+        "triangle": lambda: qf.validate_quiver(
+            ["1", "2", "3"], [("a", "2", "1"), ("b", "3", "1"), ("c", "2", "3")]
+        ),
     }[name]()
 
 
@@ -194,6 +197,8 @@ def _quiver(name, a3, dtilde4):
         ("star", (0, 1, 1, 1, 2), 3),
         ("line", (1, 3, 1), 2),
         ("counterexample", (1, 1, 1, 1, 1), 5),
+        ("triangle", (2, 3, 1), 2),
+        ("triangle", (2, 2, 1), 3),
     ],
     ids=[
         "a3-222-gf3",
@@ -205,6 +210,8 @@ def _quiver(name, a3, dtilde4):
         "star-cap-gf3",
         "line-131-gf2",
         "cx-11111-gf5",
+        "triangle-231-gf2",
+        "triangle-221-gf3",
     ],
 )
 def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
@@ -213,8 +220,10 @@ def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
 
     The cases cover a rank-2 rectangular top block (a2), a second block
     between the top block's vertices (kronecker), the cap vector's shape
-    (star at (0, 1, 1, 1, 2)) and a vertex of dimension 3 with arrows in
-    and out (line)."""
+    (star at (0, 1, 1, 1, 2)), a vertex of dimension 3 with arrows in and
+    out (line), and states whose first non-zero block is the third, of
+    another shape than the top one (triangle: 2 x 3 or 2 x 2 blocks, then
+    2 x 1, then 1 x 3 or 1 x 2)."""
     oracle = _load_oracle()
     quiver = _quiver(name, a3, dtilde4)
     fld = qf.make_field(p)
@@ -305,37 +314,66 @@ def _with(mat, entries):
     ids=["kronecker-22-gf4", "a3-121-gf9", "line-212-gf4", "triangle-231-gf3", "a3-122-gf3"],
 )
 def test_slice_invariants(arrows, dims, q):
-    """N_k is the least rank-k top block and the slices tile the space; each
-    generator of H_k fixes N_k, so it maps its slice onto itself, and its
-    tables agree with decode -> _Move.apply -> encode there."""
+    """The slices are the zero state and, for each block j and rank k >= 1,
+    the states whose blocks before j are zero and whose block j is N_k, the
+    least rank-k value of block j; they tile the space.  Each generator of
+    the stabiliser of N_k fixes N_k, and each of G fixes the zero state, so
+    it maps its slice onto itself, and its tables agree with
+    decode -> _Move.apply -> encode there."""
     quiver = qf.validate_quiver(["1", "2", "3"], arrows)
     fld = qf.make_field(*q)
     space = cat_mod.StateSpace(quiver, fld, dims)
-    _, r, c, _, _ = space.top
-    rest = space.n_entries - r * c
-    least: dict[int, int] = {}
-    count: Counter = Counter()
-    for value in range(fld.q ** (r * c)):
-        ents = space.entries(value * fld.q**rest)[: r * c]
-        k = rank(fld, tuple(tuple(ents[i * c : i * c + c]) for i in range(r)))
-        least.setdefault(k, value)
-        count[k] += 1
+    # the least state, the state count and the count of free states of each
+    # leading block and rank
+    least = {(None, 0): 0}
+    count = Counter({(None, 0): 1})
+    free = {None: 1}
+    for j, (off, r, c, _, _) in enumerate(space.blocks):
+        rest = space.n_entries - off - r * c
+        free[j] = fld.q**rest
+        for value in range(1, fld.q ** (r * c)):
+            ents = space.entries(value * fld.q**rest)[off : off + r * c]
+            k = rank(fld, tuple(tuple(ents[i * c : i * c + c]) for i in range(r)))
+            least.setdefault((j, k), value * fld.q**rest)
+            count[j, k] += fld.q**rest
+    assert sum(count.values()) == space.size == fld.q**space.n_entries
     slices = space.slices()
-    assert [sl.rank for sl in slices] == sorted(least) == list(range(min(r, c) + 1))
-    assert [sl.start for sl in slices] == [least[k] * fld.q**rest for k in sorted(least)]
-    assert [sl.orbit for sl in slices] == [count[k] for k in sorted(least)]
-    assert all(sl.size == fld.q**rest for sl in slices)
-    assert sum(sl.orbit * sl.size for sl in slices) == space.size == fld.q**space.n_entries
+    assert [sl.start for sl in slices] == sorted(least.values())
+    assert {(sl.block, sl.rank): sl.start for sl in slices} == least
+    assert all(sl.size == free[sl.block] for sl in slices)
+    assert all(sl.orbit * sl.size == count[sl.block, sl.rank] for sl in slices)
+    assert sum(sl.orbit * sl.size for sl in slices) == space.size
+    assert any(sl.block is not None and sl.block >= 1 for sl in slices)
     for sl in slices:
+        assert fld.q ** (space.n_entries - sl.first) == sl.size
         rel = np.arange(sl.size, dtype=np.int64)
         ents = space.decode_batch(rel + sl.start)
-        moves = space.stabiliser(sl.rank)
+        # G fixes the zero state
+        moves = space.moves() if sl.block is None else space.stabiliser(sl.block, sl.rank)
         assert moves
         for mv in moves:
             ref = space.encode_batch(mv.apply(ents)) - sl.start
-            assert np.array_equal(np.sort(ref), rel), (sl.rank, mv.mats)
-            table = cat_mod._MoveTable(space, mv, r * c)
-            assert np.array_equal(table(rel), ref), (sl.rank, mv.mats)
+            assert np.array_equal(np.sort(ref), rel), (sl.block, sl.rank, mv.mats)
+            table = cat_mod._MoveTable(space, mv, sl.first)
+            assert np.array_equal(table(rel), ref), (sl.block, sl.rank, mv.mats)
+
+
+@pytest.mark.parametrize(
+    "name, dims, q, labelled",
+    [
+        ("star", (0, 1, 1, 1, 2), (2, 4), 65_794),
+        ("star", (2, 2, 2, 2, 3), (2, 1), 532_611),
+        ("counterexample", (1, 1, 1, 2, 1), (5, 1), 94_507),
+    ],
+    ids=["star-cap-gf16", "star-22223-gf2", "cx-11121-gf5"],
+)
+def test_labelled_states(name, dims, q, labelled, dtilde4):
+    """A catalog labels only the states of its slices: the cap vector's
+    16^4 states with its top block at N_1, 16^2 with the next block leading
+    and one each with the last block leading and the zero state."""
+    cat = isoclasses(_quiver(name, None, dtilde4), dims, qf.make_field(*q))
+    assert sum(sl.size for sl in cat.slices) == labelled
+    assert sum(len(sl.labels) for sl in cat.slices) == labelled
 
 
 def _label_dtypes(cat):

@@ -214,6 +214,16 @@ def test_species_count_text(pair_doc, capsys):
     assert "species count at [1, 2] over 2: 1" in capsys.readouterr().out
 
 
+def test_species_count_prints_canonical_field(pair_doc, capsys):
+    # "4" and "2^2" name one field, reported as "verify species" reports it
+    for spec in ("4", "2^2"):
+        argv = ["species-count", pair_doc, "--field", spec, "--dim", "1,2"]
+        assert cli.main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"alpha": [1, 2], "field": "2^2", "count": 1}
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "species count at [1, 2] over 2^2: 1\n"
+
+
 def test_verify_kac_passes(tmp_path, capsys):
     path = tmp_path / "a2.json"
     q = qf.validate_quiver(["u", "v"], [("r", "u", "v")])

@@ -85,6 +85,11 @@ def test_prime_power():
     assert prime_power(7**12) == (7, 12)
     assert prime_power(65521) == (65521, 1)
     assert prime_power("3^2") == (3, 2)
+    assert prime_power("2^3") == (2, 3)
+    # the p of the p^m form must itself be prime
+    for spec in ("4^1", "6^2", "1^3", "0^2", "9^1"):
+        with pytest.raises(NotPrime, match=f"^{spec.split('^')[0]} is not prime$"):
+            prime_power(spec)
     # one integer names a field size, as it does when passed as an int
     assert prime_power("4") == prime_power(" 4 ") == (2, 2)
     assert prime_power("7") == (7, 1)
@@ -104,6 +109,8 @@ def test_huge_characteristic_refused_at_once():
         (lambda: qf.field_from_spec(str(big)), big),
         # an integer field size whose prime is past trial division
         (lambda: prime_power(big), big),
+        # the prime of a p^m spec past trial division
+        (lambda: prime_power(f"{big}^1"), big),
     ]
     for call, predicted in calls:
         start = time.perf_counter()
