@@ -14,7 +14,6 @@ All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     NotFixed,
     VertexLoop,
 )
-from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure
+from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure, _record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -39,7 +38,7 @@ def _check_len(name: str, v: Sequence[int], n: int) -> tuple[int, ...]:
 # --- lattices ---
 
 
-@dataclass(frozen=True)
+@_record
 class CartanLattice:
     """A root lattice: named coordinates, symmetric form B, symmetriser D."""
 
@@ -111,14 +110,14 @@ def quiver_lattice(quiver: Quiver) -> CartanLattice:
 # --- valued quivers ---
 
 
-@dataclass(frozen=True)
+@_record
 class ValuedEdge:
     source: str
     target: str
     b: int
 
 
-@dataclass(frozen=True)
+@_record
 class ValuedQuiver:
     """A valued quiver: vertices with symmetriser weights d and oriented
     edges carrying the symmetric count b (so c_uv = b/d_u, c_vu = b/d_v)."""
@@ -208,7 +207,7 @@ def make_valued_quiver(
 # --- folding ---
 
 
-@dataclass(frozen=True)
+@_record
 class FoldData:
     """Result of folding: the orbit structure and the valued quiver on the
     orbit vertices, whose lattice holds B, D and C."""

@@ -61,7 +61,6 @@ d - beta.  The idempotent search in reps stays as a second, tested route.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -71,7 +70,7 @@ from .errors import (
     TwistPeriodBroken,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, _box
+from .quiver import Automorphism, Quiver, _box, _record
 from .reps import (
     Mat,
     Representation,
@@ -267,7 +266,7 @@ class _MoveTable:
         return out
 
 
-@dataclass
+@_record(frozen=False)
 class _Slice:
     """The states whose blocks before ``block`` are zero and whose block
     ``block`` is N_rank: ``start`` .. ``start + size - 1``.  The zero state
@@ -610,12 +609,13 @@ def isoclasses(
     state_cap: int = 2**24,
 ) -> IsoClassCatalog:
     """Classify all representations of the dimension vector, memoised."""
-    dd = quiver.check_dims(dims)
-    key = _store_key(quiver, field, dd)
-    got = _STORE.get(key)
+    # an invalid vector is never stored, so only a miss needs the check
+    dd = tuple(dims)
+    got = _STORE.get(_store_key(quiver, field, dd))
     if got is not None:
         return got
-
+    dd = quiver.check_dims(dd)
+    key = _store_key(quiver, field, dd)
     _check_size(quiver, field, dd, state_cap)
     space = StateSpace(quiver, field, dd)
     slices = space.slices()

@@ -13,10 +13,10 @@ may join two vertices lying in a single vertex orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -30,14 +30,72 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+def _record(cls=None, /, *, frozen=True):
+    """Make a class body's annotated names, in order, the fields of a value
+    record; a name also assigned in the body takes that value as default.
+
+    Adds ``__init__`` (positional or keyword arguments; a missing or unknown
+    one raises TypeError), ``__repr__`` (``Name(field=value, ...)``, leaving
+    out fields whose name starts with ``_``) and ``__eq__`` (records of the
+    same class with equal fields).  A frozen record refuses assignment and
+    deletion with AttributeError and hashes its fields, unless the body
+    defines ``__hash__``; a mutable one (``@_record(frozen=False)``) is
+    unhashable.  The methods are closures over the field names, so defining
+    a record generates no code and a cold start does not import
+    ``dataclasses``.
+    """
+    if cls is None:
+        return lambda c: _record(c, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    shown = [n for n in names if not n.startswith("_")]
+    fields = attrgetter(*names)
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            if len(args) > len(names) or given.keys() & kwargs or kwargs.keys() - names:
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+            given = {**defaults, **given, **kwargs}
+            missing = [n for n in names if n not in given]
+            if missing:
+                raise TypeError(f"{cls.__name__}() missing {', '.join(missing)}")
+            args = [given[n] for n in names]
+        # set one by one, as a plain class does, so the values stay inline;
+        # a filled __dict__ makes every later field read slower
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or fields(self) == fields(other)
+
+    def refuse(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {cls.__name__}")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    if not frozen:
+        cls.__hash__ = None
+    else:
+        cls.__setattr__ = cls.__delattr__ = refuse
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = lambda self: hash(fields(self))
+    return cls
+
+
+@_record
 class Arrow:
     id: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@_record
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
@@ -168,7 +226,7 @@ def validate_quiver(vertices: Sequence[str], arrows: Iterable) -> Quiver:
 # --- automorphisms ---
 
 
-@dataclass(frozen=True)
+@_record
 class Automorphism:
     """An admissible automorphism, stored as image tuples aligned with the
     quiver's vertex and arrow order."""
@@ -339,7 +397,7 @@ def _infer_arrow_map(quiver: Quiver, vmap: Mapping[str, str]) -> dict[str, str]:
 # --- orbit data ---
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitStructure:
     """Vertex and arrow orbits of an automorphism.
 

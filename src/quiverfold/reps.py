@@ -12,7 +12,6 @@ sources as the transpose dual of a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +28,7 @@ from .errors import (
     UnknownVertex,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure, _record
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -135,7 +134,7 @@ def is_invertible(f: FiniteField, mat: Mat) -> bool:
 # --- representations ---
 
 
-@dataclass(frozen=True)
+@_record
 class Representation:
     quiver: Quiver
     field: FiniteField
@@ -234,7 +233,7 @@ def _check_same_world(x: Representation, y: Representation) -> None:
 # --- homomorphism spaces ---
 
 
-@dataclass(frozen=True)
+@_record
 class HomBasis:
     """Basis of the intertwiner space Hom(X, Y): tuples of per-vertex
     matrices phi_v of shape dimY_v x dimX_v."""

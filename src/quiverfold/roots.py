@@ -14,8 +14,6 @@ always the plain coordinate sum.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -38,7 +36,7 @@ from .errors import (
     UnknownVertex,
     ZeroVector,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure, _record
 
 RootKind = Literal["real", "imaginary", "nonroot"]
 
@@ -98,7 +96,7 @@ def s_fold(a: Automorphism, orbit: int | Iterable[str], v: Sequence[int]) -> tup
 # --- classification ---
 
 
-@dataclass(frozen=True)
+@_record
 class Classification:
     """Outcome of root classification with a replayable witness.
 
@@ -180,13 +178,13 @@ def classify(lat: CartanLattice, v: Sequence[int]) -> Classification:
 # --- bounded enumeration ---
 
 
-@dataclass(frozen=True)
+@_record
 class RootRecord:
     vector: tuple[int, ...]
     kind: RootKind
 
 
-@dataclass(frozen=True)
+@_record
 class RootSet:
     lattice: CartanLattice
     height: int
@@ -278,7 +276,7 @@ def positive_roots_up_to(lat: CartanLattice, height: int) -> RootSet:
 # --- folding the root system ---
 
 
-@dataclass(frozen=True)
+@_record
 class SigmaImageReport:
     """Comparison of {f(sigma(beta))} with the folded positive roots up to a
     height bound, with the contributing orbit count per folded root."""
@@ -330,18 +328,18 @@ def sigma_root_image(a: Automorphism, height: int) -> SigmaImageReport:
 # --- radical of the form ---
 
 
-# the field operations that reps.rref and reps.nullspace call, done exactly
-_RATIONALS = SimpleNamespace(
-    inv=lambda a: 1 / Fraction(a), mul=operator.mul, sub=operator.sub, neg=operator.neg
-)
-
-
 def null_root(lat: CartanLattice) -> tuple[int, ...] | None:
     """Primitive positive generator of the radical of B, if the radical is a
     line spanned by a positive vector; None otherwise."""
+    from fractions import Fraction
+
     from .reps import nullspace
 
-    space = nullspace(_RATIONALS, lat.b_matrix, len(lat.names))
+    # the field operations that reps.rref and reps.nullspace call, done exactly
+    rationals = SimpleNamespace(
+        inv=lambda a: 1 / Fraction(a), mul=operator.mul, sub=operator.sub, neg=operator.neg
+    )
+    space = nullspace(rationals, lat.b_matrix, len(lat.names))
     if len(space) != 1:
         return None
     col = space[0]

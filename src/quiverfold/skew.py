@@ -14,7 +14,6 @@ construction twice returns the original pair up to isomorphism, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import gcd, lcm
@@ -24,6 +23,7 @@ from .errors import BudgetExceeded, NotUnfoldable
 from .quiver import (
     Automorphism,
     Quiver,
+    _record,
     validate_automorphism,
     validate_quiver,
 )
@@ -74,7 +74,7 @@ def unfold(vq: ValuedQuiver) -> Automorphism:
 # --- skew quivers ---
 
 
-@dataclass(frozen=True)
+@_record
 class ArrowOrigin:
     """Where a skew-quiver arrow comes from: the source arrow orbit (by its
     earliest arrow id) and the residue class it realises."""
@@ -83,7 +83,7 @@ class ArrowOrigin:
     residue: int
 
 
-@dataclass(frozen=True)
+@_record
 class SkewQuiver:
     auto: Automorphism
     fold_source: FoldData
@@ -162,7 +162,7 @@ def skew(a: Automorphism) -> SkewQuiver:
 # --- double skew recovery ---
 
 
-@dataclass
+@_record(frozen=False)
 class DoubleSkewReport:
     found: bool
     vertex_map: dict[str, str] | None

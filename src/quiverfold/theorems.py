@@ -33,7 +33,6 @@ never loads numpy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +45,7 @@ from .errors import (
     TwistPeriodBroken,
 )
 from .gf import FiniteField, make_field, prime_power
-from .quiver import Automorphism, Quiver, _box, act_on_dimension_vector, orbit_structure
+from .quiver import Automorphism, Quiver, _box, act_on_dimension_vector, orbit_structure, _record
 from .roots import _nonneg_vectors, classify, s_fold
 from .skew import unfold
 from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
@@ -57,7 +56,7 @@ Vec = tuple[int, ...]
 # --- reflection reduction ---
 
 
-@dataclass(frozen=True)
+@_record
 class _ReductionContext:
     """Where the indecomposable classes at one dimension vector are counted:
     possibly on a reorientation of the quiver at a smaller vector."""
@@ -239,7 +238,7 @@ class _TwistOrbitEngine:
 # --- invariant-subfield indecomposables ---
 
 
-@dataclass
+@_record(frozen=False)
 class IIClass:
     """One isomorphism class of twist-orbit sums: the direct sum of the
     `period` successive automorphism twists of an indecomposable."""
@@ -250,9 +249,9 @@ class IIClass:
     base_dims: Vec
     base_class_id: int
     direct: bool
-    _auto: Automorphism = dc_field(repr=False)
-    _field: FiniteField = dc_field(repr=False)
-    _state_cap: int = dc_field(repr=False)
+    _auto: Automorphism
+    _field: FiniteField
+    _state_cap: int
 
     @property
     def summand_count(self) -> int:
@@ -383,7 +382,7 @@ def species_count(
 # --- theorem reports ---
 
 
-@dataclass(frozen=True)
+@_record
 class DimensionRecord:
     vector: Vec
     kind: str  # "real" | "imaginary" | "nonroot" | "any"
@@ -403,7 +402,7 @@ class DimensionRecord:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class TheoremReport:
     title: str
     field_spec: str

@@ -365,7 +365,8 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     """Commands that enumerate no classes never import catalog, theorems or
     numpy, and a species count refused while planning imports no catalog.
     Each command, run in a fresh interpreter, loads only the submodules it
-    uses."""
+    uses, and none of the stdlib modules that only a generated record or
+    the exact null root needs."""
     line, flip = qf.build_a3_flip()
     pair = qf.make_valued_quiver(["u", "v"], [2, 1], [("u", "v", 2)])
     pair41 = qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)])
@@ -401,6 +402,8 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "    code = cli.main(sys.argv[1:])\n"
         "print(json.dumps({'code': code, 'error': err.getvalue(), 'numpy': 'numpy' in sys.modules,\n"
+        "                  'stdlib': [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "                             if m in sys.modules],\n"
         "                  'loaded': sorted(m.partition('.')[2] for m in sys.modules\n"
         "                                   if m.startswith('quiverfold.'))}))\n"
     )
@@ -410,6 +413,7 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         assert res.returncode == 0, res.stderr
         docs[name] = doc = json.loads(res.stdout)
         assert not doc["numpy"], name
+        assert doc["stdlib"] == [], name
         assert doc["loaded"] == loads.split(), name
     refused = docs.pop("refused")
     assert [doc["code"] for doc in docs.values()] == [0] * 6

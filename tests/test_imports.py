@@ -3,6 +3,9 @@
 An unused import still costs its compile and import time in every cold
 process, and a top-level one can load a whole submodule for nothing.  The
 package ``__init__`` imports nothing of its own and is not scanned.
+
+No module generates code at run time either: records are plain classes, not
+``dataclasses``, and nothing calls ``exec`` or ``eval``.
 """
 
 import ast
@@ -66,3 +69,39 @@ def test_the_scan_finds_an_unused_import():
         "    return make_field\n"
     )
     assert _unused_imports(tree) == [(1, "json"), (2, "gcd"), (4, "rank")]
+
+
+def _generated_code(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each import of ``dataclasses`` and each call of
+    ``exec`` or ``eval``: code generated at run time, which a cold start
+    pays to compile."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            out.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("exec", "eval"):
+                out.append((node.lineno, node.func.id))
+    return out
+
+
+def test_no_module_generates_code():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        generated = _generated_code(ast.parse(path.read_text(encoding="utf-8")))
+        if generated:
+            found[path.name] = generated
+    assert found == {}
+
+
+def test_the_scan_finds_generated_code():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import field\n"
+        "def f(src):\n"
+        "    exec(src)\n"
+        "    return eval(src)\n"
+    )
+    assert _generated_code(tree) == [(1, "dataclasses"), (2, "dataclasses"), (4, "exec"), (5, "eval")]
