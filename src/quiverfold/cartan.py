@@ -24,7 +24,7 @@ from .errors import (
     NotFixed,
     VertexLoop,
 )
-from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure, _record
+from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure, _cycles, _record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -307,11 +307,11 @@ def f_map(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
 
 def f_inverse(a: Automorphism, w: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`f_map`: spread orbit coordinates back over vertices."""
-    st = orbit_structure(a)
-    ws = _check_len("w", w, len(st.vertex_orbits))
+    orbits = _cycles(a.quiver.vertices, a.vertex_map)  # no arrow orbit is read
+    ws = _check_len("w", w, len(orbits))
     out = [0] * len(a.quiver.vertices)
     idx = a.quiver.vertex_index
-    for k, orb in enumerate(st.vertex_orbits):
+    for k, orb in enumerate(orbits):
         for u in orb:
             out[idx[u]] = ws[k]
     return tuple(out)

@@ -590,7 +590,8 @@ def plan_isoclasses(
     field: FiniteField,
     state_cap: int = 2**24,
 ) -> None:
-    """Refuse a job of isoclasses calls before it builds anything.
+    """Refuse a ``multiset_crosscheck`` job before it builds anything; its
+    counts of all classes do not survive reflection, so no engine plans it.
 
     Raises the BudgetExceeded that isoclasses would raise at the first of
     the vectors, in the order given, whose catalog is neither stored nor

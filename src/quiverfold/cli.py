@@ -65,9 +65,7 @@ def _lattice_for(doc: dict):
     if is_valued_document(doc):
         return valued_from_dict(doc).lattice
     q, a = quiver_from_dict(doc)
-    if a is not None and not a.is_identity:
-        return fold(a).lattice
-    return quiver_lattice(q)
+    return quiver_lattice(q) if a is None else fold(a).lattice
 
 
 # fixture name -> its (quiver, automorphism), built from the fixtures module

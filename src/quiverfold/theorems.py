@@ -6,12 +6,12 @@ twist (by the automorphism, by Frobenius, or by a composite of both), and
 compare the orbit counts against the root data of the folded form.
 
 The three root theorems (Kac's, the folded one and the species one) are one
-statement, and one sweep, ``_check_roots``, checks it: it classifies every
-nonzero vector up to the height bound and holds the classes there to three
-rules.  A non-root has no class; a real root has exactly one, which has as
-many summands as the root's length where a length is given; an imaginary
-root has at least one.  Each verify function only plans its job and says
-how to list the classes at a vector.
+statement, and one sweep, ``_check_roots``, checks it on a twist engine:
+it counts the twist orbits summing to the lift of every nonzero vector up
+to the height bound and holds them to three rules.  A non-root has no orbit;
+a real root has exactly one, with as many summands as the root's length
+where a length is given; an imaginary root has at least one.  Kac's check
+is the folded one at the identity automorphism.
 
 Oversized state spaces are handled by reflection reduction: at a vertex
 orbit that is entirely sinks or entirely sources, the reflection functors
@@ -139,6 +139,7 @@ class _TwistOrbitEngine:
         dims_act: Callable[[Vec], Vec],
         order_bound: int,
         state_cap: int,
+        trivial: bool = False,
     ):
         self.a = a
         self.field = fld
@@ -146,6 +147,7 @@ class _TwistOrbitEngine:
         self.dims_act = dims_act
         self.order_bound = order_bound
         self.state_cap = state_cap
+        self.trivial = trivial  # each handle is its own orbit, at its own d
         self.contexts: dict[Vec, _ReductionContext | None] = {}
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
         self.images: dict[Handle, Handle] = {}  # handle -> its twist
@@ -179,8 +181,14 @@ class _TwistOrbitEngine:
         self.handles[beta] = hs
         return hs
 
+    def box(self, d: Vec) -> Iterable[Vec]:
+        """The vectors whose handles can lie on an orbit summing to d."""
+        return (d,) if self.trivial else _box(d)
+
     def image(self, h: Handle) -> Handle:
         """The twist of a handle, computed once per job."""
+        if self.trivial:
+            return h
         if h not in self.images:
             self.images[h] = self.t_handle(h)
         return self.images[h]
@@ -203,7 +211,7 @@ class _TwistOrbitEngine:
         return h2
 
     def orbits(self, d: Vec) -> list[list[Handle]]:
-        box = list(_box(d))
+        box = list(self.box(d))
         self.plan(box)
         allh: list[Handle] = []
         for beta in box:
@@ -336,6 +344,7 @@ def _auto_engine(a: Automorphism, fld: FiniteField, state_cap: int) -> _TwistOrb
         dims_act=lambda b: act_on_dimension_vector(a, b),
         order_bound=a.order,
         state_cap=state_cap,
+        trivial=a.is_identity,  # twist_auto returns its input unchanged
     )
 
 
@@ -447,29 +456,35 @@ def _check_roots(
     spec: str,
     height: int,
     lat: CartanLattice,
-    classes: Callable[[Vec], Sequence],
+    make_engine: Callable[[], _TwistOrbitEngine],
     words: tuple[str, str, str],
     length: Callable[[Vec], int] | None = None,
 ) -> TheoremReport:
     """The sweep behind the three root theorems: classify every nonzero
-    vector of the lattice up to the height bound and hold its classes to
-    the theorem.
+    vector alpha of the lattice up to the height bound and hold the twist
+    orbits summing to its lift, ``f_inverse(engine.a, alpha)``, to the theorem.
 
-    ``classes(alpha)`` lists the classes at alpha, one entry each; when
-    ``length`` is given, each entry is the class's number of summands and
-    is recorded as its period.  ``words`` is the check's wording: its root
-    noun, the phrase for an empty root and the template of a class count,
-    whose ``{es}`` is the plural ending, "(es)" at a non-root and "es" at a
-    real root.
+    ``make_engine()`` is called only when there is a vector, and the whole
+    sweep is planned before the first catalog is built.  When ``length`` is
+    given, each orbit's number of summands is recorded as its period.
+    ``words`` is the check's wording: its root noun, the phrase for an
+    empty root and the template of a class count, whose ``{es}`` is the
+    plural ending, "(es)" at a non-root and "es" at a real root.
     """
     noun, none, counted = words
+    alphas = list(_nonneg_vectors(len(lat.names), height))
+    lifts: list[Vec] = []
+    if alphas:
+        engine = make_engine()
+        lifts = [f_inverse(engine.a, alpha) for alpha in alphas]
+        engine.plan(b for d in lifts for b in engine.box(d))
     records = []
     witnesses = []
-    for alpha in _nonneg_vectors(len(lat.names), height):
+    for alpha, d in zip(alphas, lifts):
         kind = classify(lat, alpha).kind
-        found = classes(alpha)
+        found = engine.orbits_summing_to(d)
         n = len(found)
-        periods = tuple(found) if length else ()
+        periods = tuple(len(o) for o in found) if length else ()
         exp = length(alpha) if length and kind == "real" else None
         if n or kind != "nonroot":
             records.append(DimensionRecord(alpha, kind, n, periods, exp))
@@ -496,16 +511,14 @@ def verify_kac(
     state_cap: int = 2**24,
 ) -> TheoremReport:
     """Indecomposable dimension vectors up to the height bound are exactly
-    the positive roots, with exactly one class at each real root."""
-    from .catalog import isoclasses, plan_isoclasses
-
-    plan_isoclasses(quiver, _nonneg_vectors(len(quiver.vertices), height), fld, state_cap)
+    the positive roots, with exactly one class at each real root: the folded
+    check at the identity automorphism, whose folded form is the quiver's."""
     return _check_roots(
         "kac dimension-vector check",
         fld.spec,
         height,
         quiver_lattice(quiver),
-        lambda d: isoclasses(quiver, d, fld, state_cap=state_cap).indec_class_ids(),
+        lambda: _auto_engine(Automorphism.identity(quiver), fld, state_cap),
         ("root", "no indecomposable class", "{n} indecomposable class{es}"),
     )
 
@@ -528,19 +541,12 @@ def verify_main_theorem(
             )
         )
     fd = fold(a)
-    lat = fd.lattice
-    engine = _auto_engine(a, fld, state_cap)
-    engine.plan(
-        b
-        for alpha in _nonneg_vectors(len(lat.names), height)
-        for b in _box(f_inverse(a, alpha))
-    )
     return _check_roots(
         "folded dimension-vector check",
         fld.spec,
         height,
-        lat,
-        lambda alpha: [len(o) for o in engine.orbits_summing_to(f_inverse(a, alpha))],
+        fd.lattice,
+        lambda: _auto_engine(a, fld, state_cap),
         ("folded root", "no class", "{n} class{es}"),
         length=lambda alpha: root_length(fd, alpha),
     )
@@ -555,17 +561,12 @@ def verify_species_theorem(
     """Species counts are positive exactly on the positive roots of the
     valued quiver's form, and equal to one on the real ones."""
     p, mbase = prime_power(q)
-    lat = vq.lattice
-    alphas = list(_nonneg_vectors(len(lat.names), height))
-    if alphas:  # with no alphas there is no unfolding to make
-        engine = _species_engine(vq, q, state_cap)
-        engine.plan(b for alpha in alphas for b in _box(f_inverse(engine.a, alpha)))
     return _check_roots(
         "species counting check",
         f"{p}^{mbase}" if mbase > 1 else str(p),
         height,
-        lat,
-        lambda alpha: engine.orbits_summing_to(f_inverse(engine.a, alpha)),
+        vq.lattice,
+        lambda: _species_engine(vq, q, state_cap),
         ("root", "species count 0", "species count {n}"),
     )
 

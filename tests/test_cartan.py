@@ -47,6 +47,23 @@ def test_fold_counterexample(counterexample):
     assert fd.valued_quiver.normalized_pairs() == ((2, 3),)
 
 
+@pytest.mark.parametrize(
+    "quiver",
+    [
+        qf.build_a3_flip()[0],
+        qf.build_dtilde4()[0],
+        qf.build_counterexample()[0],
+        qf.validate_quiver(["u", "v"], [("r", "u", "v"), ("s", "u", "v")]),
+    ],
+    ids=["a3-flip", "dtilde4-star", "counterexample", "kronecker"],
+)
+def test_identity_fold_is_the_quiver_lattice(quiver):
+    # at the identity every orbit is one vertex, so the folded form is the
+    # quiver's own form; the CLI reads any plain document's automorphism,
+    # the identity included, through fold (both D~4 fixtures share the star)
+    assert qf.fold(qf.Automorphism.identity(quiver)).lattice == qf.quiver_lattice(quiver)
+
+
 def test_symmetriser_relation(dtilde4):
     # B = D C for every fixture fold
     for a in (qf.build_a3_flip()[1], dtilde4[1], dtilde4[2]):

@@ -363,7 +363,8 @@ def test_python_m_quiverfold(tmp_path):
 
 def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     """Commands that enumerate no classes never import catalog, theorems or
-    numpy, and a species count refused while planning imports no catalog.
+    numpy, and a species count or Kac check refused while planning imports
+    no catalog.
     Each command, run in a fresh interpreter, loads only the submodules it
     uses, and none of the stdlib modules that only a generated record or
     the exact null root needs."""
@@ -373,6 +374,7 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     (tmp_path / "flip.json").write_text(qf.json_dumps(qf.quiver_to_dict(line, flip)))
     (tmp_path / "pair.json").write_text(qf.json_dumps(qf.valued_to_dict(pair)))
     (tmp_path / "pair41.json").write_text(qf.json_dumps(qf.valued_to_dict(pair41)))
+    (tmp_path / "star.json").write_text(qf.json_dumps(qf.quiver_to_dict(qf.build_dtilde4()[0])))
     # each command, and the quiverfold submodules that a cold call of it loads
     runs = {
         "fixtures": (["fixtures"], "cli errors"),
@@ -392,6 +394,12 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         ),
         "refused": (
             ["species-count", "pair41.json", "--dim", "1,2", "--field", "3"],
+            "cartan cli errors gf quiver reps roots serialize skew theorems",
+        ),
+        # no reflection lowers the null root (1,1,1,1,2), 3^8 states
+        "refused-kac": (
+            ["verify", "kac", "star.json", "--field", "3", "--max-height", "6",
+             "--cap-states", "2187"],
             "cartan cli errors gf quiver reps roots serialize skew theorems",
         ),
     }
@@ -415,10 +423,11 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         assert not doc["numpy"], name
         assert doc["stdlib"] == [], name
         assert doc["loaded"] == loads.split(), name
-    refused = docs.pop("refused")
+    refused = [docs.pop("refused"), docs.pop("refused-kac")]
     assert [doc["code"] for doc in docs.values()] == [0] * 6
-    assert refused["code"] == 2 and refused["error"].startswith("error:")
-    assert "refused while planning" in refused["error"]
+    for doc in refused:
+        assert doc["code"] == 2 and doc["error"].startswith("error:")
+        assert "refused while planning" in doc["error"]
 
 
 def test_lazy_exports_resolve_to_submodule_objects():

@@ -185,7 +185,9 @@ _ROTATION = qf.build_counterexample()[1]
     "job, predicted",
     [
         (lambda: qf.species_count(_PAIR41, (1, 2), 2), 16**8),
-        (lambda: qf.verify_kac(_STAR, qf.make_field(3), 6, state_cap=3**8), 3**9),
+        # no reflection moves the null root (1,1,1,1,2), whose 3^8 states
+        # exceed this cap
+        (lambda: qf.verify_kac(_STAR, qf.make_field(3), 6, state_cap=3**7), 3**8),
         (lambda: qf.verify_main_theorem(_ROTATION, qf.make_field(5), 2, state_cap=100), 5**4),
         (lambda: qf.verify_species_theorem(_PAIR41, 2, 3, state_cap=2**16), 16**8),
         (lambda: qf.multiset_crosscheck(_STAR, qf.make_field(2), 6, state_cap=2**8), 2**9),
@@ -207,6 +209,25 @@ def test_refusal_builds_nothing(monkeypatch, job, predicted):
         job()
     assert ei.value.predicted == predicted
     assert catalog._STORE == stored
+
+
+def test_verify_kac_counts_past_the_cap_by_reflection():
+    # (0,0,0,3,3) holds 3^9 states, past the cap; Kac's check is the folded
+    # check at the identity, so sink/source reflection counts it in a
+    # smaller space
+    capped = qf.verify_kac(_STAR, qf.make_field(3), 6, state_cap=3**8)
+    assert capped.passed
+    assert len(capped.records) == 25
+    assert capped.to_dict() == qf.verify_kac(_STAR, qf.make_field(3), 6).to_dict()
+
+
+def test_verify_kac_is_the_folded_check_at_the_identity(F2):
+    kac = qf.verify_kac(_STAR, F2, 6)
+    folded = qf.verify_main_theorem(qf.Automorphism.identity(_STAR), F2, 6)
+    assert kac.passed and folded.passed
+    assert [(r.vector, r.kind, r.count) for r in kac.records] == [
+        (r.vector, r.kind, r.count) for r in folded.records
+    ]
 
 
 def test_refusal_names_reduced_vector_and_field():
@@ -355,8 +376,9 @@ def test_verify_species_smoke(pair21):
     [
         (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 353),
         (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 54),
+        (lambda: qf.verify_kac(_STAR, qf.make_field(2), 4), 125),
     ],
-    ids=["verify_main", "verify_species"],
+    ids=["verify_main", "verify_species", "verify_kac"],
 )
 def test_one_plan_per_job(monkeypatch, job, distinct):
     # one engine plans the whole job, so each vector visited is reduced once
@@ -377,11 +399,13 @@ def test_one_plan_per_job(monkeypatch, job, distinct):
     [
         (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 31),
         (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 6),
+        (lambda: qf.verify_kac(_STAR, qf.make_field(2), 4), 0),
     ],
-    ids=["verify_main", "verify_species"],
+    ids=["verify_main", "verify_species", "verify_kac"],
 )
 def test_one_twist_per_handle(monkeypatch, job, distinct):
-    # the engine keeps each handle's twist, so each handle is twisted once
+    # the engine keeps each handle's twist, so each handle is twisted once;
+    # the identity twist keeps every handle without twisting it
     seen = []
     t_handle = theorems._TwistOrbitEngine.t_handle
 
