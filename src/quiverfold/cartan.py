@@ -14,7 +14,7 @@ All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     NotFixed,
     VertexLoop,
 )
-from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure, _cycles, _record
+from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure, _orbit, _record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -290,11 +290,10 @@ def root_length(carrier: FoldData | ValuedQuiver, w: Sequence[int]) -> int:
 def f_map(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
     """Identify an a-fixed vector of the quiver lattice with a vector of the
     orbit lattice (one coordinate per orbit)."""
-    st = orbit_structure(a)
     vec = a.quiver.check_vector(v)
     idx = a.quiver.vertex_index
     out = []
-    for orb in st.vertex_orbits:
+    for orb in a.vertex_orbits:
         vals = {vec[idx[u]] for u in orb}
         if len(vals) > 1:
             raise NotFixed(
@@ -307,11 +306,10 @@ def f_map(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
 
 def f_inverse(a: Automorphism, w: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`f_map`: spread orbit coordinates back over vertices."""
-    orbits = _cycles(a.quiver.vertices, a.vertex_map)  # no arrow orbit is read
-    ws = _check_len("w", w, len(orbits))
+    ws = _check_len("w", w, len(a.vertex_orbits))
     out = [0] * len(a.quiver.vertices)
     idx = a.quiver.vertex_index
-    for k, orb in enumerate(orbits):
+    for k, orb in enumerate(a.vertex_orbits):
         for u in orb:
             out[idx[u]] = ws[k]
     return tuple(out)
@@ -319,11 +317,5 @@ def f_inverse(a: Automorphism, w: Sequence[int]) -> tuple[int, ...]:
 
 def sigma(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
     """Sum of the a-orbit of v in the quiver lattice (minimal period)."""
-    vec = a.quiver.check_vector(v)
-    total = list(vec)
-    cur = act_on_dimension_vector(a, vec)
-    while cur != vec:
-        for i, x in enumerate(cur):
-            total[i] += x
-        cur = act_on_dimension_vector(a, cur)
-    return tuple(total)
+    orbit = _orbit(a.quiver.check_vector(v), partial(act_on_dimension_vector, a))
+    return tuple(map(sum, zip(*orbit)))

@@ -137,8 +137,8 @@ def _cmd_skew(ns: argparse.Namespace) -> int:
 def _cmd_roots(ns: argparse.Namespace) -> int:
     from .roots import positive_roots_up_to
 
-    if ns.max_height is None:
-        raise QuiverFoldError("roots needs --max-height")
+    if ns.max_height is None or ns.max_height < 0:
+        raise QuiverFoldError("roots needs a --max-height of 0 or more")
     lat = _lattice_for(_load_document(ns.input))
     rs = positive_roots_up_to(lat, ns.max_height)
     doc = {
@@ -264,8 +264,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         verify_species_theorem,
     )
 
-    if ns.field is None or ns.max_height is None:
-        raise QuiverFoldError("verify needs --field and --max-height")
+    if ns.field is None or ns.max_height is None or ns.max_height < 0:
+        raise QuiverFoldError("verify needs --field and a --max-height of 0 or more")
     doc_in = _load_document(ns.input)
     if ns.which == "kac":
         q, _ = _need_quiver(doc_in)

@@ -68,6 +68,8 @@ def prime_power(q: int | str) -> tuple[int, int]:
         p, m = parse_field_spec(q)
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if m < 1:
+            raise NotPrime(f"field spec {q!r} is not a prime power p^m with m >= 1")
         return p, m
     n = parse_field_spec(q)[0] if isinstance(q, str) else int(q)
     primes = _prime_factors(n)

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -26,6 +26,8 @@ from .errors import (
     LatticeMismatch,
     NotAdmissible,
     NotPermutation,
+    TwistPeriodBroken,
+    UnknownVertex,
     VertexLoop,
 )
 
@@ -258,13 +260,17 @@ class Automorphism:
         return self.arrow_map[rid]
 
     @cached_property
+    def vertex_orbits(self) -> tuple[tuple[str, ...], ...]:
+        """The vertex cycles, found once per automorphism (see _cycles)."""
+        return _cycles(self.quiver.vertices, self.vertex_map.__getitem__)
+
+    @cached_property
+    def arrow_orbits(self) -> tuple[tuple[str, ...], ...]:
+        return _cycles([r.id for r in self.quiver.arrows], self.arrow_map.__getitem__)
+
+    @cached_property
     def order(self) -> int:
-        n = 1
-        for cyc in _cycles(self.quiver.vertices, self.vertex_map):
-            n = lcm(n, len(cyc))
-        for cyc in _cycles(tuple(r.id for r in self.quiver.arrows), self.arrow_map):
-            n = lcm(n, len(cyc))
-        return n
+        return lcm(*map(len, self.vertex_orbits + self.arrow_orbits))
 
     @property
     def is_identity(self) -> bool:
@@ -278,12 +284,11 @@ class Automorphism:
         )
 
     def power(self, k: int) -> "Automorphism":
-        k %= self.order
-        vmap = {v: v for v in self.quiver.vertices}
-        amap = {r.id: r.id for r in self.quiver.arrows}
-        for _ in range(k):
-            vmap = {v: self.vertex_map[w] for v, w in vmap.items()}
-            amap = {r: self.arrow_map[s] for r, s in amap.items()}
+        """a^k: each vertex and each arrow moves k steps along its orbit."""
+        def moved(orbits):
+            return {x: orb[(i + k) % len(orb)] for orb in orbits for i, x in enumerate(orb)}
+
+        vmap, amap = moved(self.vertex_orbits), moved(self.arrow_orbits)
         return Automorphism(
             self.quiver,
             tuple(vmap[v] for v in self.quiver.vertices),
@@ -295,23 +300,33 @@ class Automorphism:
         return cls(quiver, quiver.vertices, tuple(r.id for r in quiver.arrows))
 
 
-def _cycles(items: Sequence[str], mapping: Mapping[str, str]) -> list[tuple[str, ...]]:
-    """Cycles of a permutation, each starting at its earliest item, listed
-    in order of that earliest item's position in `items`."""
-    seen: set[str] = set()
-    out: list[tuple[str, ...]] = []
+def _orbit(start: Hashable, step: Callable, order: int | None = None) -> tuple:
+    """start, step(start), step(step(start)), ... up to the first return to
+    start.  Given an order, the walk must return within it and its length
+    must divide it; otherwise TwistPeriodBroken is raised."""
+    out = [start]
+    cur = step(start)
+    while cur != start:
+        if len(out) == order:
+            raise TwistPeriodBroken(f"orbit did not close within its order {order}")
+        out.append(cur)
+        cur = step(cur)
+    if order is not None and order % len(out):
+        raise TwistPeriodBroken(f"period {len(out)} does not divide its order {order}")
+    return tuple(out)
+
+
+def _cycles(items: Iterable, step: Callable, order: int | None = None) -> tuple[tuple, ...]:
+    """Cycles of `step`, a permutation of `items`, each walked by _orbit
+    (with `order`) from its earliest item, listed in order of that item's
+    position in `items`."""
+    seen: set = set()
+    out: list[tuple] = []
     for start in items:
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = mapping[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        out.append(tuple(cyc))
-    return out
+        if start not in seen:
+            out.append(_orbit(start, step, order))
+            seen.update(out[-1])
+    return tuple(out)
 
 
 def validate_automorphism(
@@ -358,10 +373,7 @@ def validate_automorphism(
         tuple(amap[r.id] for r in quiver.arrows),
     )
 
-    orbit_of: dict[str, int] = {}
-    for k, cyc in enumerate(_cycles(quiver.vertices, vmap)):
-        for v in cyc:
-            orbit_of[v] = k
+    orbit_of = {v: k for k, cyc in enumerate(a.vertex_orbits) for v in cyc}
     for r in quiver.arrows:
         if orbit_of[r.source] == orbit_of[r.target]:
             raise NotAdmissible(
@@ -445,10 +457,7 @@ class OrbitStructure:
 
 
 def orbit_structure(a: Automorphism) -> OrbitStructure:
-    q = a.quiver
-    vorb = tuple(_cycles(q.vertices, a.vertex_map))
-    aorb = tuple(_cycles(tuple(r.id for r in q.arrows), a.arrow_map))
-    st = OrbitStructure(a, vorb, aorb)
+    st = OrbitStructure(a, a.vertex_orbits, a.arrow_orbits)
     n = a.order
     for dv in st.d:
         if n % dv != 0:
@@ -459,6 +468,16 @@ def orbit_structure(a: Automorphism) -> OrbitStructure:
         if ell % t != 0 or n % ell != 0:
             raise NotPermutation("arrow orbit length violates the divisibility chain")
     return st
+
+
+def _orbit_members(a: Automorphism, orbit: int | Iterable[str]) -> tuple[str, ...]:
+    """The vertices of one orbit, given as an index into ``a.vertex_orbits``
+    or as the vertices themselves."""
+    if not isinstance(orbit, int):
+        return tuple(orbit)
+    if not 0 <= orbit < len(a.vertex_orbits):
+        raise UnknownVertex(f"automorphism has no vertex orbit {orbit}")
+    return a.vertex_orbits[orbit]
 
 
 def act_on_dimension_vector(a: Automorphism, d: Sequence[int]) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownVertex,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit_members, _record
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -595,13 +595,8 @@ def s_fold_functor(
     """Compose the reflection functors over one vertex orbit (all sinks for
     "+", all sources for "-"; orbit vertices are pairwise non-adjacent so
     the order does not matter)."""
-    if isinstance(orbit, int):
-        st = orbit_structure(a)
-        members: tuple[str, ...] = st.vertex_orbits[orbit]
-    else:
-        members = tuple(orbit)
     out = x
-    for v in members:
+    for v in _orbit_members(a, orbit):
         out = reflection_functor(out, v, direction)
     return out
 

@@ -14,7 +14,7 @@ always the plain coordinate sum.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Iterable, Literal, Sequence
@@ -36,7 +36,7 @@ from .errors import (
     UnknownVertex,
     ZeroVector,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, orbit_structure, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit, _orbit_members, _record
 
 RootKind = Literal["real", "imaginary", "nonroot"]
 
@@ -82,13 +82,8 @@ def s_fold(a: Automorphism, orbit: int | Iterable[str], v: Sequence[int]) -> tup
     """Product of the simple reflections over one vertex orbit (they commute
     because admissibility keeps orbit vertices non-adjacent)."""
     lat = quiver_lattice(a.quiver)
-    if isinstance(orbit, int):
-        st = orbit_structure(a)
-        members: Iterable[str] = st.vertex_orbits[orbit]
-    else:
-        members = tuple(orbit)
     out = lat.check_vector(v)
-    for name in members:
+    for name in _orbit_members(a, orbit):
         out = reflect(lat, name, out)
     return out
 
@@ -297,6 +292,7 @@ def sigma_root_image(a: Automorphism, height: int) -> SigmaImageReport:
     lat = quiver_lattice(q)
     unfolded = positive_roots_up_to(lat, n * height)
 
+    move = partial(act_on_dimension_vector, a)
     image: set[tuple[int, ...]] = set()
     orbit_seen: dict[tuple[int, ...], set] = {}
     for rec in unfolded.records:
@@ -305,12 +301,7 @@ def sigma_root_image(a: Automorphism, height: int) -> SigmaImageReport:
         if sum(w) > height:
             continue
         image.add(w)
-        orb = {beta}
-        cur = act_on_dimension_vector(a, beta)
-        while cur != beta:
-            orb.add(cur)
-            cur = act_on_dimension_vector(a, cur)
-        orbit_seen.setdefault(w, set()).add(min(orb))
+        orbit_seen.setdefault(w, set()).add(min(_orbit(beta, move)))
 
     counts = {w: len(s) for w, s in orbit_seen.items()}
     reals = set(folded.reals())

@@ -23,6 +23,7 @@ from .errors import BudgetExceeded, NotUnfoldable
 from .quiver import (
     Automorphism,
     Quiver,
+    _orbit,
     _record,
     validate_automorphism,
     validate_quiver,
@@ -170,15 +171,6 @@ class DoubleSkewReport:
     double_skew_order: int
 
 
-def _cycle_length(a: Automorphism, v: str) -> int:
-    cur = a.apply_vertex(v)
-    k = 1
-    while cur != v:
-        cur = a.apply_vertex(cur)
-        k += 1
-    return k
-
-
 def _pair_counts(q: Quiver) -> dict[tuple[str, str], list[str]]:
     acc: dict[tuple[str, str], list[str]] = {}
     for r in q.arrows:
@@ -198,42 +190,25 @@ def _arrow_map_consistent(
         if len(p2.get((vmap[u], vmap[v]), [])) != len(ids):
             return False
 
+    def step(pair: tuple[str, str]) -> tuple[str, str]:
+        return a1.apply_vertex(pair[0]), a1.apply_vertex(pair[1])
+
+    def closes(psi: dict[str, str], length: int) -> bool:
+        # carried once around an orbit of endpoint pairs, psi must come back
+        cur = psi
+        for _ in range(length):
+            cur = {a1.apply_arrow(r): a2.apply_arrow(s) for r, s in cur.items()}
+        return cur == psi
+
     done: set[tuple[str, str]] = set()
     for pair in p1:
         if pair in done:
             continue
-        # the a1-orbit of this endpoint pair
-        orbit = [pair]
-        cur = (a1.apply_vertex(pair[0]), a1.apply_vertex(pair[1]))
-        while cur != pair:
-            orbit.append(cur)
-            cur = (a1.apply_vertex(cur[0]), a1.apply_vertex(cur[1]))
+        orbit = _orbit(pair, step)  # the a1-orbit of this endpoint pair
         done.update(orbit)
-
         base1 = p1[pair]
         base2 = p2[(vmap[pair[0]], vmap[pair[1]])]
-        ok_for_some = False
-        for perm in permutations(base2):
-            psi = dict(zip(base1, perm))
-            # propagate along the orbit and check closure
-            consistent = True
-            cur_map = psi
-            cur_pair = pair
-            for _ in range(len(orbit)):
-                nxt_pair = (a1.apply_vertex(cur_pair[0]), a1.apply_vertex(cur_pair[1]))
-                nxt_map = {
-                    a1.apply_arrow(r): a2.apply_arrow(s) for r, s in cur_map.items()
-                }
-                if nxt_pair == pair:
-                    if nxt_map != psi:
-                        consistent = False
-                    break
-                cur_map = nxt_map
-                cur_pair = nxt_pair
-            if consistent:
-                ok_for_some = True
-                break
-        if not ok_for_some:
+        if not any(closes(dict(zip(base1, perm)), len(orbit)) for perm in permutations(base2)):
             return False
     return True
 
@@ -258,14 +233,15 @@ def double_skew_check(a: Automorphism) -> DoubleSkewReport:
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return DoubleSkewReport(False, None, s1.auto.order, a2.order)
 
-    def invariant(q: Quiver, au: Automorphism, v: str):
-        return (
-            len(q.arrows_into(v)),
-            len(q.arrows_out_of(v)),
-            _cycle_length(au, v),
-        )
+    def invariants(au: Automorphism) -> dict[str, tuple[int, int, int]]:
+        q = au.quiver
+        return {
+            v: (len(q.arrows_into(v)), len(q.arrows_out_of(v)), len(orb))
+            for orb in au.vertex_orbits
+            for v in orb
+        }
 
-    inv2: dict[str, tuple] = {v: invariant(q2, a2, v) for v in q2.vertices}
+    inv1, inv2 = invariants(a), invariants(a2)
     p1, p2 = _pair_counts(q1), _pair_counts(q2)
 
     order1 = list(q1.vertices)
@@ -276,7 +252,7 @@ def double_skew_check(a: Automorphism) -> DoubleSkewReport:
                 return dict(vmap)
             return None
         v = order1[pos]
-        want = invariant(q1, a, v)
+        want = inv1[v]
         for w in q2.vertices:
             if w in used or inv2[w] != want:
                 continue

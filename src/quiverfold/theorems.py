@@ -42,10 +42,9 @@ from .errors import (
     CharacteristicWarning,
     CrossCheckFailed,
     NotFixed,
-    TwistPeriodBroken,
 )
 from .gf import FiniteField, make_field, prime_power
-from .quiver import Automorphism, Quiver, _box, act_on_dimension_vector, orbit_structure, _record
+from .quiver import Automorphism, Quiver, _box, _cycles, act_on_dimension_vector, _record
 from .roots import _nonneg_vectors, classify, s_fold
 from .skew import unfold
 from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
@@ -90,7 +89,7 @@ def _reduce_context(
         if size <= state_cap:
             return _ReductionContext(cur_a, cur_dims, tuple(steps))
         chosen = None
-        for orbit in orbit_structure(cur_a).vertex_orbits:
+        for orbit in cur_a.vertex_orbits:
             if all(q.is_sink(v) for v in orbit):
                 direction = "+"
             elif all(q.is_source(v) for v in orbit):
@@ -210,35 +209,16 @@ class _TwistOrbitEngine:
             )
         return h2
 
-    def orbits(self, d: Vec) -> list[list[Handle]]:
+    def orbits(self, d: Vec) -> tuple[tuple[Handle, ...], ...]:
         box = list(self.box(d))
         self.plan(box)
         allh: list[Handle] = []
         for beta in box:
             allh.extend(self.handles_at(beta))
         allh.sort(key=lambda h: (h[0], h[3]))
-        seen: set[Handle] = set()
-        out: list[list[Handle]] = []
-        for h in allh:
-            if h in seen:
-                continue
-            orbit = [h]
-            cur = self.image(h)
-            while cur != h:
-                orbit.append(cur)
-                if len(orbit) > self.order_bound:
-                    raise TwistPeriodBroken("twist orbit failed to close in time")
-                cur = self.image(cur)
-            if self.order_bound % len(orbit):
-                raise TwistPeriodBroken(
-                    f"twist orbit of length {len(orbit)} does not divide "
-                    f"the twist order {self.order_bound}"
-                )
-            seen.update(orbit)
-            out.append(orbit)
-        return out
+        return _cycles(allh, self.image, self.order_bound)
 
-    def orbits_summing_to(self, d: Vec) -> list[list[Handle]]:
+    def orbits_summing_to(self, d: Vec) -> list[tuple[Handle, ...]]:
         """The orbits over d's box whose member dimension vectors add up to d."""
         return [o for o in self.orbits(d) if tuple(map(sum, zip(*(h[0] for h in o)))) == d]
 

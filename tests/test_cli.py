@@ -79,6 +79,33 @@ def test_roots_requires_height(pair_doc, capsys):
     assert "max-height" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "PAIR", "--max-height", "-3"],
+        ["verify", "kac", "FLIP", "--field", "2", "--max-height", "-1"],
+        ["verify", "main", "FLIP", "--field", "3", "--max-height", "-1"],
+        ["verify", "species", "PAIR", "--field", "3", "--max-height", "-2"],
+        ["verify", "multisets", "FLIP", "--field", "2", "--max-height", "-1"],
+    ],
+    ids=["roots", "kac", "main", "species", "multisets"],
+)
+def test_negative_height_refused(flip_doc, pair_doc, capsys, argv):
+    docs = {"FLIP": flip_doc, "PAIR": pair_doc}
+    assert cli.main([docs.get(x, x) for x in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--max-height of 0 or more" in err
+
+
+def test_height_zero_still_runs(flip_doc, pair_doc, capsys):
+    assert cli.main(["roots", pair_doc, "--max-height", "0"]) == 0
+    assert capsys.readouterr().out == "0 roots up to height 0\n"
+    assert cli.main(["verify", "kac", flip_doc, "--field", "2", "--max-height", "0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True and doc["height"] == 0 and doc["records"] == []
+
+
 def test_classify_vector_alias(pair_doc, capsys):
     assert cli.main(["classify", pair_doc, "--dim", "1,2"]) == 0
     via_dim = capsys.readouterr().out

@@ -5,6 +5,7 @@ tools/oracle_fields.py (trial-division irreducibility, hand polynomial
 products).
 """
 
+import re
 import time
 
 import pytest
@@ -89,6 +90,10 @@ def test_prime_power():
     # the p of the p^m form must itself be prime
     for spec in ("4^1", "6^2", "1^3", "0^2", "9^1"):
         with pytest.raises(NotPrime, match=f"^{spec.split('^')[0]} is not prime$"):
+            prime_power(spec)
+    # an extension degree below 1 names no field
+    for spec in ("2^0", "2^-1", "5^-3"):
+        with pytest.raises(NotPrime, match=f"^field spec '{re.escape(spec)}' is not a prime power p\\^m with m >= 1$"):
             prime_power(spec)
     # one integer names a field size, as it does when passed as an int
     assert prime_power("4") == prime_power(" 4 ") == (2, 2)

@@ -6,8 +6,10 @@ from quiverfold.errors import (
     DuplicateId,
     NotAdmissible,
     NotPermutation,
+    TwistPeriodBroken,
     VertexLoop,
 )
+from quiverfold.quiver import Automorphism, _orbit
 
 
 def test_quiver_basics(a3):
@@ -111,3 +113,92 @@ def test_act_on_dimension_vector(a3_flip):
     q, flip = a3_flip
     assert qf.act_on_dimension_vector(flip, (1, 2, 3)) == (3, 2, 1)
     assert qf.act_on_dimension_vector(flip, (1, 2, 1)) == (1, 2, 1)
+
+
+def test_orbit_walks_to_the_first_return():
+    def step(x):
+        return (x + 3) % 12
+
+    assert _orbit(0, step) == (0, 3, 6, 9)
+    assert _orbit(2, step, 4) == _orbit(2, step, 8) == (2, 5, 8, 11)
+    assert _orbit("v", lambda x: x, 1) == ("v",)
+    with pytest.raises(TwistPeriodBroken, match="^orbit did not close within its order 3$"):
+        _orbit(0, step, 3)
+    # a walk that never comes back is cut off at its order
+    with pytest.raises(TwistPeriodBroken, match="^orbit did not close within its order 5$"):
+        _orbit(0, lambda x: x + 1, 5)
+    with pytest.raises(TwistPeriodBroken, match="^period 4 does not divide its order 6$"):
+        _orbit(0, step, 6)
+
+
+def _shared_ids():
+    """Corners a, b, c into z, three-cycled; the arrow named after a vertex
+    turns the other way round the cycle than that vertex does."""
+    q = qf.validate_quiver(
+        ["a", "b", "c", "z"], [("b", "a", "z"), ("a", "b", "z"), ("c", "c", "z")]
+    )
+    return qf.validate_automorphism(q, {"a": "b", "b": "c", "c": "a"})
+
+
+def _automorphisms():
+    q3, flip = qf.build_a3_flip()
+    star, four, three = qf.build_dtilde4()
+    _, rot = qf.build_counterexample()
+    pair41 = qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)])
+    return {
+        "flip": flip,
+        "four": four,
+        "three": three,
+        "rot": rot,
+        "identity": Automorphism.identity(star),
+        "unfold-41": qf.unfold(pair41),
+        "shared-ids": _shared_ids(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_automorphisms()))
+def test_cached_orbits_are_the_cycles(name):
+    a = _automorphisms()[name]
+    st = qf.orbit_structure(a)
+    assert a.vertex_orbits == st.vertex_orbits
+    assert a.arrow_orbits == st.arrow_orbits
+    q = a.quiver
+    for orbits, items, image in (
+        (a.vertex_orbits, q.vertices, a.vertex_map),
+        (a.arrow_orbits, [r.id for r in q.arrows], a.arrow_map),
+    ):
+        # each orbit walks the map from its earliest item, and the orbits
+        # partition the items in the order of those earliest items
+        assert sorted(x for orb in orbits for x in orb) == sorted(items)
+        for orb in orbits:
+            assert [image[x] for x in orb] == [*orb[1:], orb[0]]
+            assert orb[0] == min(orb, key=items.index)
+        assert [items.index(orb[0]) for orb in orbits] == sorted(
+            items.index(orb[0]) for orb in orbits
+        )
+
+
+def test_shared_ids_orbits():
+    a = _shared_ids()
+    assert a.vertex_orbits == (("a", "b", "c"), ("z",))
+    assert a.arrow_orbits == (("b", "a", "c"),)
+    assert a.order == 3
+
+
+@pytest.mark.parametrize("name", list(_automorphisms()))
+def test_power_is_the_composition(name):
+    a = _automorphisms()[name]
+    q = a.quiver
+    for k in range(-2 * a.order, 2 * a.order + 1):
+        vmap = {v: v for v in q.vertices}
+        amap = {r.id: r.id for r in q.arrows}
+        vstep, astep = (
+            (a.vertex_map, a.arrow_map) if k >= 0 else (a.inverse_vertex_map, a.inverse_arrow_map)
+        )
+        for _ in range(abs(k)):
+            vmap = {v: vstep[w] for v, w in vmap.items()}
+            amap = {r: astep[s] for r, s in amap.items()}
+        p = a.power(k)
+        assert p.vertex_image == tuple(vmap[v] for v in q.vertices), k
+        assert p.arrow_image == tuple(amap[r.id] for r in q.arrows), k
+        assert p.is_identity == (k % a.order == 0)

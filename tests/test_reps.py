@@ -149,6 +149,9 @@ def test_s_fold_functor(a3_flip, F2):
     assert out.dims == (1, 1, 1)
     # dimension identity: dims transform by the composite reflection
     assert out.dims == qf.s_fold(flip, 0, mid.dims)
+    for bad in (5, -1):
+        with pytest.raises(UnknownVertex, match=f"^automorphism has no vertex orbit {bad}$"):
+            qf.s_fold_functor(flip, bad, "-", mid)
 
 
 def test_twists(a3_flip, F2, F4):

@@ -8,7 +8,7 @@ import pytest
 
 import quiverfold as qf
 from quiverfold import roots
-from quiverfold.errors import BudgetExceeded, ZeroVector
+from quiverfold.errors import BudgetExceeded, UnknownVertex, ZeroVector
 
 
 def folded(a):
@@ -186,6 +186,10 @@ def test_s_fold_composite(a3_flip):
     # reflecting at the folded orbit of 1 and 3 acts on fixed vectors
     assert qf.s_fold(flip, 0, (0, 1, 0)) == (1, 1, 1)
     assert qf.s_fold(flip, ["1", "3"], (0, 1, 0)) == (1, 1, 1)
+    # the flip has two vertex orbits; an index outside them names no orbit
+    for bad in (5, 2, -1):
+        with pytest.raises(UnknownVertex, match=f"^automorphism has no vertex orbit {bad}$"):
+            qf.s_fold(flip, bad, (0, 1, 0))
     # intertwines with the single folded reflection through f
     fd = qf.fold(flip)
     lat = qf.folded_lattice(fd)

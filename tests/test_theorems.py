@@ -159,6 +159,14 @@ def test_species_count_field_spec_forms(pair21):
         qf.species_count(pair21, (1, 1), "2^")
 
 
+def test_species_field_degree_below_one_refused(pair21):
+    # the refusal names the spec, not the degree it would have led to
+    with pytest.raises(NotPrime, match=r"^field spec '2\^0' is not a prime power"):
+        qf.verify_species_theorem(pair21, "2^0", 0)
+    with pytest.raises(NotPrime, match=r"^field spec '2\^-1' is not a prime power"):
+        qf.species_count(pair21, (1, 0), "2^-1")
+
+
 def test_species_count_refuses_negative_alpha(pair21):
     with pytest.raises(LatticeMismatch, match="^dimensions must be non-negative$"):
         qf.species_count(pair21, (1, -1), 3)
