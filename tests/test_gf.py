@@ -93,7 +93,8 @@ def test_prime_power():
             prime_power(spec)
     # an extension degree below 1 names no field
     for spec in ("2^0", "2^-1", "5^-3"):
-        with pytest.raises(NotPrime, match=f"^field spec '{re.escape(spec)}' is not a prime power p\\^m with m >= 1$"):
+        want = f"^field spec '{re.escape(spec)}' is not a prime power p\\^m with m >= 1$"
+        with pytest.raises(NotPrime, match=want):
             prime_power(spec)
     # one integer names a field size, as it does when passed as an int
     assert prime_power("4") == prime_power(" 4 ") == (2, 2)

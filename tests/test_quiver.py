@@ -141,7 +141,7 @@ def _shared_ids():
 
 
 def _automorphisms():
-    q3, flip = qf.build_a3_flip()
+    _, flip = qf.build_a3_flip()
     star, four, three = qf.build_dtilde4()
     _, rot = qf.build_counterexample()
     pair41 = qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)])
