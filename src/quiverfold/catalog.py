@@ -61,16 +61,15 @@ d - beta.  The idempotent search in reps stays as a second, tested route.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
     OrbitPartitionBroken,
     SpaceMismatch,
-    TwistPeriodBroken,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, _box, _record
+from .quiver import Automorphism, Quiver, _box, _orbit, _record
 from .reps import (
     Mat,
     Representation,
@@ -539,10 +538,14 @@ class IsoClassCatalog:
 
     def representative(self, ci: int) -> Representation:
         if ci not in self._rep_cache:
+            if not 0 <= ci < self.n_classes:
+                raise SpaceMismatch(f"class id {ci} is outside range({self.n_classes})")
             self._rep_cache[ci] = self.space.decode(int(self.class_reps[ci]))
         return self._rep_cache[ci]
 
     def class_of_state(self, state: int) -> int:
+        if not 0 <= state < self.space.size:
+            raise SpaceMismatch(f"state {state} is outside range({self.space.size})")
         j, k, state = self.space.to_slice(int(state))
         sl = self._slice_at[j, k]
         return int(sl.labels[state - sl.start])
@@ -676,24 +679,31 @@ def indecomposable_classes(
     return tuple(cat.representative(ci) for ci in cat.indec_class_ids())
 
 
-def _twist_period(
-    cat: IsoClassCatalog,
-    ci: int,
-    twist: Callable[[Representation], Representation],
-    order: int,
-    name: str,
-) -> int:
-    """Least r >= 1 with class ci fixed by r applications of `twist`, which
-    must divide `order`.  The class may wander through catalogs at permuted
-    dimension vectors before returning."""
-    cur = cat.representative(ci)
-    for r in range(1, order + 1):
-        cur = twist(cur)
-        if cur.dims == cat.dims and cat.class_of(cur) == ci:
-            if order % r:
-                raise TwistPeriodBroken(f"{name} period {r} does not divide its order {order}")
-            return r
-    raise TwistPeriodBroken(f"{name} orbit did not close within its order {order}")
+def twisted_class(
+    cat: IsoClassCatalog, ci: int, b: Automorphism, s: int, state_cap: int
+) -> tuple[tuple[int, ...], int]:
+    """The dimension vector and class id of the twist of class ci: the s-th
+    Frobenius power of its representative, then the automorphism b.  The
+    class is looked up in the catalog at the twisted dimension vector."""
+    rep = cat.representative(ci)
+    if s % cat.field.m:
+        rep = twist_frobenius(rep, s)
+    rep = twist_auto(b, rep)
+    got = isoclasses(cat.quiver, rep.dims, cat.field, state_cap=state_cap)
+    return rep.dims, got.class_of(rep)
+
+
+def _period(cat: IsoClassCatalog, ci: int, b: Automorphism, s: int, order: int) -> int:
+    """Length of the orbit of class ci under the twist (s, b), which must
+    divide `order`.  The class may wander through catalogs at permuted
+    dimension vectors, each the size of cat's, before returning."""
+    cap = cat.space.size
+
+    def step(h):
+        dims, cj = h
+        return twisted_class(isoclasses(cat.quiver, dims, cat.field, state_cap=cap), cj, b, s, cap)
+
+    return len(_orbit((cat.dims, ci), step, order))
 
 
 def frobenius_period(cat: IsoClassCatalog, ci: int) -> int:
@@ -701,7 +711,7 @@ def frobenius_period(cat: IsoClassCatalog, ci: int) -> int:
 
     Always divides the field degree.
     """
-    return _twist_period(cat, ci, twist_frobenius, cat.field.m, "Frobenius twist")
+    return _period(cat, ci, Automorphism.identity(cat.quiver), 1, cat.field.m)
 
 
 def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
@@ -711,7 +721,7 @@ def auto_period(cat: IsoClassCatalog, a: Automorphism, ci: int) -> int:
     """
     if a.quiver != cat.quiver:
         raise SpaceMismatch("the automorphism acts on another quiver than the catalog's")
-    return _twist_period(cat, ci, lambda x: twist_auto(a, x), a.order, "automorphism twist")
+    return _period(cat, ci, a, 0, a.order)
 
 
 def twist_annotations(

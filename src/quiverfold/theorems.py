@@ -28,6 +28,12 @@ and with the same figure as it would have met while enumerating, having
 built no catalog.  ``catalog``, and numpy with it, is imported only where a
 catalog is planned or built, so a twist-engine job refused while planning
 never loads numpy.
+
+The engine's twist is one datum, ``(power, frobenius)``: the
+``frobenius``-th Frobenius power, then the automorphism ``a**power``.  An
+automorphism job twists by (1, 0), a species job by (-1, m) on the
+unfolding, m the base field's degree; ``catalog.twisted_class`` takes one
+step of either.  ``skew`` loads only for a species job, to unfold.
 """
 
 from __future__ import annotations
@@ -46,8 +52,7 @@ from .errors import (
 from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, _box, _cycles, act_on_dimension_vector, _record
 from .roots import _nonneg_vectors, classify, s_fold
-from .skew import unfold
-from .reps import Representation, direct_sum_list, twist_auto, twist_frobenius
+from .reps import Representation, direct_sum_list, twist_auto
 
 Vec = tuple[int, ...]
 
@@ -128,25 +133,20 @@ Handle = tuple  # (base_dims, quiver, reduced_dims, class_id)
 
 class _TwistOrbitEngine:
     """Indecomposable class handles over boxes of dimension vectors and
-    their orbits under a twist functor: the state of one twist-orbit job."""
+    their orbits under one twist, the ``frobenius``-th Frobenius power and
+    then the automorphism ``a**power``: the state of one twist-orbit job."""
 
     def __init__(
-        self,
-        a: Automorphism,
-        fld: FiniteField,
-        twist_rep: Callable[[Automorphism, Representation], Representation],
-        dims_act: Callable[[Vec], Vec],
-        order_bound: int,
-        state_cap: int,
-        trivial: bool = False,
+        self, a: Automorphism, fld: FiniteField, power: int, frobenius: int, state_cap: int
     ):
         self.a = a
         self.field = fld
-        self.twist_rep = twist_rep
-        self.dims_act = dims_act
-        self.order_bound = order_bound
+        self.power = power
+        self.frobenius = frobenius
+        self.order_bound = a.order
         self.state_cap = state_cap
-        self.trivial = trivial  # each handle is its own orbit, at its own d
+        # each handle is its own orbit, at its own d
+        self.trivial = a.power(power).is_identity and frobenius % fld.m == 0
         self.contexts: dict[Vec, _ReductionContext | None] = {}
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
         self.images: dict[Handle, Handle] = {}  # handle -> its twist
@@ -193,15 +193,14 @@ class _TwistOrbitEngine:
         return self.images[h]
 
     def t_handle(self, h: Handle) -> Handle:
-        from .catalog import isoclasses
+        from .catalog import isoclasses, twisted_class
 
         beta, qr, gamma, cid = h
-        ctx = self.contexts[beta]
         cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
-        twisted = self.twist_rep(ctx.auto, cat.representative(cid))
-        beta2 = self.dims_act(beta)
-        cat2 = isoclasses(qr, twisted.dims, self.field, state_cap=self.state_cap)
-        h2 = (beta2, qr, twisted.dims, cat2.class_of(twisted))
+        # the transported automorphism moves vertices as a does
+        b = self.contexts[beta].auto.power(self.power)
+        beta2 = act_on_dimension_vector(b, beta)
+        h2 = (beta2, qr, *twisted_class(cat, cid, b, self.frobenius, self.state_cap))
         if beta2 not in self.contexts or h2 not in self.handles_at(beta2):
             raise CrossCheckFailed(
                 "twisting left the computed class sets; the reduction chain is "
@@ -317,15 +316,7 @@ def ii_classes(
 
 def _auto_engine(a: Automorphism, fld: FiniteField, state_cap: int) -> _TwistOrbitEngine:
     """The engine of a job that twists by the automorphism a."""
-    return _TwistOrbitEngine(
-        a,
-        fld,
-        twist_rep=twist_auto,
-        dims_act=lambda b: act_on_dimension_vector(a, b),
-        order_bound=a.order,
-        state_cap=state_cap,
-        trivial=a.is_identity,  # twist_auto returns its input unchanged
-    )
+    return _TwistOrbitEngine(a, fld, 1, 0, state_cap)
 
 
 # --- species counting through the unfolded quiver ---
@@ -335,18 +326,11 @@ def _species_engine(vq: ValuedQuiver, q: int | str, state_cap: int) -> _TwistOrb
     """The engine of a species job: the unfolding of vq over the big field
     (degree = base degree times the unfolding order), twisted by the inverse
     automorphism after base-field Frobenius."""
+    from .skew import unfold
+
     p, mbase = prime_power(q)
     a = unfold(vq)
-    fld = make_field(p, mbase * a.order)
-    ainv = a.inverse()
-    return _TwistOrbitEngine(
-        a,
-        fld,
-        twist_rep=lambda ar, rep: twist_auto(ar.inverse(), twist_frobenius(rep, mbase)),
-        dims_act=lambda b: act_on_dimension_vector(ainv, b),
-        order_bound=a.order,
-        state_cap=state_cap,
-    )
+    return _TwistOrbitEngine(a, make_field(p, mbase * a.order), -1, mbase, state_cap)
 
 
 def species_count(
@@ -540,10 +524,9 @@ def verify_species_theorem(
 ) -> TheoremReport:
     """Species counts are positive exactly on the positive roots of the
     valued quiver's form, and equal to one on the real ones."""
-    p, mbase = prime_power(q)
     return _check_roots(
         "species counting check",
-        f"{p}^{mbase}" if mbase > 1 else str(p),
+        make_field(*prime_power(q)).spec,
         height,
         vq.lattice,
         lambda: _species_engine(vq, q, state_cap),

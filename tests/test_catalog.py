@@ -23,6 +23,7 @@ from quiverfold.catalog import (
     isoclasses,
     plan_isoclasses,
     twist_annotations,
+    twisted_class,
 )
 from quiverfold.errors import BudgetExceeded, LatticeMismatch, SpaceMismatch, TwistPeriodBroken
 from quiverfold.reps import identity, mat_mul, rank
@@ -530,20 +531,47 @@ def test_auto_period_wanders_through_dims(a3_flip, F2):
 
 
 def test_twist_period_must_close(a3_flip, F2, monkeypatch):
+    # a class lookup that never finds the starting class again
     q, flip = a3_flip
-    cat = isoclasses(q, (1, 0, 1), F2)
-    monkeypatch.setattr(IsoClassCatalog, "class_of", lambda self, rep: -1)
+    cat = isoclasses(q, (1, 1, 1), F2)
+    monkeypatch.setattr(IsoClassCatalog, "class_of", lambda self, rep: 1)
     with pytest.raises(TwistPeriodBroken):
         frobenius_period(cat, 0)
     with pytest.raises(TwistPeriodBroken):
         auto_period(cat, flip, 0)
     # over GF(8) the Frobenius order is 3; a class that returns after two
     # twists has a period that does not divide it
-    cat8 = isoclasses(q, (1, 0, 1), qf.make_field(2, 3))
-    found = iter([-1, 0])
+    cat8 = isoclasses(q, (1, 1, 0), qf.make_field(2, 3))
+    found = iter([1, 0])
     monkeypatch.setattr(IsoClassCatalog, "class_of", lambda self, rep: next(found))
     with pytest.raises(TwistPeriodBroken, match="period 2 does not divide its order 3"):
         frobenius_period(cat8, 0)
+
+
+def test_frobenius_period_odd_order():
+    # over GF(8) the six slopes outside GF(2) fall into two Frobenius
+    # orbits of length 3, the field degree
+    kron = qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")])
+    cat = isoclasses(kron, (1, 1), qf.make_field(2, 3))
+    assert cat.n_classes == 10
+    periods = [frobenius_period(cat, ci) for ci in range(cat.n_classes)]
+    assert sorted(periods) == [1, 1, 1, 1, 3, 3, 3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "past-the-end"])
+def test_ids_and_states_outside_their_range(a3, F2, past_end):
+    # -1, which numpy would wrap, and the first value past the end
+    cat = isoclasses(a3, (1, 1, 1), F2)
+    ci = cat.n_classes if past_end else -1
+    state = cat.space.size if past_end else -1
+    with pytest.raises(SpaceMismatch, match=rf"class id {ci} is outside range\({cat.n_classes}\)"):
+        cat.representative(ci)
+    with pytest.raises(SpaceMismatch, match=rf"state {state} is outside range\({cat.space.size}\)"):
+        cat.class_of_state(state)
+    with pytest.raises(SpaceMismatch, match=f"class id {ci} "):
+        frobenius_period(cat, ci)
+    with pytest.raises(SpaceMismatch, match=f"class id {ci} "):
+        twisted_class(cat, ci, qf.Automorphism.identity(a3), 0, cat.space.size)
 
 
 def test_auto_period_needs_the_catalogs_quiver(a2, a3_flip, F2):

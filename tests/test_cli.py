@@ -427,7 +427,7 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         "refused-kac": (
             ["verify", "kac", "star.json", "--field", "3", "--max-height", "6",
              "--cap-states", "2187"],
-            "cartan cli errors gf quiver reps roots serialize skew theorems",
+            "cartan cli errors gf quiver reps roots serialize theorems",
         ),
     }
     code = (

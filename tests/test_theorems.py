@@ -93,14 +93,9 @@ def test_twist_orbit_engine_checks_orbit_length(a3_flip, F2, order_bound):
     # the flip's twist orbits at (1, 0, 0) and (0, 0, 1) have length 2, which
     # neither fits in 1 step nor divides 3
     q, flip = a3_flip
-    engine = theorems._TwistOrbitEngine(
-        flip,
-        F2,
-        twist_rep=qf.twist_auto,
-        dims_act=lambda b: qf.act_on_dimension_vector(flip, b),
-        order_bound=order_bound,
-        state_cap=2**24,
-    )
+    engine = theorems._TwistOrbitEngine(flip, F2, 1, 0, 2**24)
+    assert engine.order_bound == 2
+    engine.order_bound = order_bound
     with pytest.raises(TwistPeriodBroken):
         engine.orbits((1, 0, 1))
 
