@@ -25,8 +25,8 @@ _EXPORTED_BY = {
         VertexLoop ZeroVector
     """,
     "quiver": """
-        Arrow Automorphism OrbitStructure Quiver act_on_dimension_vector
-        orbit_structure validate_automorphism validate_quiver
+        Arrow Automorphism Quiver act_on_dimension_vector
+        validate_automorphism validate_quiver
     """,
     "cartan": """
         CartanLattice FoldData ValuedEdge ValuedQuiver bilinear_gamma

@@ -3,11 +3,11 @@
 A ``CartanLattice`` holds named coordinates, a symmetric form B and a
 symmetriser D, with C = D^{-1} B the symmetrisable generalized Cartan
 matrix; ``_lattice`` builds every one.  A quiver's lattice has d = 1 and one
-edge per arrow.  Folding along an admissible automorphism gives a valued
-quiver on the orbits (orbit sizes as weights, arrow-orbit lengths summed per
-pair of orbits as counts), whose lattice is the folded one.  B and D are
-stored losslessly; the familiar edge value pairs (|c_ji|, |c_ij|) are
-derived for display.
+edge per arrow.  Folding along an admissible automorphism reads its cached
+cycles into a valued quiver on the vertex orbits (orbit sizes as weights,
+arrow-orbit lengths summed per pair of orbits as counts), whose lattice is
+the folded one.  B and D are stored losslessly; the familiar edge value
+pairs (|c_ji|, |c_ij|) are derived for display.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -15,6 +15,7 @@ All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from functools import cached_property, partial
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,9 +23,10 @@ from .errors import (
     DuplicateId,
     LatticeMismatch,
     NotFixed,
+    NotPermutation,
     VertexLoop,
 )
-from .quiver import Automorphism, OrbitStructure, Quiver, act_on_dimension_vector, orbit_structure, _orbit, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit, _record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -209,19 +211,20 @@ def make_valued_quiver(
 
 @_record
 class FoldData:
-    """Result of folding: the orbit structure and the valued quiver on the
-    orbit vertices, whose lattice holds B, D and C."""
+    """Result of folding: the automorphism and the valued quiver on its
+    vertex orbits (named by their earliest vertex, weighted by their size),
+    whose lattice holds B, D and C."""
 
-    orbits: OrbitStructure
+    auto: Automorphism
     valued_quiver: ValuedQuiver
 
     @property
     def d(self) -> tuple[int, ...]:
-        return self.orbits.d
+        return self.valued_quiver.d
 
     @property
     def orbit_names(self) -> tuple[str, ...]:
-        return self.orbits.orbit_names
+        return self.valued_quiver.vertices
 
     @property
     def lattice(self) -> CartanLattice:
@@ -241,14 +244,17 @@ def fold(a: Automorphism) -> FoldData:
 
     Arrow orbits between the same two vertex orbits merge into one valued
     edge, oriented as the first of them."""
-    st = orbit_structure(a)
-    names = st.orbit_names
+    names = tuple(orb[0] for orb in a.vertex_orbits)
+    d = tuple(map(len, a.vertex_orbits))
     edges: dict[frozenset, ValuedEdge] = {}
-    for (si, ti), ell in zip(st.arrow_orbit_ends, st.arrow_orbit_lengths):
+    for (si, ti), orb in zip(a.arrow_orbit_ends, a.arrow_orbits):
+        # only an automorphism built without validate_automorphism can fail
+        if len(orb) % lcm(d[si], d[ti]):
+            raise NotPermutation("arrow orbit length violates the divisibility chain")
         key = frozenset((si, ti))
         e = edges.get(key) or ValuedEdge(names[si], names[ti], 0)
-        edges[key] = ValuedEdge(e.source, e.target, e.b + ell)
-    return FoldData(st, ValuedQuiver(names, st.d, tuple(edges.values())))
+        edges[key] = ValuedEdge(e.source, e.target, e.b + len(orb))
+    return FoldData(a, ValuedQuiver(names, d, tuple(edges.values())))
 
 
 # --- bilinear forms ---

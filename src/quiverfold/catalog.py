@@ -686,6 +686,8 @@ def twisted_class(
     Frobenius power of its representative, then the automorphism b.  The
     class is looked up in the catalog at the twisted dimension vector."""
     rep = cat.representative(ci)
+    if b.is_identity and s % cat.field.m == 0:
+        return cat.dims, ci
     if s % cat.field.m:
         rep = twist_frobenius(rep, s)
     rep = twist_auto(b, rep)

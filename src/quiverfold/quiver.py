@@ -269,6 +269,14 @@ class Automorphism:
         return _cycles([r.id for r in self.quiver.arrows], self.arrow_map.__getitem__)
 
     @cached_property
+    def arrow_orbit_ends(self) -> tuple[tuple[int, int], ...]:
+        """(source, target) vertex-orbit indices of each arrow orbit's first
+        arrow."""
+        orbit_of = {v: k for k, orb in enumerate(self.vertex_orbits) for v in orb}
+        firsts = (self.quiver.arrow_by_id[orb[0]] for orb in self.arrow_orbits)
+        return tuple((orbit_of[r.source], orbit_of[r.target]) for r in firsts)
+
+    @cached_property
     def order(self) -> int:
         return lcm(*map(len, self.vertex_orbits + self.arrow_orbits))
 
@@ -373,9 +381,11 @@ def validate_automorphism(
         tuple(amap[r.id] for r in quiver.arrows),
     )
 
-    orbit_of = {v: k for k, cyc in enumerate(a.vertex_orbits) for v in cyc}
-    for r in quiver.arrows:
-        if orbit_of[r.source] == orbit_of[r.target]:
+    # an orbit's arrows all break the rule or none does, so the earliest
+    # arrow of the first orbit that breaks it is the first in quiver order
+    for (si, ti), orb in zip(a.arrow_orbit_ends, a.arrow_orbits):
+        if si == ti:
+            r = quiver.arrow_by_id[orb[0]]
             raise NotAdmissible(
                 f"arrow {r.id!r} joins vertices {r.source!r} and {r.target!r} "
                 f"of a single vertex orbit"
@@ -407,67 +417,6 @@ def _infer_arrow_map(quiver: Quiver, vmap: Mapping[str, str]) -> dict[str, str]:
 
 
 # --- orbit data ---
-
-
-@_record
-class OrbitStructure:
-    """Vertex and arrow orbits of an automorphism.
-
-    Orbits are listed by their earliest member (in quiver order) and each
-    orbit tuple walks the cycle starting from that member.
-    """
-
-    auto: Automorphism
-    vertex_orbits: tuple[tuple[str, ...], ...]
-    arrow_orbits: tuple[tuple[str, ...], ...]
-
-    @property
-    def quiver(self) -> Quiver:
-        return self.auto.quiver
-
-    @property
-    def order(self) -> int:
-        return self.auto.order
-
-    @cached_property
-    def d(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.vertex_orbits)
-
-    @cached_property
-    def arrow_orbit_lengths(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.arrow_orbits)
-
-    @cached_property
-    def orbit_names(self) -> tuple[str, ...]:
-        return tuple(o[0] for o in self.vertex_orbits)
-
-    @cached_property
-    def orbit_of_vertex(self) -> dict[str, int]:
-        return {v: k for k, orb in enumerate(self.vertex_orbits) for v in orb}
-
-    @cached_property
-    def arrow_orbit_ends(self) -> tuple[tuple[int, int], ...]:
-        """(source orbit, target orbit) for each arrow orbit."""
-        q = self.quiver
-        out = []
-        for orb in self.arrow_orbits:
-            r = q.arrow_by_id[orb[0]]
-            out.append((self.orbit_of_vertex[r.source], self.orbit_of_vertex[r.target]))
-        return tuple(out)
-
-
-def orbit_structure(a: Automorphism) -> OrbitStructure:
-    st = OrbitStructure(a, a.vertex_orbits, a.arrow_orbits)
-    n = a.order
-    for dv in st.d:
-        if n % dv != 0:
-            raise NotPermutation("vertex orbit length does not divide the order")
-    for k, ell in enumerate(st.arrow_orbit_lengths):
-        si, ti = st.arrow_orbit_ends[k]
-        t = lcm(st.d[si], st.d[ti])
-        if ell % t != 0 or n % ell != 0:
-            raise NotPermutation("arrow orbit length violates the divisibility chain")
-    return st
 
 
 def _orbit_members(a: Automorphism, orbit: int | Iterable[str]) -> tuple[str, ...]:

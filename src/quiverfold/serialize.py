@@ -84,7 +84,7 @@ def fold_to_dict(fd: FoldData) -> dict:
     return {
         "orbits": {
             name: list(members)
-            for name, members in zip(fd.orbit_names, fd.orbits.vertex_orbits)
+            for name, members in zip(fd.orbit_names, fd.auto.vertex_orbits)
         },
         "b_matrix": [list(row) for row in fd.b_matrix],
         "c_matrix": [list(row) for row in fd.c_matrix],

@@ -100,7 +100,7 @@ class SkewQuiver:
 
     @cached_property
     def mu_counts(self) -> tuple[int, ...]:
-        n = self.fold_source.orbits.order
+        n = self.fold_source.auto.order
         return tuple(n // d for d in self.fold_source.d)
 
     @cached_property
@@ -119,25 +119,23 @@ class SkewQuiver:
 def skew(a: Automorphism) -> SkewQuiver:
     """Build the skew quiver of (Q, a) with its shift automorphism."""
     fd = fold(a)
-    st = fd.orbits
-    n = st.order
-    names = st.orbit_names
+    n = a.order
+    names, d = fd.orbit_names, fd.d
 
     vertices: list[str] = []
     for k in range(len(names)):
-        vertices.extend(f"{names[k]}:{mu}" for mu in range(n // st.d[k]))
+        vertices.extend(f"{names[k]}:{mu}" for mu in range(n // d[k]))
 
     arrows: list[tuple[str, str, str]] = []
     origins: list[ArrowOrigin] = []
     amap: dict[str, str] = {}
-    for t, orb in enumerate(st.arrow_orbits):
-        si, ti = st.arrow_orbit_ends[t]
-        ell = st.arrow_orbit_lengths[t]
-        tmod = lcm(st.d[si], st.d[ti])
+    for (si, ti), orb in zip(a.arrow_orbit_ends, a.arrow_orbits):
+        ell = len(orb)
+        tmod = lcm(d[si], d[ti])
         n_t = n // tmod
         residues = sorted({(k * (n // ell)) % n_t for k in range(ell // tmod)})
-        src_count = n // st.d[si]
-        tgt_count = n // st.d[ti]
+        src_count = n // d[si]
+        tgt_count = n // d[ti]
         for r in residues:
             for mu in range(src_count):
                 for nu in range(tgt_count):
@@ -153,7 +151,7 @@ def skew(a: Automorphism) -> SkewQuiver:
 
     vmap: dict[str, str] = {}
     for k in range(len(names)):
-        cnt = n // st.d[k]
+        cnt = n // d[k]
         for mu in range(cnt):
             vmap[f"{names[k]}:{mu}"] = f"{names[k]}:{(mu + 1) % cnt}"
     shift = validate_automorphism(quiver, vmap, amap)

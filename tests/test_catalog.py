@@ -25,7 +25,13 @@ from quiverfold.catalog import (
     twist_annotations,
     twisted_class,
 )
-from quiverfold.errors import BudgetExceeded, LatticeMismatch, SpaceMismatch, TwistPeriodBroken
+from quiverfold.errors import (
+    BudgetExceeded,
+    LatticeMismatch,
+    OrbitPartitionBroken,
+    SpaceMismatch,
+    TwistPeriodBroken,
+)
 from quiverfold.reps import identity, mat_mul, rank
 
 
@@ -531,12 +537,14 @@ def test_auto_period_wanders_through_dims(a3_flip, F2):
 
 
 def test_twist_period_must_close(a3_flip, F2, monkeypatch):
-    # a class lookup that never finds the starting class again
+    # a class lookup that never finds the starting class again; over a prime
+    # field a Frobenius period is 1 without a walk, so GF(4) meets that case
     q, flip = a3_flip
     cat = isoclasses(q, (1, 1, 1), F2)
+    cat4 = isoclasses(q, (1, 1, 1), qf.make_field(2, 2))
     monkeypatch.setattr(IsoClassCatalog, "class_of", lambda self, rep: 1)
     with pytest.raises(TwistPeriodBroken):
-        frobenius_period(cat, 0)
+        frobenius_period(cat4, 0)
     with pytest.raises(TwistPeriodBroken):
         auto_period(cat, flip, 0)
     # over GF(8) the Frobenius order is 3; a class that returns after two
@@ -556,6 +564,44 @@ def test_frobenius_period_odd_order():
     assert cat.n_classes == 10
     periods = [frobenius_period(cat, ci) for ci in range(cat.n_classes)]
     assert sorted(periods) == [1, 1, 1, 1, 3, 3, 3, 3, 3, 3]
+
+
+def test_prime_field_frobenius_periods_do_not_twist(dtilde4, F3, monkeypatch):
+    # over a prime field the Frobenius twist is the identity
+    q, _, _ = dtilde4
+    cat = isoclasses(q, (1, 1, 1, 1, 2), F3)
+    real = cat_mod.twist_auto
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cat_mod, "twist_auto", counted)
+    assert [frobenius_period(cat, ci) for ci in range(cat.n_classes)] == [1] * 52
+    assert len(calls) == 0
+
+
+def test_broken_orbit_partition_is_refused(a3, F2, monkeypatch):
+    # the first slice labelled, the zero state's, loses its one state
+    real = cat_mod._orbit_labels
+    slices = []
+
+    def drop_one(n, tables):
+        labels, reps, sizes = real(n, tables)
+        if not slices:
+            sizes = sizes.copy()
+            sizes[0] -= 1
+        slices.append(n)
+        return labels, reps, sizes
+
+    dims = (1, 2, 1)
+    key = cat_mod._store_key(a3, F2, dims)
+    clear_catalog_store()
+    monkeypatch.setattr(cat_mod, "_orbit_labels", drop_one)
+    with pytest.raises(OrbitPartitionBroken, match="^orbit sizes sum to 15, not to the 16 states$"):
+        isoclasses(a3, dims, F2)
+    assert key not in cat_mod._STORE
 
 
 @pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "past-the-end"])

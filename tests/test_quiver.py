@@ -78,6 +78,16 @@ def test_automorphism_validation(a3):
             ),
             {"1": "2", "2": "1"},
         )
+    # the message names the first arrow in quiver order that breaks the rule
+    tri = qf.validate_quiver(
+        ["1", "2", "3", "z"],
+        [("p", "z", "1"), ("q", "z", "2"), ("r", "z", "3"),
+         ("b", "2", "3"), ("a", "1", "2"), ("c", "3", "1")],
+    )
+    with pytest.raises(
+        NotAdmissible, match="^arrow 'b' joins vertices '2' and '3' of a single vertex orbit$"
+    ):
+        qf.validate_automorphism(tri, {"1": "2", "2": "3", "3": "1"})
 
 
 def test_arrow_map_inference(a3):
@@ -88,25 +98,35 @@ def test_arrow_map_inference(a3):
 
 def test_orbit_structure(dtilde4):
     q, four, three = dtilde4
-    st = qf.orbit_structure(four)
-    assert st.order == 4
-    assert st.vertex_orbits == (("1", "2", "3", "4"), ("5",))
-    assert st.orbit_names == ("1", "5")
-    assert st.d == (4, 1)
-    assert st.arrow_orbits == (("r1", "r2", "r3", "r4"),)
+    assert four.order == 4
+    assert four.vertex_orbits == (("1", "2", "3", "4"), ("5",))
+    assert four.arrow_orbits == (("r1", "r2", "r3", "r4"),)
+    fd = qf.fold(four)
+    assert fd.orbit_names == ("1", "5")
+    assert fd.d == (4, 1)
 
-    st3 = qf.orbit_structure(three)
-    assert st3.d == (3, 1, 1)
-    assert st3.orbit_names == ("1", "4", "5")
+    fd3 = qf.fold(three)
+    assert fd3.d == (3, 1, 1)
+    assert fd3.orbit_names == ("1", "4", "5")
 
 
 def test_orbit_divisibility(counterexample):
     q, rot = counterexample
-    st = qf.orbit_structure(rot)
-    assert st.order == 6
-    assert st.d == (3, 2)
-    for d in st.d:
-        assert st.order % d == 0
+    assert rot.order == 6
+    d = qf.fold(rot).d
+    assert d == (3, 2)
+    for dv in d:
+        assert rot.order % dv == 0
+
+
+def test_fold_refuses_a_broken_divisibility_chain(a3_flip):
+    # built without validate_automorphism: the arrows stay put while their
+    # ends swap, so an arrow orbit of length 1 joins an orbit of size 2
+    q, flip = a3_flip
+    broken = Automorphism(q, flip.vertex_image, ("a", "b"))
+    for build in (qf.fold, qf.skew):
+        with pytest.raises(NotPermutation, match="^arrow orbit length violates the divisibility chain$"):
+            build(broken)
 
 
 def test_act_on_dimension_vector(a3_flip):
@@ -159,9 +179,6 @@ def _automorphisms():
 @pytest.mark.parametrize("name", list(_automorphisms()))
 def test_cached_orbits_are_the_cycles(name):
     a = _automorphisms()[name]
-    st = qf.orbit_structure(a)
-    assert a.vertex_orbits == st.vertex_orbits
-    assert a.arrow_orbits == st.arrow_orbits
     q = a.quiver
     for orbits, items, image in (
         (a.vertex_orbits, q.vertices, a.vertex_map),
@@ -176,6 +193,13 @@ def test_cached_orbits_are_the_cycles(name):
         assert [items.index(orb[0]) for orb in orbits] == sorted(
             items.index(orb[0]) for orb in orbits
         )
+    # every arrow of an orbit joins the two vertex orbits its ends name
+    orbit_of = {v: k for k, orb in enumerate(a.vertex_orbits) for v in orb}
+    assert len(a.arrow_orbit_ends) == len(a.arrow_orbits)
+    for ends, orb in zip(a.arrow_orbit_ends, a.arrow_orbits):
+        for rid in orb:
+            r = q.arrow_by_id[rid]
+            assert ends == (orbit_of[r.source], orbit_of[r.target])
 
 
 def test_shared_ids_orbits():

@@ -8,7 +8,7 @@ import pytest
 
 import quiverfold as qf
 from quiverfold import roots
-from quiverfold.errors import BudgetExceeded, UnknownVertex, ZeroVector
+from quiverfold.errors import BudgetExceeded, NoNullRoot, UnknownVertex, ZeroVector
 
 
 def folded(a):
@@ -173,12 +173,15 @@ def test_null_root_matches_sympy(a3_flip, dtilde4, counterexample):
     assert 50 <= found <= len(lattices) - 50
 
 
-def test_defect(dtilde4):
+def test_defect(dtilde4, a3):
     q = dtilde4[0]
     # regular dimension vectors have defect zero
     assert qf.defect(q, (1, 1, 1, 1, 2)) == 0
     assert qf.defect(q, (1, 1, 0, 0, 1)) == 0
     assert qf.defect(q, (1, 1, 1, 1, 1)) != 0
+    # the A3 form is positive definite, so it has no null root
+    with pytest.raises(NoNullRoot):
+        qf.defect(a3, (1, 1, 1))
 
 
 def test_s_fold_composite(a3_flip):
