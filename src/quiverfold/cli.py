@@ -8,8 +8,9 @@ output is deterministic for identical inputs.
 
 Each command imports the submodules it uses when it runs, so a cold call
 loads only those: listing the fixtures loads nothing past ``errors``, and
-only the commands that enumerate classes (``indecs``, ``ii-indecs``,
-``species-count`` and ``verify``) load ``catalog`` and numpy.
+only the commands that enumerate classes load ``catalog`` and numpy:
+``indecs`` always, and ``ii-indecs``, ``species-count`` and ``verify`` only
+where a reflection chain ends at a catalog.
 """
 
 from __future__ import annotations
@@ -374,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
+        if getattr(ns, "cap_states", 1) < 1:
+            raise QuiverFoldError(f"{ns.command} needs a --cap-states of 1 or more")
         return _COMMANDS[ns.command](ns)
     except QuiverFoldError as exc:
         print(f"error: {exc}", file=sys.stderr)

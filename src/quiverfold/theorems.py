@@ -13,12 +13,15 @@ a real root has exactly one, with as many summands as the root's length
 where a length is given; an imaginary root has at least one.  Kac's check
 is the folded one at the identity automorphism.
 
-Oversized state spaces are handled by reflection reduction: at a vertex
-orbit that is entirely sinks or entirely sources, the reflection functors
-give a twist-compatible bijection between indecomposable classes at d and
-at the reflected dimension vector, so counting can move to the smaller side.
-When no reduction applies the computation refuses with the exact blowup
-figure rather than approximating.
+Every vector is counted at the bottom of its chain of reflections: at a
+vertex orbit that is entirely sinks or entirely sources, the reflection
+functors give a twist-compatible bijection between indecomposable classes at
+d and at the reflected dimension vector, so counting moves to the lower
+side.  The chain ends at a vector with no matrix entries, where the zero
+maps are indecomposable exactly at a unit vector; at a negative entry, which
+certifies that no indecomposable exists; or where no reflection lowers the
+height.  Only that last end builds a catalog, and an oversized one is
+refused with the exact blowup figure rather than approximated.
 
 Every twist-orbit job runs on one ``_TwistOrbitEngine``, which owns the
 job's plan: the reduction context of each vector the job will visit is
@@ -26,8 +29,9 @@ fixed first, in visiting order, from state-space sizes alone, once per
 vector.  A job that cannot fit its cap therefore refuses, at the same vector
 and with the same figure as it would have met while enumerating, having
 built no catalog.  ``catalog``, and numpy with it, is imported only where a
-catalog is planned or built, so a twist-engine job refused while planning
-never loads numpy.
+catalog is built, so a twist-engine job whose chains all end without one, or
+that is refused while planning, never loads numpy.  ``reps`` loads only to
+materialise an ``IIClass``'s representative.
 
 The engine's twist is one datum, ``(power, frobenius)``: the
 ``frobenius``-th Frobenius power, then the automorphism ``a**power``.  An
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import warnings
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .cartan import CartanLattice, ValuedQuiver, f_inverse, f_map, fold, quiver_lattice, root_length
 from .errors import (
@@ -52,7 +56,9 @@ from .errors import (
 from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, _box, _cycles, act_on_dimension_vector, _record
 from .roots import _nonneg_vectors, classify, s_fold
-from .reps import Representation, direct_sum_list, twist_auto
+
+if TYPE_CHECKING:
+    from .reps import Representation
 
 Vec = tuple[int, ...]
 
@@ -77,23 +83,21 @@ class _ReductionContext:
 def _reduce_context(
     a: Automorphism, beta: Vec, fld: FiniteField, state_cap: int
 ) -> _ReductionContext | None:
-    """Chain sink/source orbit reflections until the state space fits.
+    """Reflect beta at sink and source orbits to the bottom of its chain.
 
-    Returns None when a reflection lands outside the positive cone, which
-    certifies that no indecomposable of dims beta exists at all.  Raises
-    BudgetExceeded when the space is oversized and no orbit qualifies.
-    Builds no catalog; only ``_TwistOrbitEngine.plan`` calls it.
+    Each step takes the orbit reflection that lowers the height most, the
+    earliest orbit on a tie.  The chain stops at a vector with no matrix
+    entries, whose one representation is the zero maps, or where no
+    reflection lowers the height.  Returns None when a reflection lands
+    outside the positive cone, which certifies that no indecomposable of
+    dims beta exists at all.  Raises BudgetExceeded when the bottom's state
+    space is over the cap.  Builds no catalog.
     """
     cur_a = a
     cur_dims = a.quiver.check_vector(beta)
     steps: list[tuple[tuple[str, ...], str]] = []
-    while True:
-        q = cur_a.quiver
-        n_entries = q.entry_count(cur_dims)
-        size = fld.q**n_entries
-        if size <= state_cap:
-            return _ReductionContext(cur_a, cur_dims, tuple(steps))
-        chosen = None
+    while n_entries := (q := cur_a.quiver).entry_count(cur_dims):
+        best = None
         for orbit in cur_a.vertex_orbits:
             if all(q.is_sink(v) for v in orbit):
                 direction = "+"
@@ -102,11 +106,14 @@ def _reduce_context(
             else:
                 continue
             new_dims = s_fold(cur_a, orbit, cur_dims)
-            if sum(new_dims) >= sum(cur_dims):
-                continue
-            chosen = (orbit, direction, new_dims)
-            break
-        if chosen is None:
+            if min(new_dims) < 0:
+                return None
+            if sum(new_dims) < sum(best[2] if best else cur_dims):
+                best = (orbit, direction, new_dims)
+        if best is None:
+            size = fld.q**n_entries
+            if size <= state_cap:
+                break
             origin = f" (reduced from {beta})" if steps else ""
             raise BudgetExceeded(
                 f"state space at dims {cur_dims}{origin} over GF({fld.q}) holds "
@@ -116,14 +123,12 @@ def _reduce_context(
                 "any catalog was built",
                 predicted=size,
             )
-        orbit, direction, new_dims = chosen
-        if any(x < 0 for x in new_dims):
-            return None
+        orbit, direction, cur_dims = best
         steps.append((orbit, direction))
         cur_a = Automorphism(
             q.reversed_at(orbit), cur_a.vertex_image, cur_a.arrow_image
         )
-        cur_dims = new_dims
+    return _ReductionContext(cur_a, cur_dims, tuple(steps))
 
 
 # --- twist-orbit engine ---
@@ -171,10 +176,12 @@ class _TwistOrbitEngine:
         ctx = self.contexts[beta]
         if ctx is None:
             hs: tuple[Handle, ...] = ()
+        elif not (qr := ctx.auto.quiver).entry_count(ctx.dims):
+            # the zero maps are indecomposable exactly at a unit vector
+            hs = ((beta, qr, ctx.dims, 0),) if sum(ctx.dims) == 1 else ()
         else:
             from .catalog import isoclasses
 
-            qr = ctx.auto.quiver
             cat = isoclasses(qr, ctx.dims, self.field, state_cap=self.state_cap)
             hs = tuple((beta, qr, ctx.dims, cid) for cid in cat.indec_class_ids())
         self.handles[beta] = hs
@@ -193,14 +200,17 @@ class _TwistOrbitEngine:
         return self.images[h]
 
     def t_handle(self, h: Handle) -> Handle:
-        from .catalog import isoclasses, twisted_class
-
         beta, qr, gamma, cid = h
-        cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
         # the transported automorphism moves vertices as a does
         b = self.contexts[beta].auto.power(self.power)
         beta2 = act_on_dimension_vector(b, beta)
-        h2 = (beta2, qr, *twisted_class(cat, cid, b, self.frobenius, self.state_cap))
+        if qr.entry_count(gamma):
+            from .catalog import isoclasses, twisted_class
+
+            cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
+            h2 = (beta2, qr, *twisted_class(cat, cid, b, self.frobenius, self.state_cap))
+        else:
+            h2 = (beta2, qr, act_on_dimension_vector(b, gamma), 0)
         if beta2 not in self.contexts or h2 not in self.handles_at(beta2):
             raise CrossCheckFailed(
                 "twisting left the computed class sets; the reduction chain is "
@@ -245,23 +255,28 @@ class IIClass:
         return self.period
 
     def base_representation(self) -> Representation:
-        """The indecomposable whose twist orbit this class sums."""
-        if not self.direct:
-            raise BudgetExceeded(
-                f"the base class at dims {self.base_dims} was only reachable "
-                "through reflection reduction; its representatives were never "
-                "materialised",
-                predicted=self._field.q ** self._auto.quiver.entry_count(self.base_dims),
-            )
-        from .catalog import isoclasses
+        """The indecomposable whose twist orbit this class sums: the class's
+        representative at the bottom of its reduction chain, reflected back
+        up the chain."""
+        from .reps import s_fold_functor, simple_representation
 
-        cat = isoclasses(
-            self._auto.quiver, self.base_dims, self._field, state_cap=self._state_cap
-        )
-        return cat.representative(self.base_class_id)
+        ctx = _reduce_context(self._auto, self.base_dims, self._field, self._state_cap)
+        qr = ctx.auto.quiver
+        if qr.entry_count(ctx.dims):
+            from .catalog import isoclasses
+
+            cat = isoclasses(qr, ctx.dims, self._field, state_cap=self._state_cap)
+            rep = cat.representative(self.base_class_id)
+        else:
+            rep = simple_representation(qr, self._field, qr.vertices[ctx.dims.index(1)])
+        for orbit, direction in reversed(ctx.steps):
+            rep = s_fold_functor(self._auto, orbit, "-" if direction == "+" else "+", rep)
+        return rep
 
     def representative(self) -> Representation:
         """Direct sum of the twist orbit of the base indecomposable."""
+        from .reps import direct_sum_list, twist_auto
+
         members = [self.base_representation()]
         for _ in range(self.period - 1):
             members.append(twist_auto(self._auto, members[-1]))

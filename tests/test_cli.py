@@ -106,6 +106,29 @@ def test_height_zero_still_runs(flip_doc, pair_doc, capsys):
     assert doc["passed"] is True and doc["height"] == 0 and doc["records"] == []
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "kac", "A3", "--field", "2", "--max-height", "2"],
+        ["indecs", "A3", "--field", "2", "--dim", "1,1,1"],
+        ["ii-indecs", "FLIP", "--field", "2", "--dim", "1,1,1"],
+        ["species-count", "PAIR", "--field", "3", "--dim", "1,2"],
+    ],
+    ids=["verify", "indecs", "ii-indecs", "species-count"],
+)
+def test_cap_below_one_refused(tmp_path, flip_doc, pair_doc, capsys, argv, cap):
+    # a cap of 0 fits no state space, though a reflection chain may end at
+    # one that needs no catalog; every command refuses it alike
+    a3 = tmp_path / "a3.json"
+    a3.write_text(qf.json_dumps(qf.quiver_to_dict(qf.build_a3_flip()[0])))
+    docs = {"A3": str(a3), "FLIP": flip_doc, "PAIR": pair_doc}
+    assert cli.main([docs.get(x, x) for x in argv] + ["--cap-states", cap]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {argv[0]} needs a --cap-states of 1 or more\n"
+
+
 def test_classify_vector_alias(pair_doc, capsys):
     assert cli.main(["classify", pair_doc, "--dim", "1,2"]) == 0
     via_dim = capsys.readouterr().out
@@ -390,8 +413,9 @@ def test_python_m_quiverfold(tmp_path):
 
 def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     """Commands that enumerate no classes never import catalog, theorems or
-    numpy, and a species count or Kac check refused while planning imports
-    no catalog.
+    numpy.  A species count or Kac check whose reflection chains all end
+    without a catalog, or that is refused while planning, imports neither
+    catalog nor reps.
     Each command, run in a fresh interpreter, loads only the submodules it
     uses, and none of the stdlib modules that only a generated record or
     the exact null root needs."""
@@ -402,6 +426,7 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     (tmp_path / "pair.json").write_text(qf.json_dumps(qf.valued_to_dict(pair)))
     (tmp_path / "pair41.json").write_text(qf.json_dumps(qf.valued_to_dict(pair41)))
     (tmp_path / "star.json").write_text(qf.json_dumps(qf.quiver_to_dict(qf.build_dtilde4()[0])))
+    (tmp_path / "a3.json").write_text(qf.json_dumps(qf.quiver_to_dict(line)))
     # each command, and the quiverfold submodules that a cold call of it loads
     runs = {
         "fixtures": (["fixtures"], "cli errors"),
@@ -419,15 +444,23 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
             ["classify", "pair.json", "--dim", "1,2"],
             "cartan cli errors quiver roots serialize",
         ),
+        "kac": (
+            ["verify", "kac", "a3.json", "--field", "2", "--max-height", "4"],
+            "cartan cli errors gf quiver roots serialize theorems",
+        ),
+        "species-count": (
+            ["species-count", "pair.json", "--dim", "1,2", "--field", "3"],
+            "cartan cli errors gf quiver roots serialize skew theorems",
+        ),
         "refused": (
             ["species-count", "pair41.json", "--dim", "1,2", "--field", "3"],
-            "cartan cli errors gf quiver reps roots serialize skew theorems",
+            "cartan cli errors gf quiver roots serialize skew theorems",
         ),
         # no reflection lowers the null root (1,1,1,1,2), 3^8 states
         "refused-kac": (
             ["verify", "kac", "star.json", "--field", "3", "--max-height", "6",
              "--cap-states", "2187"],
-            "cartan cli errors gf quiver reps roots serialize theorems",
+            "cartan cli errors gf quiver roots serialize theorems",
         ),
     }
     code = (
@@ -451,7 +484,7 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         assert doc["stdlib"] == [], name
         assert doc["loaded"] == loads.split(), name
     refused = [docs.pop("refused"), docs.pop("refused-kac")]
-    assert [doc["code"] for doc in docs.values()] == [0] * 6
+    assert [doc["code"] for doc in docs.values()] == [0] * 8
     for doc in refused:
         assert doc["code"] == 2 and doc["error"].startswith("error:")
         assert "refused while planning" in doc["error"]

@@ -19,6 +19,7 @@ from quiverfold.errors import (
     NotPrime,
     TwistPeriodBroken,
 )
+from quiverfold.roots import _nonneg_vectors
 
 
 @pytest.fixture
@@ -34,7 +35,8 @@ def test_ii_classes_full_line(a3_flip, F2):
     assert c.period == 1
     assert c.summand_count == 1
     assert c.member_dims == ((1, 1, 1),)
-    assert c.direct
+    # (1,1,1) is counted at the bottom of its reflection chain
+    assert not c.direct
     rep = c.representative()
     assert rep.dims == (1, 1, 1)
     assert qf.is_indecomposable(rep)
@@ -110,14 +112,18 @@ def test_ii_classes_checks_folded_root(a3_flip, F2, monkeypatch):
 
 
 def test_ii_classes_unmaterialised_base(a3_flip, F2):
+    # the base class is reached only through reflection, and its
+    # representative is reflected back from the bottom of the chain
     q, flip = a3_flip
     classes = qf.ii_classes(flip, (1, 2, 1), F2, state_cap=1)
     assert len(classes) == 1
     c = classes[0]
     assert c.period == 2
     assert not c.direct
-    with pytest.raises(BudgetExceeded):
-        c.base_representation()
+    base = c.base_representation()
+    assert base.quiver == q
+    assert base.dims == c.base_dims
+    assert qf.is_indecomposable(base)
 
 
 def test_ii_classes_refuses_irreducible_blowup(counterexample, F5):
@@ -191,11 +197,15 @@ _ROTATION = qf.build_counterexample()[1]
         # no reflection moves the null root (1,1,1,1,2), whose 3^8 states
         # exceed this cap
         (lambda: qf.verify_kac(_STAR, qf.make_field(3), 6, state_cap=3**7), 3**8),
+        # every vector visited before 2δ = (2,2,2,2,4), with its 32 entries,
+        # reflects to a unit vector, a vector with no entries or a certificate
+        (lambda: qf.verify_kac(_STAR, qf.make_field(2), 12), 2**32),
         (lambda: qf.verify_main_theorem(_ROTATION, qf.make_field(5), 2, state_cap=100), 5**4),
         (lambda: qf.verify_species_theorem(_PAIR41, 2, 3, state_cap=2**16), 16**8),
         (lambda: qf.multiset_crosscheck(_STAR, qf.make_field(2), 6, state_cap=2**8), 2**9),
     ],
-    ids=["species_count", "verify_kac", "verify_main", "verify_species", "multisets"],
+    ids=["species_count", "verify_kac", "verify_kac_2delta", "verify_main", "verify_species",
+         "multisets"],
 )
 def test_refusal_builds_nothing(monkeypatch, job, predicted):
     # every job plans its vectors before the first build, so an oversized
@@ -212,6 +222,20 @@ def test_refusal_builds_nothing(monkeypatch, job, predicted):
         job()
     assert ei.value.predicted == predicted
     assert catalog._STORE == stored
+
+
+@pytest.mark.parametrize(
+    "quiver, q, height",
+    [(_STAR, 2, 6), (qf.build_a3_flip()[0], 3, 4)],
+    ids=["star-gf2", "a3-gf3"],
+)
+def test_verify_kac_counts_match_direct_enumeration(quiver, q, height):
+    # the reflection chains against a catalog of every vector itself
+    fld = qf.make_field(q)
+    counts = {r.vector: r.count for r in qf.verify_kac(quiver, fld, height).records}
+    for d in _nonneg_vectors(len(quiver.vertices), height):
+        direct = qf.isoclasses(quiver, d, fld).indec_class_ids()
+        assert counts.get(d, 0) == len(direct), d
 
 
 def test_verify_kac_counts_past_the_cap_by_reflection():
