@@ -51,16 +51,20 @@ with those matrices is applied to every block, and the result is looked up
 in the labels of slice (j, k).  A state whose block j is already N_k is
 looked up as it is.
 
-Indecomposability flags for a whole catalog come from a direct-sum sieve:
-a class is decomposable exactly when it holds X + Y with X indecomposable
-at a proper sub-vector beta.  The sieve walks the memoised box below d once
-and pairs only the beta that carry an indecomposable with the classes at
-d - beta.  The idempotent search in reps stays as a second, tested route.
+Indecomposability flags come from the end ring.  By Fitting's lemma X is
+indecomposable exactly when End(X) is local (Assem, Simson and Skowroński,
+Elements of the Representation Theory of Associative Algebras 1, 2006),
+and then |Aut(X)| = q^e - q^(e-r), with e = dim End(X) and q^r the size of
+End(X) modulo its radical; for a decomposable X, |Aut(X)| / q^e is a
+product of two or more factors 1 - q^-a, never 1 - q^-r.  As |Aut(X)| is
+|G| over the size of X's class, the flags need no other catalog.  The
+idempotent search in reps stays as a second, tested route.
 """
 
 from __future__ import annotations
 
 import os
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -69,11 +73,11 @@ from .errors import (
     SpaceMismatch,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, _box, _orbit, _record
+from .quiver import Automorphism, Quiver, _orbit, _record
 from .reps import (
     Mat,
     Representation,
-    direct_sum,
+    end_ring,
     identity,
     rref,
     transpose,
@@ -556,7 +560,7 @@ class IsoClassCatalog:
     @property
     def indec_flags(self) -> np.ndarray:
         if self._indec is None:
-            self._indec = _sieve_indec(self)
+            self._indec = _end_ring_flags(self)
         return self._indec
 
     def indec_class_ids(self) -> tuple[int, ...]:
@@ -649,22 +653,16 @@ def isoclasses(
     return cat
 
 
-def _sieve_indec(cat: IsoClassCatalog) -> np.ndarray:
-    # the zero representation is not indecomposable, and has no sub-vectors
-    flags = np.full(cat.n_classes, any(cat.dims))
-    q, f, cap = cat.quiver, cat.field, cat.space.size + 1
-    for beta in _box(cat.dims):
-        if beta == cat.dims:
-            continue
-        sub = isoclasses(q, beta, f, state_cap=cap)
-        if not sub.indec_class_ids():
-            continue
-        comp = isoclasses(q, tuple(a - b for a, b in zip(cat.dims, beta)), f, state_cap=cap)
-        for ii in sub.indec_class_ids():
-            left = sub.representative(ii)
-            for cj in range(comp.n_classes):
-                total = direct_sum(left, comp.representative(cj))
-                flags[cat.class_of(total)] = False
+def _end_ring_flags(cat: IsoClassCatalog) -> np.ndarray:
+    q = cat.field.q
+    group = prod(_rank_count(q, d, d, d) for d in cat.dims)  # GL(d) is the rank-d d x d matrices
+    flags = np.zeros(cat.n_classes, dtype=bool)
+    for ci, size in enumerate(cat.sizes.tolist()):
+        aut, rem = divmod(group, size)
+        if rem:
+            raise OrbitPartitionBroken(f"size {size} of class {ci} does not divide |G| = {group}")
+        e = end_ring(cat.representative(ci)).dim
+        flags[ci] = any(aut == q**e - q ** (e - r) for r in range(1, e + 1))
     return flags
 
 

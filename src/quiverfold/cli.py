@@ -193,9 +193,9 @@ def _cmd_indecs(ns: argparse.Namespace) -> int:
     cat = isoclasses(q, ns.dim, fld, state_cap=ns.cap_states)
     reps = indecomposable_classes(q, ns.dim, fld, state_cap=ns.cap_states)
     if ns.cap_end is not None:
-        for rep in reps:
-            if not is_indecomposable(rep, end_cap=ns.cap_end):
-                raise CrossCheckFailed("sieve and endomorphism search disagree")
+        for ci, flag in enumerate(cat.indec_flags.tolist()):
+            if is_indecomposable(cat.representative(ci), end_cap=ns.cap_end) != flag:
+                raise CrossCheckFailed("end-ring test and endomorphism search disagree")
     doc = {
         "catalog": catalog_to_dict(cat),
         "indecomposables": [rep_to_dict(r) for r in reps],

@@ -95,8 +95,8 @@ class TwistPeriodBroken(QuiverFoldError):
 # cross-checks
 
 class CrossCheckFailed(QuiverFoldError):
-    """Two routes to the same answer disagree, e.g. the indecomposability
-    sieve and the endomorphism search, or a search and its closed form."""
+    """Two routes to the same answer disagree, e.g. the end-ring test and the
+    endomorphism search on a class's flag, or a search and its closed form."""
 
 
 # finite fields

@@ -7,7 +7,6 @@ explicit GL generators, idempotent search for indecomposability).
 
 import importlib.util
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,8 @@ from quiverfold.errors import (
     SpaceMismatch,
     TwistPeriodBroken,
 )
-from quiverfold.reps import identity, mat_mul, rank
+from quiverfold.quiver import _box
+from quiverfold.reps import direct_sum, identity, mat_mul, rank
 
 
 def test_a2_f2_small(a2, F2):
@@ -458,26 +458,91 @@ def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkey
          "star-delta-gf2"],
 )
 def test_sieve_matches_idempotent_search(name, dims, p, a3, dtilde4):
-    """Class by class, the sieve's flag is the idempotent search's verdict on
-    the class representative.  The cases include sub-vectors with no
-    indecomposable, such as (0, 2) on Kronecker and (0, 2, 0) on a3, which
-    the sieve does not pair."""
+    """Class by class, the end-ring test's flag is the idempotent search's
+    verdict on the class representative.  The cases include vectors where
+    the residue field of an indecomposable's end ring is larger than F_q,
+    such as Kronecker (2, 2) over GF(2), with End = F_4."""
     cat = isoclasses(_quiver(name, a3, dtilde4), dims, qf.make_field(p))
     flags = [qf.is_indecomposable(cat.representative(ci)) for ci in range(cat.n_classes)]
     assert cat.indec_flags.tolist() == flags
 
 
-def test_sieve_stores_its_box(dtilde4, F2):
-    """Sieving star delta builds exactly the catalogs of the nonzero vectors
-    below it, each once: 47 of them, delta included."""
+def _sieve_flags(cat, memo):
+    """The direct-sum sieve that flagged indecomposables before the end-ring
+    test, kept as a reference: a class is decomposable exactly when it holds
+    X + Y with X indecomposable at a proper sub-vector beta.  It walks the
+    box below d and pairs only the beta that carry an indecomposable with
+    the classes at d - beta.  It reads the flags of each sub-catalog from
+    itself, memoised in ``memo``, never from ``indec_flags``."""
+    if cat in memo:
+        return memo[cat]
+    # the zero representation is not indecomposable, and has no sub-vectors
+    flags = np.full(cat.n_classes, any(cat.dims))
+    q, f, cap = cat.quiver, cat.field, cat.space.size + 1
+    for beta in _box(cat.dims):
+        if beta == cat.dims:
+            continue
+        sub = isoclasses(q, beta, f, state_cap=cap)
+        sub_ids = np.flatnonzero(_sieve_flags(sub, memo)).tolist()
+        if not sub_ids:
+            continue
+        comp = isoclasses(q, tuple(a - b for a, b in zip(cat.dims, beta)), f, state_cap=cap)
+        for ii in sub_ids:
+            left = sub.representative(ii)
+            for cj in range(comp.n_classes):
+                total = direct_sum(left, comp.representative(cj))
+                flags[cat.class_of(total)] = False
+    memo[cat] = flags
+    return flags
+
+
+@pytest.mark.parametrize(
+    "name, dims, p, m",
+    [
+        ("star", (1, 1, 1, 1, 2), 2, 1),
+        ("star", (1, 1, 1, 1, 2), 2, 2),
+        ("kronecker", (2, 2), 2, 1),
+        ("kronecker", (2, 2), 2, 2),
+        ("counterexample", (1, 1, 1, 1, 1), 5, 1),
+    ],
+    ids=["star-delta-gf2", "star-delta-gf4", "kronecker-22-gf2", "kronecker-22-gf4",
+         "cx-11111-gf5"],
+)
+def test_end_ring_flags_match_direct_sum_sieve(name, dims, p, m, a3, dtilde4):
+    """On every catalog of the box below dims, dims included, the end-ring
+    test flags exactly the classes that the direct-sum sieve leaves."""
+    quiver, fld, memo = _quiver(name, a3, dtilde4), qf.make_field(p, m), {}
+    for beta in _box(dims):
+        cat = isoclasses(quiver, beta, fld)
+        assert cat.indec_flags.tolist() == _sieve_flags(cat, memo).tolist(), beta
+
+
+def test_flags_build_no_other_catalog(dtilde4, F2):
+    """Flagging star delta leaves delta's catalog alone in the store."""
     star = dtilde4[0]
     delta = (1, 1, 1, 1, 2)
     clear_catalog_store()
     isoclasses(star, delta, F2).indec_flags
-    below = {b for b in product(*(range(x + 1) for x in delta)) if any(b)}
-    assert len(below) == 47
-    assert set(cat_mod._STORE) == {(star, 2, 1, b) for b in below}
+    assert set(cat_mod._STORE) == {(star, 2, 1, delta)}
     clear_catalog_store()
+
+
+def test_orbit_size_must_divide_the_group(a3, F3, monkeypatch):
+    # |G| = 2 * 48 * 2 = 192 at (1, 2, 1) over GF(3), and 5 does not divide it
+    cat = isoclasses(a3, (1, 2, 1), F3)
+    sizes = cat.sizes.copy()
+    sizes[1] = 5
+    monkeypatch.setattr(cat, "sizes", sizes)
+    monkeypatch.setattr(cat, "_indec", None)
+    monkeypatch.setattr(cat, "_indec_ids", None)
+    with pytest.raises(
+        OrbitPartitionBroken, match=r"^size 5 of class 1 does not divide \|G\| = 192$"
+    ):
+        cat.indec_flags
+    assert cat._indec is None
+    with pytest.raises(OrbitPartitionBroken):
+        cat.indec_class_ids()
+    assert cat._indec_ids is None
 
 
 def test_indec_class_ids_cached(dtilde4, F2):

@@ -206,7 +206,20 @@ def test_indecs_crosscheck_disagreement_exits_two(flip_doc, capsys, monkeypatch)
     )
     assert code == 2
     captured = capsys.readouterr()
-    assert "error: sieve and endomorphism search disagree" in captured.err
+    assert "error: end-ring test and endomorphism search disagree" in captured.err
+    assert captured.out == ""
+
+
+def test_indecs_crosscheck_checks_decomposable_classes(flip_doc, capsys, monkeypatch):
+    # a search that calls every class indecomposable disagrees on the three
+    # decomposable classes, which the flags do not list
+    monkeypatch.setattr(reps, "is_indecomposable", lambda *a, **k: True)
+    code = cli.main(
+        ["indecs", flip_doc, "--field", "2", "--dim", "1,1,1", "--cap-end", "4096"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: end-ring test and endomorphism search disagree" in captured.err
     assert captured.out == ""
 
 
