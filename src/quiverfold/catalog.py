@@ -57,8 +57,11 @@ Elements of the Representation Theory of Associative Algebras 1, 2006),
 and then |Aut(X)| = q^e - q^(e-r), with e = dim End(X) and q^r the size of
 End(X) modulo its radical; for a decomposable X, |Aut(X)| / q^e is a
 product of two or more factors 1 - q^-a, never 1 - q^-r.  As |Aut(X)| is
-|G| over the size of X's class, the flags need no other catalog.  The
-idempotent search in reps stays as a second, tested route.
+|G| over the size of X's class, the flags need no other catalog.  End(X)
+and Ext(X, X) are the kernel and cokernel of one intertwiner map, from
+sum d_v^2 to entry_count(d) dimensions, so e is the Tits form of d plus
+``ext_dim(X, X)`` and no basis of End(X) is built.  The idempotent search
+in reps stays as a second, tested route.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .quiver import Automorphism, Quiver, _orbit, _record
 from .reps import (
     Mat,
     Representation,
-    end_ring,
+    ext_dim,
     identity,
     rref,
     transpose,
@@ -656,12 +659,14 @@ def isoclasses(
 def _end_ring_flags(cat: IsoClassCatalog) -> np.ndarray:
     q = cat.field.q
     group = prod(_rank_count(q, d, d, d) for d in cat.dims)  # GL(d) is the rank-d d x d matrices
+    tits = sum(d * d for d in cat.dims) - cat.quiver.entry_count(cat.dims)
     flags = np.zeros(cat.n_classes, dtype=bool)
     for ci, size in enumerate(cat.sizes.tolist()):
         aut, rem = divmod(group, size)
         if rem:
             raise OrbitPartitionBroken(f"size {size} of class {ci} does not divide |G| = {group}")
-        e = end_ring(cat.representative(ci)).dim
+        rep = cat.representative(ci)
+        e = tits + ext_dim(rep, rep)
         flags[ci] = any(aut == q**e - q ** (e - r) for r in range(1, e + 1))
     return flags
 
@@ -678,18 +683,20 @@ def indecomposable_classes(
 
 
 def twisted_class(
-    cat: IsoClassCatalog, ci: int, b: Automorphism, s: int, state_cap: int
+    cat: IsoClassCatalog, ci: int, b: Automorphism, s: int
 ) -> tuple[tuple[int, ...], int]:
     """The dimension vector and class id of the twist of class ci: the s-th
     Frobenius power of its representative, then the automorphism b.  The
-    class is looked up in the catalog at the twisted dimension vector."""
+    class is looked up in the catalog at the twisted dimension vector, which
+    has exactly cat's state count: b permutes the matrix entries and
+    Frobenius keeps the dims, so that count is its cap."""
     rep = cat.representative(ci)
     if b.is_identity and s % cat.field.m == 0:
         return cat.dims, ci
     if s % cat.field.m:
         rep = twist_frobenius(rep, s)
     rep = twist_auto(b, rep)
-    got = isoclasses(cat.quiver, rep.dims, cat.field, state_cap=state_cap)
+    got = isoclasses(cat.quiver, rep.dims, cat.field, state_cap=cat.space.size)
     return rep.dims, got.class_of(rep)
 
 
@@ -701,7 +708,7 @@ def _period(cat: IsoClassCatalog, ci: int, b: Automorphism, s: int, order: int) 
 
     def step(h):
         dims, cj = h
-        return twisted_class(isoclasses(cat.quiver, dims, cat.field, state_cap=cap), cj, b, s, cap)
+        return twisted_class(isoclasses(cat.quiver, dims, cat.field, state_cap=cap), cj, b, s)
 
     return len(_orbit((cat.dims, ci), step, order))
 

@@ -53,7 +53,7 @@ def _need_quiver(doc: dict) -> tuple[Quiver, Automorphism | None]:
 
 
 def _need_auto(doc: dict) -> Automorphism:
-    q, a = _need_quiver(doc)
+    _, a = _need_quiver(doc)
     if a is None:
         raise QuiverFoldError("this command needs an 'automorphism' entry")
     return a
@@ -184,14 +184,14 @@ def _cmd_indecs(ns: argparse.Namespace) -> int:
     from .reps import is_indecomposable
     from .serialize import catalog_to_dict, rep_to_dict
     # catalog loads numpy, so it comes last (see the note in catalog)
-    from .catalog import indecomposable_classes, isoclasses
+    from .catalog import isoclasses
 
     if ns.field is None or ns.dim is None:
         raise QuiverFoldError("indecs needs --field and --dim")
     q, _ = _need_quiver(_load_document(ns.input))
     fld = field_from_spec(ns.field)
     cat = isoclasses(q, ns.dim, fld, state_cap=ns.cap_states)
-    reps = indecomposable_classes(q, ns.dim, fld, state_cap=ns.cap_states)
+    reps = [cat.representative(ci) for ci in cat.indec_class_ids()]
     if ns.cap_end is not None:
         for ci, flag in enumerate(cat.indec_flags.tolist()):
             if is_indecomposable(cat.representative(ci), end_cap=ns.cap_end) != flag:

@@ -302,12 +302,6 @@ class FiniteField:
                 f"dense field tables capped at q <= {_TABLE_CAP}", predicted=self.q
             )
         dtype = np.uint8 if self.q <= 256 else np.uint16
-        if self.m == 1:
-            ar = np.arange(self.q, dtype=np.int64)
-            add = (ar[:, None] + ar[None, :]) % self.p
-            mul = (ar[:, None] * ar[None, :]) % self.p
-            return add.astype(dtype), mul.astype(dtype)
-
         digits = np.array([self.coeffs(x) for x in range(self.q)], dtype=np.int64)
         powers = self.p ** np.arange(self.m, dtype=np.int64)
         sums = (digits[:, None, :] + digits[None, :, :]) % self.p

@@ -285,11 +285,7 @@ class Automorphism:
         return self.order == 1
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(
-            self.quiver,
-            tuple(self.inverse_vertex_map[v] for v in self.quiver.vertices),
-            tuple(self.inverse_arrow_map[r.id] for r in self.quiver.arrows),
-        )
+        return self.power(-1)
 
     def power(self, k: int) -> "Automorphism":
         """a^k: each vertex and each arrow moves k steps along its orbit."""

@@ -489,8 +489,6 @@ def twist_auto(a: Automorphism, x: Representation) -> Representation:
     if a.quiver != x.quiver:
         raise FieldMismatch("automorphism and representation live on different quivers")
     q = x.quiver
-    idx = q.vertex_index
-    inv_v = a.inverse_vertex_map
     inv_a = a.inverse_arrow_map
     dims = act_on_dimension_vector(a, x.dims)
     mats = tuple(x.matrix_of[inv_a[r.id]] for r in q.arrows)
@@ -574,8 +572,7 @@ def reflection_functor(x: Representation, vertex: str, direction: str) -> Repres
         acc += d
 
     new_mats: list[Mat] = []
-    for k, arr in enumerate(new_quiver.arrows):
-        old = q.arrows[k]
+    for k, old in enumerate(q.arrows):
         if old.target != vertex:
             new_mats.append(x.matrices[k])
             continue

@@ -81,11 +81,7 @@ def apply_reflections(
 def s_fold(a: Automorphism, orbit: int | Iterable[str], v: Sequence[int]) -> tuple[int, ...]:
     """Product of the simple reflections over one vertex orbit (they commute
     because admissibility keeps orbit vertices non-adjacent)."""
-    lat = quiver_lattice(a.quiver)
-    out = lat.check_vector(v)
-    for name in _orbit_members(a, orbit):
-        out = reflect(lat, name, out)
-    return out
+    return apply_reflections(quiver_lattice(a.quiver), _orbit_members(a, orbit), v)
 
 
 # --- classification ---

@@ -17,11 +17,13 @@ Every vector is counted at the bottom of its chain of reflections: at a
 vertex orbit that is entirely sinks or entirely sources, the reflection
 functors give a twist-compatible bijection between indecomposable classes at
 d and at the reflected dimension vector, so counting moves to the lower
-side.  The chain ends at a vector with no matrix entries, where the zero
-maps are indecomposable exactly at a unit vector; at a negative entry, which
-certifies that no indecomposable exists; or where no reflection lowers the
-height.  Only that last end builds a catalog, and an oversized one is
-refused with the exact blowup figure rather than approximated.
+side.  A step reorients the quiver at that one sink or source orbit; the
+orbits, the symmetric form and the twist stay the job's.  The chain ends
+at a vector with no matrix entries, where the zero maps are indecomposable
+exactly at a unit vector; at a negative entry, which certifies that no
+indecomposable exists; or where no reflection lowers the height.  Only
+that last end builds a catalog, and an oversized one is refused with the
+exact blowup figure rather than approximated.
 
 Every twist-orbit job runs on one ``_TwistOrbitEngine``, which owns the
 job's plan: the reduction context of each vector the job will visit is
@@ -37,7 +39,8 @@ The engine's twist is one datum, ``(power, frobenius)``: the
 ``frobenius``-th Frobenius power, then the automorphism ``a**power``.  An
 automorphism job twists by (1, 0), a species job by (-1, m) on the
 unfolding, m the base field's degree; ``catalog.twisted_class`` takes one
-step of either.  ``skew`` loads only for a species job, to unfold.
+step of either, with ``a**power`` carried to the bottom's orientation.
+``skew`` loads only for a species job, to unfold.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .errors import (
 )
 from .gf import FiniteField, make_field, prime_power
 from .quiver import Automorphism, Quiver, _box, _cycles, act_on_dimension_vector, _record
-from .roots import _nonneg_vectors, classify, s_fold
+from .roots import _nonneg_vectors, apply_reflections, classify
 
 if TYPE_CHECKING:
     from .reps import Representation
@@ -69,15 +72,12 @@ Vec = tuple[int, ...]
 @_record
 class _ReductionContext:
     """Where the indecomposable classes at one dimension vector are counted:
-    possibly on a reorientation of the quiver at a smaller vector."""
+    possibly on a reorientation of the job's quiver at a smaller vector,
+    which is all that a reflection changes."""
 
-    auto: Automorphism  # the transported automorphism; its quiver is current
+    quiver: Quiver
     dims: Vec
     steps: tuple[tuple[tuple[str, ...], str], ...]
-
-    @property
-    def is_direct(self) -> bool:
-        return not self.steps
 
 
 def _reduce_context(
@@ -93,19 +93,21 @@ def _reduce_context(
     dims beta exists at all.  Raises BudgetExceeded when the bottom's state
     space is over the cap.  Builds no catalog.
     """
-    cur_a = a
-    cur_dims = a.quiver.check_vector(beta)
+    q = a.quiver
+    lat = quiver_lattice(q)
+    cur_dims = q.check_vector(beta)
     steps: list[tuple[tuple[str, ...], str]] = []
-    while n_entries := (q := cur_a.quiver).entry_count(cur_dims):
+    while n_entries := q.entry_count(cur_dims):
         best = None
-        for orbit in cur_a.vertex_orbits:
+        for orbit in a.vertex_orbits:
             if all(q.is_sink(v) for v in orbit):
                 direction = "+"
             elif all(q.is_source(v) for v in orbit):
                 direction = "-"
             else:
                 continue
-            new_dims = s_fold(cur_a, orbit, cur_dims)
+            # an orbit's vertices are pairwise non-adjacent: its reflections commute
+            new_dims = apply_reflections(lat, orbit, cur_dims)
             if min(new_dims) < 0:
                 return None
             if sum(new_dims) < sum(best[2] if best else cur_dims):
@@ -125,10 +127,8 @@ def _reduce_context(
             )
         orbit, direction, cur_dims = best
         steps.append((orbit, direction))
-        cur_a = Automorphism(
-            q.reversed_at(orbit), cur_a.vertex_image, cur_a.arrow_image
-        )
-    return _ReductionContext(cur_a, cur_dims, tuple(steps))
+        q = q.reversed_at(orbit)
+    return _ReductionContext(q, cur_dims, tuple(steps))
 
 
 # --- twist-orbit engine ---
@@ -146,12 +146,12 @@ class _TwistOrbitEngine:
     ):
         self.a = a
         self.field = fld
-        self.power = power
+        self.twist = a.power(power)
         self.frobenius = frobenius
         self.order_bound = a.order
         self.state_cap = state_cap
         # each handle is its own orbit, at its own d
-        self.trivial = a.power(power).is_identity and frobenius % fld.m == 0
+        self.trivial = self.twist.is_identity and frobenius % fld.m == 0
         self.contexts: dict[Vec, _ReductionContext | None] = {}
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
         self.images: dict[Handle, Handle] = {}  # handle -> its twist
@@ -176,7 +176,7 @@ class _TwistOrbitEngine:
         ctx = self.contexts[beta]
         if ctx is None:
             hs: tuple[Handle, ...] = ()
-        elif not (qr := ctx.auto.quiver).entry_count(ctx.dims):
+        elif not (qr := ctx.quiver).entry_count(ctx.dims):
             # the zero maps are indecomposable exactly at a unit vector
             hs = ((beta, qr, ctx.dims, 0),) if sum(ctx.dims) == 1 else ()
         else:
@@ -201,14 +201,14 @@ class _TwistOrbitEngine:
 
     def t_handle(self, h: Handle) -> Handle:
         beta, qr, gamma, cid = h
-        # the transported automorphism moves vertices as a does
-        b = self.contexts[beta].auto.power(self.power)
+        # a**power carried to the bottom's orientation: the same vertex and arrow images
+        b = Automorphism(qr, self.twist.vertex_image, self.twist.arrow_image)
         beta2 = act_on_dimension_vector(b, beta)
         if qr.entry_count(gamma):
             from .catalog import isoclasses, twisted_class
 
             cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
-            h2 = (beta2, qr, *twisted_class(cat, cid, b, self.frobenius, self.state_cap))
+            h2 = (beta2, qr, *twisted_class(cat, cid, b, self.frobenius))
         else:
             h2 = (beta2, qr, act_on_dimension_vector(b, gamma), 0)
         if beta2 not in self.contexts or h2 not in self.handles_at(beta2):
@@ -261,7 +261,7 @@ class IIClass:
         from .reps import s_fold_functor, simple_representation
 
         ctx = _reduce_context(self._auto, self.base_dims, self._field, self._state_cap)
-        qr = ctx.auto.quiver
+        qr = ctx.quiver
         if qr.entry_count(ctx.dims):
             from .catalog import isoclasses
 
@@ -306,7 +306,6 @@ def ii_classes(
     out = []
     for orbit in engine.orbits_summing_to(dd):
         beta, _, _, cid = orbit[0]
-        ctx = engine.contexts[beta]
         out.append(
             IIClass(
                 total_dims=dd,
@@ -314,7 +313,7 @@ def ii_classes(
                 member_dims=tuple(h[0] for h in orbit),
                 base_dims=beta,
                 base_class_id=cid,
-                direct=ctx is not None and ctx.is_direct,
+                direct=not engine.contexts[beta].steps,
                 _auto=a,
                 _field=fld,
                 _state_cap=state_cap,

@@ -682,7 +682,7 @@ def test_ids_and_states_outside_their_range(a3, F2, past_end):
     with pytest.raises(SpaceMismatch, match=f"class id {ci} "):
         frobenius_period(cat, ci)
     with pytest.raises(SpaceMismatch, match=f"class id {ci} "):
-        twisted_class(cat, ci, qf.Automorphism.identity(a3), 0, cat.space.size)
+        twisted_class(cat, ci, qf.Automorphism.identity(a3), 0)
 
 
 def test_auto_period_needs_the_catalogs_quiver(a2, a3_flip, F2):

@@ -154,6 +154,8 @@ def test_solve_univariate():
     F4 = qf.make_field(2, 2)
     # t^2 + t + 1 splits over GF(4) with roots 2 and 3
     assert qf.solve_univariate(F4, (1, 1, 1)) == (2, 3)
+    # the zero polynomial vanishes everywhere, however it is written
+    assert qf.solve_univariate(F5, (0, 5, -5)) == (0, 1, 2, 3, 4)
 
 
 def test_subfield_embedding():
@@ -176,9 +178,12 @@ def test_subfield_embedding():
 
 
 def test_bulk_tables():
-    f4 = qf.make_field(2, 2)
-    add, mul = f4.tables()
-    for a in range(4):
-        for b in range(4):
-            assert add[a, b] == f4.add(a, b)
-            assert mul[a, b] == f4.mul(a, b)
+    # prime fields and extensions share one exp/log table builder
+    for p, m in [(2, 2), (2, 1), (5, 1), (7, 1), (3, 2)]:
+        f = qf.make_field(p, m)
+        add, mul = f.tables()
+        assert add.shape == mul.shape == (f.q, f.q)
+        for a in range(f.q):
+            for b in range(f.q):
+                assert add[a, b] == f.add(a, b)
+                assert mul[a, b] == f.mul(a, b)

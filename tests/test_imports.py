@@ -1,4 +1,5 @@
-"""Every name a module imports is read in the scope that imports it.
+"""Every name a module imports is read in the scope that imports it, and
+every name a function stores is read in that function or a scope nested in it.
 
 An unused import still costs its compile and import time in every cold
 process, and a top-level one can load a whole submodule for nothing.  The
@@ -69,6 +70,61 @@ def test_the_scan_finds_an_unused_import():
         "    return make_field\n"
     )
     assert _unused_imports(tree) == [(1, "json"), (2, "gcd"), (4, "rank")]
+
+
+def _unread_locals(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name a function stores and neither it nor a
+    scope nested in it ever reads.  Names that start with ``_`` are stored
+    unread on purpose, and a ``global`` or ``nonlocal`` name is not local."""
+    out = []
+    for scope in (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)):
+        # stores of an inner function belong to that function's scope
+        nested = {
+            id(inner)
+            for n in ast.walk(scope)
+            if n is not scope and isinstance(n, FUNCTIONS)
+            for inner in ast.walk(n)
+        }
+        read, stored, shared = set(), {}, set()
+        for n in ast.walk(scope):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif id(n) in nested:
+                continue
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored.setdefault(n.id, n.lineno)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                shared.update(n.names)
+        out += [
+            (line, name)
+            for name, line in stored.items()
+            if name not in read and name not in shared and not name.startswith("_")
+        ]
+    return sorted(out)
+
+
+def test_no_unread_locals():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        unread = _unread_locals(ast.parse(path.read_text(encoding="utf-8")))
+        if unread:
+            found[path.name] = unread
+    assert found == {}
+
+
+def test_the_scan_finds_an_unread_local():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    k, v = xs\n"
+        "    for i, x in enumerate(xs):\n"
+        "        _, y = x\n"
+        "    def g():\n"
+        "        nonlocal v\n"
+        "        v = y\n"
+        "        w = 1\n"
+        "    return g, v\n"
+    )
+    assert _unread_locals(tree) == [(2, "k"), (3, "i"), (8, "w")]
 
 
 def _generated_code(tree: ast.Module) -> list[tuple[int, str]]:

@@ -126,6 +126,8 @@ def test_reflection_functor(a2, F2):
         qf.reflection_functor(p, "u", "+")
     with pytest.raises(NotSource):
         qf.reflection_functor(p, "v", "-")
+    with pytest.raises(ValueError, match="direction must be"):
+        qf.reflection_functor(p, "v", "*")
 
 
 def test_reflection_dimension_identity(a3, F2):

@@ -88,6 +88,18 @@ def test_classify_imaginary_and_nonroot(dtilde4):
     cn = qf.classify(lat, (2, 1))
     assert cn.kind == "nonroot"
     assert cn.reason
+    mixed = qf.classify(lat, (1, -1))
+    assert (mixed.kind, mixed.reason) == ("nonroot", "mixed signs")
+    # two disjoint Kronecker quivers: (1, 1, 1, 1) pairs to zero everywhere
+    two = qf.quiver_lattice(
+        qf.validate_quiver(
+            ["a", "b", "c", "d"],
+            [("x", "a", "b"), ("y", "a", "b"), ("z", "c", "d"), ("w", "c", "d")],
+        )
+    )
+    split = qf.classify(two, (1, 1, 1, 1))
+    assert split.kind == "nonroot"
+    assert split.reason == "fundamental-region vector with disconnected support"
     with pytest.raises(ZeroVector):
         qf.classify(lat, (0, 0))
 

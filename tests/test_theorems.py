@@ -111,6 +111,20 @@ def test_ii_classes_checks_folded_root(a3_flip, F2, monkeypatch):
         qf.ii_classes(a3_flip[1], (1, 2, 1), F2)
 
 
+def test_engine_checks_the_twisted_class(counterexample, F5, monkeypatch):
+    # a twist that lands on no computed class breaks the reduction chain
+    from quiverfold import catalog
+
+    twisted_class = catalog.twisted_class
+    monkeypatch.setattr(
+        catalog,
+        "twisted_class",
+        lambda cat, ci, b, s: (twisted_class(cat, ci, b, s)[0], cat.n_classes),
+    )
+    with pytest.raises(CrossCheckFailed, match="twisting left the computed class sets"):
+        qf.ii_classes(counterexample[1], (1, 1, 1, 1, 1), F5)
+
+
 def test_ii_classes_unmaterialised_base(a3_flip, F2):
     # the base class is reached only through reflection, and its
     # representative is reflected back from the bottom of the chain
