@@ -323,57 +323,68 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="quiverfold",
-        description="fold quivers into Cartan data and verify the "
-        "dimension-vector theorems at desk scale",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    # each subcommand takes only the options it reads
-    cmds = {}
-    for name in ("fold", "unfold", "skew", "roots", "classify", "indecs",
-                 "ii-indecs", "species-count", "verify"):
-        cmds[name] = p = sub.add_parser(name)
-        if name == "verify":
-            p.add_argument(
-                "which", choices=["kac", "main", "species", "multisets"],
-                help="which counting statement to check",
-            )
-        p.add_argument("input", help="path to a JSON document ('-' for stdin)")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    for name in ("indecs", "ii-indecs", "species-count", "verify"):
-        cmds[name].add_argument("--field", help="finite field by its size, e.g. 5, 4 or 2^2")
-        cmds[name].add_argument(
+def _add_command(sub, name: str) -> None:
+    """The subparser of one command, with only the options it reads."""
+    p = sub.add_parser(name)
+    if name == "fixtures":
+        p.add_argument("name", nargs="?", help="fixture to print (omit to list)")
+        return
+    if name == "verify":
+        p.add_argument(
+            "which", choices=["kac", "main", "species", "multisets"],
+            help="which counting statement to check",
+        )
+    p.add_argument("input", help="path to a JSON document ('-' for stdin)")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    if name in ("indecs", "ii-indecs", "species-count", "verify"):
+        p.add_argument("--field", help="finite field by its size, e.g. 5, 4 or 2^2")
+        p.add_argument(
             "--cap-states",
             type=int,
             default=2**24,
             help="largest state space that will be enumerated directly",
         )
-    for name in ("roots", "verify"):
-        cmds[name].add_argument("--max-height", type=int, help="height bound for sweeps")
-    for name in ("classify", "indecs", "ii-indecs", "species-count"):
-        cmds[name].add_argument(
+    if name in ("roots", "verify"):
+        p.add_argument("--max-height", type=int, help="height bound for sweeps")
+    if name in ("classify", "indecs", "ii-indecs", "species-count"):
+        p.add_argument(
             "--dim",
             "--vector",
             dest="dim",
             type=_parse_dims,
             help="comma-separated dimension vector, e.g. 1,2,1",
         )
-    cmds["indecs"].add_argument(
-        "--cap-end",
-        type=int,
-        default=None,
-        help="when set, cross-check indecomposability flags by endomorphism "
-        "search up to this ring size",
+    if name == "indecs":
+        p.add_argument(
+            "--cap-end",
+            type=int,
+            default=None,
+            help="when set, cross-check indecomposability flags by endomorphism "
+            "search up to this ring size",
+        )
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: a request that
+    names a known command reads no other subparser."""
+    ap = argparse.ArgumentParser(
+        prog="quiverfold",
+        description="fold quivers into Cartan data and verify the "
+        "dimension-vector theorems at desk scale",
     )
-    p_fix = sub.add_parser("fixtures")
-    p_fix.add_argument("name", nargs="?", help="fixture to print (omit to list)")
+    sub = ap.add_subparsers(dest="command", required=True)
+    if command:
+        # the usage still lists every command; only the full parser, which
+        # names this argument by its dest, reports a missing or unknown one
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in [command] if command else _COMMANDS:
+        _add_command(sub, name)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    args = sys.argv[1:] if argv is None else argv
+    ns = build_parser(args[0] if args and args[0] in _COMMANDS else None).parse_args(args)
     try:
         if getattr(ns, "cap_states", 1) < 1:
             raise QuiverFoldError(f"{ns.command} needs a --cap-states of 1 or more")

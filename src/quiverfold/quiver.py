@@ -246,10 +246,6 @@ class Automorphism:
         return {r.id: img for r, img in zip(self.quiver.arrows, self.arrow_image)}
 
     @cached_property
-    def inverse_vertex_map(self) -> dict[str, str]:
-        return {img: v for v, img in self.vertex_map.items()}
-
-    @cached_property
     def inverse_arrow_map(self) -> dict[str, str]:
         return {img: r for r, img in self.arrow_map.items()}
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from .cartan import FoldData, ValuedQuiver, make_valued_quiver
 from .errors import Incompatible
 from .quiver import Automorphism, Quiver, validate_automorphism, validate_quiver
 
 if TYPE_CHECKING:
+    from .cartan import FoldData, ValuedQuiver
     from .catalog import IsoClassCatalog
     from .reps import Representation
     from .skew import SkewQuiver
@@ -63,6 +63,8 @@ def valued_to_dict(vq: ValuedQuiver) -> dict:
 
 
 def valued_from_dict(doc: dict) -> ValuedQuiver:
+    from .cartan import make_valued_quiver
+
     for key in ("vertices", "d", "edges"):
         if key not in doc:
             raise Incompatible(f"valued quiver document needs {key!r}")

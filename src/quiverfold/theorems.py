@@ -35,6 +35,13 @@ catalog is built, so a twist-engine job whose chains all end without one, or
 that is refused while planning, never loads numpy.  ``reps`` loads only to
 materialise an ``IIClass``'s representative.
 
+The engine plans, reduces and catalogs only the vectors that can contribute
+to a target d: the nonzero beta <= d with d = m*S(beta) for an integer
+m >= 1, where p is beta's period under the twist's automorphism t and
+S(beta) = beta + t beta + ... + t^(p-1) beta.  This loses nothing: a handle
+at beta has a period r that is a multiple of p (Frobenius keeps dimension
+vectors), so its orbit's dimension vectors sum to (r/p)*S(beta).
+
 The engine's twist is one datum, ``(power, frobenius)``: the
 ``frobenius``-th Frobenius power, then the automorphism ``a**power``.  An
 automorphism job twists by (1, 0), a species job by (-1, m) on the
@@ -46,7 +53,7 @@ step of either, with ``a**power`` carried to the bottom's orientation.
 from __future__ import annotations
 
 import warnings
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .cartan import CartanLattice, ValuedQuiver, f_inverse, f_map, fold, quiver_lattice, root_length
@@ -136,6 +143,11 @@ def _reduce_context(
 Handle = tuple  # (base_dims, quiver, reduced_dims, class_id)
 
 
+def _rotation_period(seq: list[int]) -> int:
+    """The least k >= 1 with seq rotated by k steps equal to seq."""
+    return next(k for k in range(1, len(seq) + 1) if seq[k:] + seq[:k] == seq)
+
+
 class _TwistOrbitEngine:
     """Indecomposable class handles over boxes of dimension vectors and
     their orbits under one twist, the ``frobenius``-th Frobenius power and
@@ -147,27 +159,36 @@ class _TwistOrbitEngine:
         self.a = a
         self.field = fld
         self.twist = a.power(power)
+        # the twist's vertex orbits as positions, each in the order t walks it
+        idx = a.quiver.vertex_index
+        self.orbit_ids = tuple(tuple(map(idx.__getitem__, o)) for o in self.twist.vertex_orbits)
         self.frobenius = frobenius
         self.order_bound = a.order
         self.state_cap = state_cap
         # each handle is its own orbit, at its own d
         self.trivial = self.twist.is_identity and frobenius % fld.m == 0
+        self.boxes: dict[Vec, Sequence[Vec]] = {}
         self.contexts: dict[Vec, _ReductionContext | None] = {}
         self.handles: dict[Vec, tuple[Handle, ...]] = {}
         self.images: dict[Handle, Handle] = {}  # handle -> its twist
 
-    def plan(self, vectors: Iterable[Vec]) -> None:
-        """Fix the reduction context of every vector, in the order given.
+    def plan(self, targets: Iterable[Vec]) -> None:
+        """Fix the box of every target and the reduction context of every
+        vector in it, in the order given, each once.
 
-        A job runs this over every vector it visits before its first catalog
+        A job runs this over every target it visits before its first catalog
         is built, so an oversized job refuses at the vector it would have
         refused at.
         """
-        for beta in vectors:
-            if beta not in self.contexts:
-                self.contexts[beta] = _reduce_context(
-                    self.a, beta, self.field, self.state_cap
-                )
+        for d in targets:
+            if d in self.boxes:
+                continue
+            self.boxes[d] = self.box(d)
+            for beta in self.boxes[d]:
+                if beta not in self.contexts:
+                    self.contexts[beta] = _reduce_context(
+                        self.a, beta, self.field, self.state_cap
+                    )
 
     def handles_at(self, beta: Vec) -> tuple[Handle, ...]:
         """Handles at a vector of the planned box."""
@@ -187,9 +208,39 @@ class _TwistOrbitEngine:
         self.handles[beta] = hs
         return hs
 
-    def box(self, d: Vec) -> Iterable[Vec]:
-        """The vectors whose handles can lie on an orbit summing to d."""
-        return (d,) if self.trivial else _box(d)
+    def box(self, d: Vec) -> Sequence[Vec]:
+        """The vectors whose handles can lie on an orbit summing to d.
+
+        Let t be the twist's automorphism ``a**power``; Frobenius keeps
+        dimension vectors.  A handle at beta has a period r that is a
+        multiple of beta's period p under t, so its orbit's dimension vectors
+        sum to (r/p)*S(beta), where S(beta) = beta + t beta + ... +
+        t^(p-1) beta.  The box is therefore the nonzero beta <= d with
+        d = m*S(beta) for an integer m >= 1.  On a vertex orbit O of t,
+        S(beta) is p/|O| times beta's sum over O, so the test asks for one
+        r = m*p with |O|*d_v = r*(beta's sum over O) at every v in O; summed
+        over all vertices, r = |d|/|beta|.  The box is t-stable, as the
+        twist check in ``t_handle`` needs.
+        """
+        if self.trivial:
+            return (d,)
+        if any(d[i] != d[ids[0]] for ids in self.orbit_ids for i in ids):
+            return ()  # d is not t-stable, so no orbit sums to it
+        totals = [(ids, len(ids) * d[ids[0]]) for ids in self.orbit_ids]
+        size = sum(d)
+
+        def keep(beta: Vec) -> bool:
+            r = size // sum(beta)
+            p = 1  # beta's period under t: the lcm of its rotation periods on the orbits
+            for ids, total in totals:
+                seq = [beta[i] for i in ids]
+                if r * sum(seq) != total:
+                    return False
+                p = lcm(p, _rotation_period(seq))
+            return r % p == 0
+
+        # r = |d|/|beta| must be an integer, the cheap test that most beta fail
+        return [beta for beta in _box(d) if not size % sum(beta) and keep(beta)]
 
     def image(self, h: Handle) -> Handle:
         """The twist of a handle, computed once per job."""
@@ -219,10 +270,9 @@ class _TwistOrbitEngine:
         return h2
 
     def orbits(self, d: Vec) -> tuple[tuple[Handle, ...], ...]:
-        box = list(self.box(d))
-        self.plan(box)
+        self.plan([d])
         allh: list[Handle] = []
-        for beta in box:
+        for beta in self.boxes[d]:
             allh.extend(self.handles_at(beta))
         allh.sort(key=lambda h: (h[0], h[3]))
         return _cycles(allh, self.image, self.order_bound)
@@ -455,7 +505,7 @@ def _check_roots(
     if alphas:
         engine = make_engine()
         lifts = [f_inverse(engine.a, alpha) for alpha in alphas]
-        engine.plan(b for d in lifts for b in engine.box(d))
+        engine.plan(lifts)
     records = []
     witnesses = []
     for alpha, d in zip(alphas, lifts):

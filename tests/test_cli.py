@@ -67,6 +67,81 @@ def test_seed_is_usage_error(flip_doc, capsys, argv, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+_TOP_HELP = """\
+usage: quiverfold [-h]
+                  {fold,unfold,skew,roots,classify,indecs,ii-indecs,species-count,verify,fixtures}
+                  ...
+
+fold quivers into Cartan data and verify the dimension-vector theorems at desk
+scale
+
+positional arguments:
+  {fold,unfold,skew,roots,classify,indecs,ii-indecs,species-count,verify,fixtures}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_II_INDECS_HELP = """\
+usage: quiverfold ii-indecs [-h] [--json] [--field FIELD]
+                            [--cap-states CAP_STATES] [--dim DIM]
+                            input
+
+positional arguments:
+  input                 path to a JSON document ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit JSON instead of text
+  --field FIELD         finite field by its size, e.g. 5, 4 or 2^2
+  --cap-states CAP_STATES
+                        largest state space that will be enumerated directly
+  --dim DIM, --vector DIM
+                        comma-separated dimension vector, e.g. 1,2,1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["--help"], _TOP_HELP), (["ii-indecs", "--help"], _II_INDECS_HELP)],
+    ids=["top", "ii-indecs"],
+)
+def test_help_text(monkeypatch, capsys, argv, text):
+    # the usage lists every command also where only one subparser is built
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "argv, built, error",
+    [
+        (["fixtures"], ["fixtures"], None),
+        (["verify", "--json"], ["verify"], "required: which, input"),
+        ([], list(cli._COMMANDS), "the following arguments are required: command"),
+        (["bogus"], list(cli._COMMANDS), "argument command: invalid choice: 'bogus'"),
+        (["--json", "fold"], list(cli._COMMANDS), "quiverfold fold: error: the following"),
+    ],
+    ids=["named", "named-missing-input", "none", "unknown", "option-first"],
+)
+def test_parser_builds_the_named_command_alone(monkeypatch, capsys, argv, built, error):
+    # a request that names a known command builds that subparser alone;
+    # only a missing or unknown command needs them all, for its message
+    seen = []
+    add = cli._add_command
+    monkeypatch.setattr(cli, "_add_command", lambda sub, name: (seen.append(name), add(sub, name)))
+    if error is None:
+        assert cli.main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 2
+        assert error in capsys.readouterr().err
+    assert seen == built
+
+
 def test_roots_on_valued_input(pair_doc, capsys):
     assert cli.main(["roots", pair_doc, "--max-height", "4"]) == 0
     out = capsys.readouterr().out
@@ -445,7 +520,7 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         "fixtures": (["fixtures"], "cli errors"),
         "fixtures-a3-flip": (
             ["fixtures", "a3-flip"],
-            "cartan cli errors fixtures gf quiver reps serialize",
+            "cli errors fixtures gf quiver reps serialize",
         ),
         "fold": (["fold", "flip.json"], "cartan cli errors quiver serialize"),
         "skew": (["skew", "flip.json"], "cartan cli errors quiver serialize skew"),

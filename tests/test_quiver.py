@@ -216,9 +216,11 @@ def test_power_is_the_composition(name):
     for k in range(-2 * a.order, 2 * a.order + 1):
         vmap = {v: v for v in q.vertices}
         amap = {r.id: r.id for r in q.arrows}
-        vstep, astep = (
-            (a.vertex_map, a.arrow_map) if k >= 0 else (a.inverse_vertex_map, a.inverse_arrow_map)
-        )
+        if k >= 0:
+            vstep, astep = a.vertex_map, a.arrow_map
+        else:  # the inverse maps, built here as the reference for power(-1)
+            vstep = {w: v for v, w in a.vertex_map.items()}
+            astep = {s: r for r, s in a.arrow_map.items()}
         for _ in range(abs(k)):
             vmap = {v: vstep[w] for v, w in vmap.items()}
             amap = {r: astep[s] for r, s in amap.items()}

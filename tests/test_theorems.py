@@ -19,6 +19,8 @@ from quiverfold.errors import (
     NotPrime,
     TwistPeriodBroken,
 )
+from quiverfold.cartan import f_inverse
+from quiverfold.quiver import _box, _orbit, act_on_dimension_vector
 from quiverfold.roots import _nonneg_vectors
 
 
@@ -214,7 +216,10 @@ _ROTATION = qf.build_counterexample()[1]
         # every vector visited before 2δ = (2,2,2,2,4), with its 32 entries,
         # reflects to a unit vector, a vector with no entries or a certificate
         (lambda: qf.verify_kac(_STAR, qf.make_field(2), 12), 2**32),
-        (lambda: qf.verify_main_theorem(_ROTATION, qf.make_field(5), 2, state_cap=100), 5**4),
+        # the first oversized vector the twist engine plans is (1,1,1,1,1),
+        # with its 6 entries: no smaller vector lies on a twist orbit that
+        # sums to a lift of the sweep
+        (lambda: qf.verify_main_theorem(_ROTATION, qf.make_field(5), 2, state_cap=100), 5**6),
         (lambda: qf.verify_species_theorem(_PAIR41, 2, 3, state_cap=2**16), 16**8),
         (lambda: qf.multiset_crosscheck(_STAR, qf.make_field(2), 6, state_cap=2**8), 2**9),
     ],
@@ -415,8 +420,8 @@ def test_verify_species_smoke(pair21):
 @pytest.mark.parametrize(
     "job, distinct",
     [
-        (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 353),
-        (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 54),
+        (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 51),
+        (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 30),
         (lambda: qf.verify_kac(_STAR, qf.make_field(2), 4), 125),
     ],
     ids=["verify_main", "verify_species", "verify_kac"],
@@ -438,7 +443,7 @@ def test_one_plan_per_job(monkeypatch, job, distinct):
 @pytest.mark.parametrize(
     "job, distinct",
     [
-        (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 31),
+        (lambda: qf.verify_main_theorem(_DTILDE4_4CYCLE, qf.make_field(3), 3), 15),
         (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 6),
         (lambda: qf.verify_kac(_STAR, qf.make_field(2), 4), 0),
     ],
@@ -457,6 +462,59 @@ def test_one_twist_per_handle(monkeypatch, job, distinct):
     monkeypatch.setattr(theorems._TwistOrbitEngine, "t_handle", counted)
     job()
     assert len(seen) == len(set(seen)) == distinct
+
+
+# twist-orbit engines and the height of the sweep that visits their boxes
+_ENGINES = {
+    "flip-gf3": (lambda: theorems._auto_engine(qf.build_a3_flip()[1], qf.make_field(3), 2**24), 6),
+    "3cycle-gf2": (lambda: theorems._auto_engine(qf.build_dtilde4()[2], qf.make_field(2), 2**24), 4),
+    "4cycle-gf2": (lambda: theorems._auto_engine(_DTILDE4_4CYCLE, qf.make_field(2), 2**24), 4),
+    "rotation-gf5": (lambda: theorems._auto_engine(_ROTATION, qf.make_field(5), 2**24), 3),
+    "species21-q3": (lambda: theorems._species_engine(_PAIR21, 3, 2**24), 4),
+}
+
+
+def _sweep_targets(engine, height):
+    """The lifts that a root sweep up to height visits, in its order."""
+    n = len(engine.a.vertex_orbits)
+    return [f_inverse(engine.a, alpha) for alpha in _nonneg_vectors(n, height)]
+
+
+@pytest.mark.parametrize("make_engine, height", _ENGINES.values(), ids=_ENGINES.keys())
+def test_pruned_box_changes_no_orbit(monkeypatch, make_engine, height):
+    # the same orbits sum to every sweep target over the pruned box as over
+    # the whole box below it, which plans more vectors
+    pruned, full = make_engine(), make_engine()
+    monkeypatch.setattr(full, "box", lambda d: tuple(_box(d)))
+    for d in _sweep_targets(pruned, height):
+        assert pruned.orbits_summing_to(d) == full.orbits_summing_to(d), d
+    assert len(pruned.contexts) < len(full.contexts)
+
+
+@pytest.mark.parametrize("make_engine, height", _ENGINES.values(), ids=_ENGINES.keys())
+def test_box_is_the_divisibility_rule(make_engine, height):
+    # beta is kept exactly when d = m*S(beta) for an integer m >= 1, with
+    # S(beta) the sum of beta's distinct twists, found here by stepping the
+    # twist; a target that the twist moves keeps nothing
+    engine = make_engine()
+
+    def kept(beta, d):
+        orbit = _orbit(beta, lambda b: act_on_dimension_vector(engine.twist, b))
+        s = tuple(map(sum, zip(*orbit)))
+        m, rem = divmod(sum(d), sum(s))
+        return not rem and d == tuple(m * x for x in s)
+
+    unit = (1,) + (0,) * (len(engine.a.quiver.vertices) - 1)
+    for d in [*_sweep_targets(engine, height), unit]:
+        assert list(engine.box(d)) == [beta for beta in _box(d) if kept(beta, d)], d
+
+
+def test_main_theorem_reaches_past_an_unneeded_vector():
+    # no twist orbit of (1,1,1,1,2), with 7^9 states over the cap, sums to a
+    # lift of this sweep, so the job never plans it
+    report = qf.verify_main_theorem(_ROTATION, qf.make_field(7), 3)
+    assert report.passed
+    assert [r.vector for r in report.records] == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
 
 
 def test_multiset_crosscheck(a2, F2):
