@@ -31,25 +31,25 @@ upper transvection at t and one lower transvection at s.  Slices ascend
 with N_k within a block, and a later block's slices lie below an earlier
 one's, so the classes come out in order of their least state.
 
-A move acts on each arrow block on its own, so within slice (j, k) it is
-stored as one delta table per block after block j, built once by running
-the move on the B block values: it sends the slice's state s, counted from
-the slice's start, to ``s + sum_k D_k[(s // Q_k) % B_k]`` with no decode or
-encode of the state.  A slice is labelled by min-label hooking: each state
-points at a state of its orbit no greater than itself, at first itself, and
-each move hooks the larger pointer of s and of its image onto the smaller,
-with pointers jumped towards their roots, until no move hooks.  The roots
-are then the orbits' least states; forward moves suffice because every
-generator has finite order.  Labels are held in the narrowest unsigned
-dtype that fits the slice's class count; once every slice is
-labelled, each keeps its labels as the catalog's class ids, in the narrowest
-dtype that fits them all.
+Levels.  A move acts on each arrow block on its own, so it is stored as
+one value permutation per block, built once by running the move on the
+block's q^(rc) values, and a slice is labelled one block at a time
+(``labelling``).  With H = H_k, the values of the block after j are
+labelled under H; for each orbit's least value v, Schreier's lemma over a
+breadth-first tree of the orbit gives generators of Stab(v), carried only
+as permutations of the later blocks' values, which label the next block
+the same way, down to the last.  A class of slice (j, k) then has size
+|G.N_k| * |H.v| * ... * |last orbit|, is named by its least state, and the
+classes still come out in order of it.  The last levels hold the
+catalog's class ids, in the narrowest dtype that fits them all.
 
 ``class_of`` reduces a state to its slice: Gaussian elimination over F_q
-brings its first non-zero block j to N_k by a pair (g_t, g_s), the move
-with those matrices is applied to every block, and the result is looked up
-in the labels of slice (j, k).  A state whose block j is already N_k is
-looked up as it is.
+brings its first non-zero block j to N_k by a pair (g_t, g_s), which is
+applied with the field's arithmetic to the blocks at t and s; a state whose
+block j is already N_k is left as it is.  Each level then steps the state
+along its tree, one stored generator at a time, until its block holds its
+orbit's least value, and passes it to that orbit's level below; the last
+level's labels name the class.
 
 Indecomposability flags come from the end ring.  By Fitting's lemma X is
 indecomposable exactly when End(X) is local (Assem, Simson and Skowroński,
@@ -66,7 +66,6 @@ in reps stays as a second, tested route.
 
 from __future__ import annotations
 
-import os
 from math import prod
 from typing import Iterable, Sequence
 
@@ -82,33 +81,18 @@ from .reps import (
     Representation,
     ext_dim,
     identity,
+    mat_mul,
     rref,
     transpose,
     twist_auto,
     twist_frobenius,
 )
 
-# numpy loads after the package's own modules: compiling their source with
-# numpy already in memory raised a process's peak RSS by about 1 MB.  The
-# package calls no BLAS routine, yet numpy's OpenBLAS starts a worker thread
-# per core as it loads: on a two-core Xeon that cost about 0.06 s of a cold
-# process, beside the main thread or after it as the other core was free or
-# not, so one cold build took 0.10 s and the next 0.22 s.  Unless the caller
-# chose a thread count, numpy loads with a pool of one, and the environment
-# is restored for child processes.
-_PIN_BLAS = not any(
-    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-)
-if _PIN_BLAS:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-try:
-    import numpy as np
-finally:
-    if _PIN_BLAS:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+# labelling loads numpy, after the package's own modules and with a
+# one-thread BLAS pool
+from .labelling import _class_of_values, _label_blocks, _Level, _state_dtype, np
 
-_CHUNK = 1 << 18  # block values per batch while a move table is built
-_BATCH = 1 << 14  # states pushed through a move at once
+_CHUNK = 1 << 18  # block values per batch while a value permutation is built
 
 Pair = tuple[Mat, Mat]  # a matrix and its inverse
 
@@ -172,9 +156,8 @@ def _rank_count(q: int, r: int, c: int, k: int) -> int:
     return num // den
 
 
-def _state_dtype(n: int):
-    # every partial sum of a move's block deltas is itself a state
-    return np.int32 if n <= 2**31 else np.int64
+def _entry_dtype(q: int):
+    return np.uint8 if q <= 256 else np.uint16
 
 
 def _left(f: FiniteField, g: Mat, blk: np.ndarray) -> np.ndarray:
@@ -200,6 +183,7 @@ class _Move:
         self.mats = mats  # vertex index -> (g_v, g_v^-1)
         # (offset, rows, cols, target, source) of every block the move touches
         self.blocks = [b for b in blocks if b[3] in mats or b[4] in mats]
+        self._perms: dict[tuple, np.ndarray | None] = {}
 
     def apply(self, ents: np.ndarray) -> np.ndarray:
         f = self.field
@@ -213,6 +197,27 @@ class _Move:
                 blk = _left(f, right, blk.transpose(0, 2, 1)).transpose(0, 2, 1)
             out[:, off : off + rows * cols] = blk.reshape(-1, rows * cols)
         return out
+
+    def value_perm(self, block: tuple) -> np.ndarray | None:
+        """perm[x] is the value the move sends value x of the block
+        (offset, rows, cols, target, source) to; None if it fixes every one.
+        Built once per block, by running the move on the block's values."""
+        if block not in self._perms:
+            _, rows, cols, t, s = block
+            q, width = self.field.q, rows * cols
+            n = q**width
+            perm = None
+            if t in self.mats or s in self.mats:
+                one = _Move(self.field, [(0, rows, cols, t, s)], self.mats)
+                perm = np.empty(n, dtype=np.min_scalar_type(n - 1))
+                for start in range(0, n, _CHUNK):
+                    vals = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+                    ents = one.apply(_digits(vals, width, q, _entry_dtype(q)))
+                    perm[start : start + len(vals)] = _undigits(ents, q)
+                if np.array_equal(perm, np.arange(n)):
+                    perm = None
+            self._perms[block] = perm
+        return self._perms[block]
 
 
 def _digits(values: np.ndarray, width: int, q: int, dtype) -> np.ndarray:
@@ -232,46 +237,6 @@ def _undigits(digits: np.ndarray, q: int) -> np.ndarray:
     return s
 
 
-class _MoveTable:
-    """A move as per-block delta tables: s -> s + sum_k D_k[block_k(s)].
-
-    The table covers the entries from ``first`` on, with states counted from
-    0 there; a block the move leaves fixed gets no table.  A block's value is
-    ``(s // div) % mod``; when q is a power of two, div and mod are stored
-    as a shift and a mask instead."""
-
-    def __init__(self, space: StateSpace, move: _Move, first: int = 0):
-        q = space.field.q
-        self.shift = q & (q - 1) == 0
-        bits = q.bit_length() - 1
-        dtype = _state_dtype(q ** (space.n_entries - first))
-        self.blocks = []
-        for off, rows, cols, t, s in move.blocks:
-            if off < first:
-                continue
-            width = rows * cols
-            one = _Move(move.field, [(0, rows, cols, t, s)], move.mats)
-            low = space.n_entries - off - width  # entries below the block
-            n_vals = q**width
-            delta = np.empty(n_vals, dtype=dtype)
-            for start in range(0, n_vals, _CHUNK):
-                vals = np.arange(start, min(start + _CHUNK, n_vals), dtype=np.int64)
-                new = _undigits(one.apply(_digits(vals, width, q, space.dtype)), q)
-                delta[start : start + len(vals)] = (new - vals) * q**low
-            if not delta.any():
-                continue
-            if self.shift:
-                self.blocks.append((bits * low, n_vals - 1, delta))
-            else:
-                self.blocks.append((q**low, n_vals, delta))
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        out = states.copy()
-        for div, mod, delta in self.blocks:
-            out += delta[(states >> div) & mod if self.shift else (states // div) % mod]
-        return out
-
-
 @_record(frozen=False)
 class _Slice:
     """The states whose blocks before ``block`` are zero and whose block
@@ -284,7 +249,7 @@ class _Slice:
     size: int
     orbit: int  # |G.N_k|
     first: int  # the entries from here on vary within the slice
-    labels: np.ndarray | None = None  # class id of each state, once labelled
+    level: _Level | None = None  # the first level of its labels, once labelled
 
 
 class StateSpace:
@@ -309,7 +274,10 @@ class StateSpace:
             off += rows * cols
         self.n_entries = quiver.entry_count(self.dims)
         self.size = field.q**self.n_entries
-        self.dtype = np.uint8 if field.q <= 256 else np.uint16
+        self.dtype = _entry_dtype(field.q)
+        # the values of each block, and the states per value of it
+        self.values = [field.q ** (r * c) for _, r, c, _, _ in self.blocks]
+        self.below = [field.q ** (self.n_entries - off - r * c) for off, r, c, _, _ in self.blocks]
         # the rank k of each value N_k of each block, k >= 1
         self.normal_ranks = []
         for _, r, c, _, _ in self.blocks:
@@ -383,10 +351,15 @@ class StateSpace:
         out = [_Slice(None, 0, 0, 1, 1, self.n_entries)]
         for j in reversed(range(len(self.blocks))):
             off, r, c, _, _ = self.blocks[j]
-            size = q ** (self.n_entries - off - r * c)
+            size = self.below[j]
             for value, k in self.normal_ranks[j].items():
                 out.append(_Slice(j, k, value * size, size, _rank_count(q, r, c, k), off + r * c))
         return out
+
+    def block_values(self, j: int | None) -> list[int]:
+        """The number of values of each block after block j, whose values
+        make up the states of slice (j, k); none for the zero state's."""
+        return self.values[j + 1 :] if j is not None else []
 
     def stabiliser(self, j: int, k: int) -> list[_Move]:
         """Generators of H_k, the stabiliser of N_k at block j in G."""
@@ -414,13 +387,14 @@ class StateSpace:
         """The state's first non-zero block j and its rank k, and a state of
         slice (j, k) in the state's orbit; (None, 0, 0) for the zero state."""
         f, q = self.field, self.field.q
-        for j, (off, r, c, t, s) in enumerate(self.blocks):
+        for j, below in enumerate(self.below):
             # with the blocks before j zero, this is the value of block j
-            value = state // q ** (self.n_entries - off - r * c)
+            value = state // below
             if value:
                 break
         else:
             return None, 0, state
+        off, r, c, t, s = self.blocks[j]
         if value in self.normal_ranks[j]:
             return j, self.normal_ranks[j][value], state
         ents = self.entries(state)
@@ -440,70 +414,44 @@ class StateSpace:
             g_t[rows[i]] = tuple(a[i])
         g_t = tuple(g_t)
         g_s_inv = tuple(tuple(b[cols.index(x)][i] for x in range(c)) for i in range(c))
-        # apply reads g_v^-1 only for arrows out of v, and g_v only for arrows into v
-        heads = {blk[3] for blk in self.blocks}
-        tails = {blk[4] for blk in self.blocks}
-        g_t_inv = _inverse(f, g_t) if t in tails else None
-        g_s = _inverse(f, g_s_inv) if s in heads else None
-        mats = {t: (g_t, g_t_inv), s: (g_s, g_s_inv)}
-        new = _Move(f, self.blocks, mats).apply(np.array([ents], dtype=self.dtype))
+        # g_v acts on the left of each arrow into v and g_v^-1 on the right of
+        # each arrow out of v; an identity acts on neither
+        left, right = {}, {}
+        if g_t != identity(r):
+            left[t] = g_t
+            if any(blk[4] == t for blk in self.blocks):
+                right[t] = _inverse(f, g_t)
+        if g_s_inv != identity(c):
+            right[s] = g_s_inv
+            if any(blk[3] == s for blk in self.blocks):
+                left[s] = _inverse(f, g_s_inv)
+        # the blocks before j are zero, and g_t M g_s^-1 keeps a zero block zero
+        for off, r, c, bt, bs in self.blocks[j:]:
+            if bt in left or bs in right:
+                m = [ents[off + i * c : off + i * c + c] for i in range(r)]
+                if bt in left:
+                    m = mat_mul(f, left[bt], m)
+                if bs in right:
+                    m = mat_mul(f, m, right[bs])
+                ents[off : off + r * c] = [x for row in m for x in row]
         out = 0
-        for x in new[0].tolist():
+        for x in ents:
             out = out * q + x
         return j, k, out
 
     def move_permutation(self, move: _Move) -> np.ndarray:
         """perm[s] is the state the move sends s to."""
-        return _MoveTable(self, move)(np.arange(self.size, dtype=_state_dtype(self.size)))
-
-
-def _orbit_labels(
-    n: int, tables: list[_MoveTable]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class id of every state 0 .. n - 1, and the least state and size of
-    every class, by min-label hooking and pointer jumping (Shiloach and
-    Vishkin, J. Algorithms 3, 1982).
-
-    Throughout, parent[x] <= x and parent[x] lies in the orbit of x: a move m
-    hooks the larger of parent[s] and parent[m(s)] onto the smaller, and the
-    chunk of s then jumps its pointers one step.  After each round of moves
-    that hooked, every pointer of the slice jumps to its root, which keeps
-    every equality parent[s] == parent[m(s)] already seen.  Once every move
-    in a row finds them equal for all s, parent is constant on each orbit
-    and names its least state."""
-    dtype = _state_dtype(n)
-    parent = np.arange(n, dtype=dtype)
-    chunks = [slice(i, min(i + _BATCH, n)) for i in range(0, n, _BATCH)]
-    idle = 0  # moves in a row that hooked nothing
-    while idle < len(tables):
-        hooked = False
-        for table in tables:
-            if idle == len(tables):
-                break
-            idle += 1
-            for c in chunks:
-                a, b = parent[c], parent[table(np.arange(c.start, c.stop, dtype=dtype))]
-                if (a != b).any():
-                    np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-                    parent[c] = parent[parent[c]]
-                    idle, hooked = 0, True
-        if hooked:
-            # chunks ascend, so a pointer out of a chunk is one jump from its root
-            for c in chunks:
-                up = parent[parent[c]]
-                while not np.array_equal(up, parent[c]):
-                    parent[c] = up
-                    up = parent[up]
-    roots = [np.flatnonzero(parent[c] == np.arange(c.start, c.stop)) + c.start for c in chunks]
-    reps = np.concatenate(roots)
-    # the roots' ids first: every other state reads the id of its root
-    labels = np.zeros(n, dtype=np.min_scalar_type(len(reps) - 1))
-    labels[reps] = np.arange(len(reps))
-    sizes = np.zeros(len(reps), dtype=np.int64)
-    for c in chunks:
-        labels[c] = labels[parent[c]]
-        sizes += np.bincount(labels[c], minlength=len(reps))
-    return labels, reps, sizes
+        q, dtype = self.field.q, _state_dtype(self.size)
+        states = np.arange(self.size, dtype=dtype)
+        out = states.copy()
+        for blk in move.blocks:
+            perm = move.value_perm(blk)
+            if perm is not None:
+                off, rows, cols, _, _ = blk
+                low = q ** (self.n_entries - off - rows * cols)  # states per block value
+                vals = states // low % q ** (rows * cols)
+                out += (perm[vals].astype(dtype) - vals) * low
+        return out
 
 
 class IsoClassCatalog:
@@ -555,7 +503,14 @@ class IsoClassCatalog:
             raise SpaceMismatch(f"state {state} is outside range({self.space.size})")
         j, k, state = self.space.to_slice(int(state))
         sl = self._slice_at[j, k]
-        return int(sl.labels[state - sl.start])
+        # the values of the blocks after j, first block first
+        values = self.space.block_values(j)
+        rest, vals = state - sl.start, []
+        for n in reversed(values):
+            rest, x = divmod(rest, n)
+            vals.append(x)
+        vals.reverse()
+        return _class_of_values(sl.level, vals, values)
 
     def class_of(self, rep: Representation) -> int:
         return self.class_of_state(self.space.encode_rep(rep))
@@ -630,12 +585,19 @@ def isoclasses(
     _check_size(quiver, field, dd, state_cap)
     space = StateSpace(quiver, field, dd)
     slices = space.slices()
-    reps, sizes = [], []
+    reps, sizes, leaves, memo = [], [], [], {}
     for sl in slices:
+        values = space.block_values(sl.block)
+        later = space.blocks[len(space.blocks) - len(values) :]
         # a slice of one state, such as the zero state's, needs no move
-        moves = space.stabiliser(sl.block, sl.rank) if sl.size > 1 else []
-        tables = [_MoveTable(space, mv, sl.first) for mv in moves]
-        sl.labels, got, size = _orbit_labels(sl.size, [t for t in tables if t.blocks])
+        moves = space.stabiliser(sl.block, sl.rank) if values else []
+        perms = [[mv.value_perm(b) for b in later] for mv in moves]
+        perms = [g for g in perms if any(p is not None for p in g)]
+        gens = []  # one array per block, row g the g-th move's permutation
+        for b, n in enumerate(values):
+            rows = [np.arange(n) if g[b] is None else g[b] for g in perms]
+            gens.append(np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(perms), n))
+        sl.level, got, size = _label_blocks(values, gens, leaves, memo)
         reps.append(got + sl.start)
         sizes.append(size * sl.orbit)
     class_reps = np.concatenate(reps)
@@ -647,9 +609,10 @@ def isoclasses(
     # global class ids, in the narrowest dtype that holds them all
     dtype = np.min_scalar_type(len(class_reps) - 1)
     offset = 0
-    for sl, got in zip(slices, reps):
-        sl.labels = np.add(sl.labels, offset, dtype=dtype)
-        offset += len(got)
+    for level in leaves:
+        count = int(level.labels.max()) + 1
+        level.labels = np.add(level.labels, offset, dtype=dtype)
+        offset += count
 
     cat = IsoClassCatalog(space, class_reps, sizes, slices)
     _STORE[key] = cat

@@ -1,0 +1,317 @@
+"""Orbits of permutation groups on the values of a row of blocks, labelled
+one block at a time.
+
+A state here is one value of each of the blocks b_1 .. b_m, b_1 most
+significant, with ``values[b]`` values at block b, and a group acts on each
+block on its own: a generator is one permutation of each block's values,
+and the generators come as one array per block, whose row g is generator
+g's permutation.  ``catalog`` labels each slice of a state space this way,
+under the stabiliser of the slice's normal form.
+
+The values of b_1 are labelled by min-label hooking (``_orbit_labels``):
+each value points at a value of its orbit no greater than itself, at first
+itself, and each generator hooks the larger pointer of x and of its image
+onto the smaller, with pointers jumped towards their roots, until none
+hooks.  The roots are then the orbits' least values; forward generators
+suffice because each has finite order.  A breadth-first tree of each orbit
+from its least value v gives every member w an element t_w of the group
+with t_w(w) = v, and the states with v at b_1 form orbits of Stab(v), which
+by Schreier's lemma is generated by the t_{gw} g t_w^-1 over the members w
+and the generators g (Seress, Permutation Group Algorithms, 2003).  Carried
+only as permutations of the values of b_2 .. b_m, with identities and
+repeats dropped, they label those blocks the same way, down to b_m, the
+last level, whose values are the states left; a group with no generator
+left makes every state of the blocks from there on an orbit of its own, one
+last level for them all.  The least state of an orbit is v followed by the
+least of its Stab(v)-orbit, so an orbit's size is |orbit of v| times the
+size of its Stab(v)-orbit, and the orbits come out in order of their least
+state.  Stabilisers repeat, so each set of blocks and generators is
+labelled once per ``memo``, and copied after that.  Labels are held in the
+narrowest unsigned dtype that fits their count.
+
+``_class_of_values`` looks a state up: each level steps it along its tree,
+from w to its parent by the generator stored with w, until its block holds
+its orbit's least value, and passes it to that orbit's level below; the
+last level's label names its orbit.
+"""
+
+from __future__ import annotations
+
+import os
+from math import prod
+
+from .quiver import _record
+
+# catalog imports this module after the package's own other modules, so
+# numpy loads after them: compiling their source with numpy already in
+# memory raised a process's peak RSS by about 1 MB.  The
+# package calls no BLAS routine, yet numpy's OpenBLAS starts a worker thread
+# per core as it loads: on a two-core Xeon that cost about 0.06 s of a cold
+# process, beside the main thread or after it as the other core was free or
+# not, so one cold build took 0.10 s and the next 0.22 s.  Unless the caller
+# chose a thread count, numpy loads with a pool of one, and the environment
+# is restored for child processes.
+_PIN_BLAS = not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+)
+if _PIN_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PIN_BLAS:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+_BATCH = 1 << 14  # values pushed through a permutation at once
+
+
+def _state_dtype(n: int):
+    # a signed dtype that holds every value 0 .. n - 1 and the partial sums
+    # of a move's block deltas, each of which is itself one of them
+    return np.int32 if n <= 2**31 else np.int64
+
+
+@_record(frozen=False)
+class _Level:
+    """The labels of one block's values under one group.  At the last level
+    they label the orbits of the states, which are that block's values, or
+    under a group that moves none of them the states of all the blocks from
+    there on; ``catalog`` makes them its class ids.  Above it they label the
+    orbits of the block's values, and ``parent`` and ``gen`` hold a
+    breadth-first tree of each orbit from its least value, the root its own
+    parent: generator ``gen[w]`` sends value w to ``parent[w]``.  ``gens``
+    holds the generators' permutations of the later blocks' values, one
+    array per block with a row per generator, and ``below`` the level of
+    the stabiliser of each orbit's least value, orbit by orbit."""
+
+    labels: np.ndarray
+    parent: np.ndarray | None = None
+    gen: np.ndarray | None = None
+    gens: list | None = None
+    below: list | None = None
+
+
+def _orbit_labels(
+    n: int, perms: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit id of every value 0 .. n - 1 under the group that the
+    permutations generate, and the least value and size of every orbit, by
+    min-label hooking and pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 3, 1982).
+
+    Throughout, parent[x] <= x and parent[x] lies in the orbit of x: a
+    permutation m hooks the larger of parent[s] and parent[m(s)] onto the
+    smaller, and the chunk of s then jumps its pointers one step.  After each
+    round that hooked, every pointer jumps to its root, which keeps every
+    equality parent[s] == parent[m(s)] already seen.  Once every permutation
+    in a row finds them equal for all s, parent is constant on each orbit
+    and names its least value."""
+    parent = np.arange(n, dtype=_state_dtype(n))
+    chunks = [slice(i, min(i + _BATCH, n)) for i in range(0, n, _BATCH)]
+    idle = 0  # permutations in a row that hooked nothing
+    while idle < len(perms):
+        hooked = False
+        for perm in perms:
+            if idle == len(perms):
+                break
+            idle += 1
+            for c in chunks:
+                a, b = parent[c], parent[perm[c]]
+                if (a != b).any():
+                    np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+                    parent[c] = parent[parent[c]]
+                    idle, hooked = 0, True
+        if hooked:
+            # chunks ascend, so a pointer out of a chunk is one jump from its root
+            for c in chunks:
+                up = parent[parent[c]]
+                while not np.array_equal(up, parent[c]):
+                    parent[c] = up
+                    up = parent[up]
+    roots = [np.flatnonzero(parent[c] == np.arange(c.start, c.stop)) + c.start for c in chunks]
+    reps = np.concatenate(roots)
+    # the roots' ids first: every other value reads the id of its root
+    labels = np.zeros(n, dtype=np.min_scalar_type(len(reps) - 1))
+    labels[reps] = np.arange(len(reps))
+    sizes = np.zeros(len(reps), dtype=np.int64)
+    for c in chunks:
+        labels[c] = labels[parent[c]]
+        sizes += np.bincount(labels[c], minlength=len(reps))
+    return labels, reps, sizes
+
+
+def _identity_rows(table: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """Which rows of a table of block value permutations, side by side with
+    block b in columns cuts[b] .. cuts[b + 1] - 1, are the identity."""
+    ident = np.concatenate([np.arange(b - a) for a, b in zip(cuts, cuts[1:])])
+    return (table == ident).all(axis=1)
+
+
+def _transversal(
+    n: int, reps: np.ndarray, gens: list[np.ndarray], moved: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """A breadth-first tree of every orbit of the first block's values from
+    its least value, in which each value w is reached from its parent x by
+    the generator g with g(w) = x, g one that ``moved`` marks: the parent
+    and the index of g of every value, and for each later block an array
+    whose row w is t_w there, the product of the steps from w to its root,
+    which carries w to the root."""
+    first, later = gens[0], gens[1:]
+    movers = np.flatnonzero(moved)
+    back = np.empty_like(first[movers])  # their inverses on the first block
+    back[np.arange(len(movers))[:, None], first[movers]] = np.arange(n, dtype=first.dtype)
+    parent = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    gen = np.zeros(n, dtype=np.min_scalar_type(max(len(first) - 1, 0)))
+    ts = [np.empty((n, stack.shape[1]), dtype=stack.dtype) for stack in later]
+    for t in ts:
+        t[reps] = np.arange(t.shape[1])
+    seen = np.zeros(n, dtype=bool)
+    seen[reps] = True
+    frontier = reps
+    while len(frontier):
+        reached = []
+        for gi, perm in zip(movers.tolist(), back):
+            img = perm[frontier]
+            fresh = ~seen[img]
+            if fresh.any():
+                img = img[fresh]
+                seen[img] = True
+                parent[img] = frontier[fresh]
+                gen[img] = gi
+                reached.append(img)
+        frontier = np.concatenate(reached) if reached else frontier[:0]
+        for t, stack in zip(ts, later):
+            # t_w = t_x g on the block's values, in batches of about _BATCH
+            step = max(1, _BATCH // t.shape[1])
+            for lo in range(0, len(frontier), step):
+                ws = frontier[lo : lo + step]
+                t[ws] = t[parent[ws][:, None], stack[gen[ws]]]
+    return parent, gen, ts
+
+
+def _stabilisers(
+    labels: np.ndarray, count: int, gens: list[np.ndarray], ts: list[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """Generators of the stabiliser of each orbit's least value, orbit by
+    orbit, as permutations of the later blocks' values: by Schreier's lemma
+    the t_{gw} g t_w^-1 over every member w of the orbit and generator g,
+    with t_w from ``_transversal``; identities and repeats dropped, in order
+    of first appearance.  Each comes as one array per later block, whose
+    row g is generator g's permutation of that block's values.  Rows are
+    taken in batches of about _BATCH values."""
+    first, later = gens[0], gens[1:]
+    n = len(labels)
+    cuts = np.cumsum([0, *(t.shape[1] for t in ts)]).tolist()
+    step = max(1, _BATCH // cuts[-1])
+    batches = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    invs = [np.empty_like(t) for t in ts]
+    for inv, t in zip(invs, ts):
+        for b in batches:
+            rows = np.arange(b.stop - b.start)[:, None]
+            inv[b][rows, t[b]] = np.arange(t.shape[1], dtype=t.dtype)
+    orbit = labels.tolist()
+    seen, parts, at, kept = set(), [], [[] for _ in range(count)], 0
+    for gi, perm in enumerate(first):
+        for b in batches:
+            # row w is t_{gw} g t_w^-1, on the later blocks side by side
+            whole = np.concatenate(
+                [t[perm[b][:, None], stack[gi][inv[b]]] for t, stack, inv in zip(ts, later, invs)],
+                axis=1,
+            )
+            fresh = []
+            keys = whole.view(np.dtype((np.void, whole[0].nbytes))).ravel().tolist()
+            for w, key in enumerate(keys, b.start):
+                if (orbit[w], key) not in seen:
+                    seen.add((orbit[w], key))
+                    at[orbit[w]].append(kept + len(fresh))
+                    fresh.append(w - b.start)
+            parts.append(whole[fresh])
+            kept += len(fresh)
+    table = np.concatenate(parts)
+    moving = ~_identity_rows(table, cuts)
+    out = []
+    for picked in at:
+        picked = np.array(picked, dtype=np.intp)
+        found = table[picked[moving[picked]]]
+        out.append([found[:, a:b].astype(s.dtype) for a, b, s in zip(cuts, cuts[1:], later)])
+    return out
+
+
+def _copied(level: _Level, leaves: list) -> _Level:
+    """A copy of a level and of the levels below it, sharing their arrays,
+    with each last level of the copy appended to ``leaves``."""
+    new = _Level(level.labels, level.parent, level.gen, level.gens)
+    if level.below is None:
+        leaves.append(new)
+    else:
+        new.below = [_copied(child, leaves) for child in level.below]
+    return new
+
+
+def _label_blocks(
+    values: list[int], gens: list[np.ndarray], leaves: list, memo: dict
+) -> tuple[_Level, np.ndarray, np.ndarray]:
+    """Label the states made of one value of each block, first block most
+    significant, with ``values[b]`` values at block b, under the group that
+    the generators generate; ``gens`` holds one array per block, whose row g
+    is generator g's permutation of that block's values.  With no block
+    there is one state.
+
+    The first block's values are labelled on their own.  A state whose
+    first block lies in the orbit of least value v, at w, is carried by the
+    tree's t_w to one with v there, and the states with v there form orbits
+    of Stab(v), labelled at the later blocks under its Schreier generators.
+    Returns the level and the least state and size of every orbit,
+    ascending, with orbit ids that count from 0 at each last level; appends
+    each last level to ``leaves`` in that order.  Stabilisers often repeat,
+    so the levels of each set of blocks and generators are built once per
+    ``memo`` and copied after that; a group with no generator, whose
+    labelling hooks nothing, is not looked up."""
+    moves = len(gens[0]) if gens else 0
+    key = (len(values), *(g.tobytes() for g in gens))
+    if moves and key in memo:
+        level, reps, sizes = memo[key]
+        return _copied(level, leaves), reps, sizes
+    if len(values) < 2 or not moves:
+        # the last block, or all the blocks left under a group with no
+        # generator, where each state is a class of its own
+        labels, reps, sizes = _orbit_labels(prod(values), list(gens[0]) if moves else [])
+        level = _Level(labels)
+        leaves.append(level)
+    else:
+        n, first = values[0], gens[0]
+        moved = ~_identity_rows(first, [0, n])
+        labels, orbit_reps, orbit_sizes = _orbit_labels(n, list(first[moved]))
+        parent, gen, ts = _transversal(n, orbit_reps, gens, moved)
+        level = _Level(labels, parent, gen, gens[1:], [])
+        stabs = _stabilisers(labels, len(orbit_reps), gens, ts)
+        below = prod(values[1:])
+        reps, sizes = [], []
+        for v, size, stab in zip(orbit_reps.tolist(), orbit_sizes.tolist(), stabs):
+            child, got, got_sizes = _label_blocks(values[1:], stab, leaves, memo)
+            level.below.append(child)
+            reps.append(got + v * below)
+            sizes.append(got_sizes * size)
+        reps, sizes = np.concatenate(reps), np.concatenate(sizes)
+    if moves:
+        memo[key] = level, reps, sizes
+    return level, reps, sizes
+
+
+def _class_of_values(level: _Level, vals: list[int], values: list[int]) -> int:
+    """The last level's label of the state whose block values are ``vals``,
+    found from its first level; ``vals`` is stepped in place."""
+    i = 0
+    while level.below is not None:
+        w = vals[i]
+        while (up := int(level.parent[w])) != w:
+            g = level.gen[w]
+            for b, stack in enumerate(level.gens, i + 1):
+                vals[b] = int(stack[g, vals[b]])
+            w = up
+        level, i = level.below[level.labels[w]], i + 1
+    # the last level labels the states of the blocks from i on
+    at = 0
+    for x, n in zip(vals[i:], values[i:]):
+        at = at * n + x
+    return int(level.labels[at])

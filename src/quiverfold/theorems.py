@@ -88,7 +88,7 @@ class _ReductionContext:
 
 
 def _reduce_context(
-    a: Automorphism, beta: Vec, fld: FiniteField, state_cap: int
+    a: Automorphism, lat: CartanLattice, beta: Vec, fld: FiniteField, state_cap: int
 ) -> _ReductionContext | None:
     """Reflect beta at sink and source orbits to the bottom of its chain.
 
@@ -98,10 +98,11 @@ def _reduce_context(
     reflection lowers the height.  Returns None when a reflection lands
     outside the positive cone, which certifies that no indecomposable of
     dims beta exists at all.  Raises BudgetExceeded when the bottom's state
-    space is over the cap.  Builds no catalog.
+    space is over the cap.  Builds no catalog.  ``lat`` is the quiver's
+    lattice, which a reflection leaves as it is: it reads only the
+    underlying graph.
     """
     q = a.quiver
-    lat = quiver_lattice(q)
     cur_dims = q.check_vector(beta)
     steps: list[tuple[tuple[str, ...], str]] = []
     while n_entries := q.entry_count(cur_dims):
@@ -165,6 +166,7 @@ class _TwistOrbitEngine:
         self.frobenius = frobenius
         self.order_bound = a.order
         self.state_cap = state_cap
+        self.lattice = quiver_lattice(a.quiver)
         # each handle is its own orbit, at its own d
         self.trivial = self.twist.is_identity and frobenius % fld.m == 0
         self.boxes: dict[Vec, Sequence[Vec]] = {}
@@ -187,7 +189,7 @@ class _TwistOrbitEngine:
             for beta in self.boxes[d]:
                 if beta not in self.contexts:
                     self.contexts[beta] = _reduce_context(
-                        self.a, beta, self.field, self.state_cap
+                        self.a, self.lattice, beta, self.field, self.state_cap
                     )
 
     def handles_at(self, beta: Vec) -> tuple[Handle, ...]:
@@ -310,7 +312,8 @@ class IIClass:
         up the chain."""
         from .reps import s_fold_functor, simple_representation
 
-        ctx = _reduce_context(self._auto, self.base_dims, self._field, self._state_cap)
+        lat = quiver_lattice(self._auto.quiver)
+        ctx = _reduce_context(self._auto, lat, self.base_dims, self._field, self._state_cap)
         qr = ctx.quiver
         if qr.entry_count(ctx.dims):
             from .catalog import isoclasses

@@ -7,6 +7,7 @@ explicit GL generators, idempotent search for indecomposability).
 
 import importlib.util
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import quiverfold as qf
 from quiverfold import catalog as cat_mod
+from quiverfold import labelling
 from quiverfold.catalog import (
     IsoClassCatalog,
     auto_period,
@@ -206,6 +208,9 @@ def _quiver(name, a3, dtilde4):
         ("counterexample", (1, 1, 1, 1, 1), 5),
         ("triangle", (2, 3, 1), 2),
         ("triangle", (2, 2, 1), 3),
+        ("star", (2, 1, 1, 1, 2), 2),
+        ("star", (1, 1, 1, 2, 2), 2),
+        ("counterexample", (2, 1, 1, 1, 1), 2),
     ],
     ids=[
         "a3-222-gf3",
@@ -219,6 +224,9 @@ def _quiver(name, a3, dtilde4):
         "cx-11111-gf5",
         "triangle-231-gf2",
         "triangle-221-gf3",
+        "star-21112-gf2",
+        "star-11122-gf2",
+        "cx-21111-gf2",
     ],
 )
 def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
@@ -252,10 +260,46 @@ def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
     rep_of_code = {code(state): code(rep) for state, rep in rep_of.items()}
     for state, rep in rep_of_code.items():
         assert cat.class_reps[cat.class_of_state(state)] == rep
-    # each slice's labels, read directly, name the class of each of its states
+    # each last-block level's labels, read directly, name the class of each
+    # state they label
+    for level, states in _leaf_states(cat):
+        assert cat.class_reps[level.labels].tolist() == [rep_of_code[s] for s in states]
+
+
+def _levels(cat):
+    """Every level of every slice, each slice's levels depth first."""
+    out = []
+
+    def walk(level):
+        out.append(level)
+        for child in level.below or ():
+            walk(child)
+
     for sl in cat.slices:
-        got = cat.class_reps[sl.labels].tolist()
-        assert got == [rep_of_code[sl.start + i] for i in range(sl.size)]
+        walk(sl.level)
+    return out
+
+
+def _leaf_states(cat):
+    """Each last level, in order, with the states it labels: those of its
+    slice that carry, at each block above it, the least value of the orbit
+    that leads to it, and any values at the blocks it labels, which are the
+    last block or, under a group that moves none of them, all the rest."""
+    out = []
+    for sl in cat.slices:
+        values = cat.space.block_values(sl.block)
+
+        def walk(level, prefix, depth):
+            if level.below is None:
+                n = prod(values[depth:])
+                out.append((level, [sl.start + prefix * n + x for x in range(n)]))
+                return
+            for o, child in enumerate(level.below):
+                least = int(np.flatnonzero(level.labels == o)[0])
+                walk(child, prefix * values[depth] + least, depth + 1)
+
+        walk(sl.level, 0, 0)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -325,8 +369,8 @@ def test_slice_invariants(arrows, dims, q):
     the states whose blocks before j are zero and whose block j is N_k, the
     least rank-k value of block j; they tile the space.  Each generator of
     the stabiliser of N_k fixes N_k, and each of G fixes the zero state, so
-    it maps its slice onto itself, and its tables agree with
-    decode -> _Move.apply -> encode there."""
+    it maps its slice onto itself, and the permutation built from its block
+    value permutations agrees with decode -> _Move.apply -> encode there."""
     quiver = qf.validate_quiver(["1", "2", "3"], arrows)
     fld = qf.make_field(*q)
     space = cat_mod.StateSpace(quiver, fld, dims)
@@ -361,35 +405,117 @@ def test_slice_invariants(arrows, dims, q):
         for mv in moves:
             ref = space.encode_batch(mv.apply(ents)) - sl.start
             assert np.array_equal(np.sort(ref), rel), (sl.block, sl.rank, mv.mats)
-            table = cat_mod._MoveTable(space, mv, sl.first)
-            assert np.array_equal(table(rel), ref), (sl.block, sl.rank, mv.mats)
+            perm = space.move_permutation(mv)[rel + sl.start] - sl.start
+            assert np.array_equal(perm, ref), (sl.block, sl.rank, mv.mats)
 
 
 @pytest.mark.parametrize(
-    "name, dims, q, labelled",
+    "name, dims, q, states, stored, labelled",
     [
-        ("star", (0, 1, 1, 1, 2), (2, 4), 65_794),
-        ("star", (2, 2, 2, 2, 3), (2, 1), 532_611),
-        ("counterexample", (1, 1, 1, 2, 1), (5, 1), 94_507),
+        ("star", (0, 1, 1, 1, 2), (2, 4), 65_794, 1_282, 1_026),
+        ("star", (2, 2, 2, 2, 3), (2, 1), 532_611, 5_891, 2_179),
+        ("counterexample", (1, 1, 1, 2, 1), (5, 1), 94_507, 1_032, 582),
     ],
     ids=["star-cap-gf16", "star-22223-gf2", "cx-11121-gf5"],
 )
-def test_labelled_states(name, dims, q, labelled, dtilde4):
-    """A catalog labels only the states of its slices: the cap vector's
-    16^4 states with its top block at N_1, 16^2 with the next block leading
-    and one each with the last block leading and the zero state."""
+def test_labelled_states(name, dims, q, states, stored, labelled, dtilde4, monkeypatch):
+    """A catalog's slices hold the cap vector's 16^4 states with its top
+    block at N_1, 16^2 with the next block leading and one each with the
+    last block leading and the zero state.  A slice is labelled one block at
+    a time: the 16^4-state slice as the 256 values of its second block, then
+    256 values of its last block under each of its 3 stabilisers, so the cap
+    catalog stores labels for 1 + 1 + 256 + 256 + 3 * 256 values.  The
+    stabiliser of the zero value has the generators that the slice with the
+    next block leading has on the last block, so the kernel labels those
+    256 values once.  These are work counts: a change that labels more of a
+    slice raises them."""
+    real, sizes = labelling._orbit_labels, []
+
+    def counted(n, perms):
+        sizes.append(n)
+        return real(n, perms)
+
+    monkeypatch.setattr(labelling, "_orbit_labels", counted)
+    clear_catalog_store()
     cat = isoclasses(_quiver(name, None, dtilde4), dims, qf.make_field(*q))
-    assert sum(sl.size for sl in cat.slices) == labelled
-    assert sum(len(sl.labels) for sl in cat.slices) == labelled
+    assert sum(sl.size for sl in cat.slices) == states
+    assert sum(len(level.labels) for level in _levels(cat)) == stored
+    assert sum(sizes) == labelled
+    clear_catalog_store()
+
+
+def _flat_labelling(cat):
+    """Each slice labelled as a whole, by one ``_orbit_labels`` call on the
+    permutations of its states that the stabiliser's moves make, each put
+    together from the moves' block value permutations.  Returns the class
+    reps and sizes this gives, and the class id of every state of each
+    slice."""
+    space = cat.space
+    reps, sizes, labels, offset = [], [], {}, 0
+    for sl in cat.slices:
+        values = space.block_values(sl.block)
+        later = space.blocks[len(space.blocks) - len(values) :]
+        rel = np.arange(sl.size, dtype=np.int64)
+        perms = []
+        for mv in space.stabiliser(sl.block, sl.rank) if values else []:
+            img, low = rel.copy(), sl.size
+            for blk, n in zip(later, values):
+                low //= n
+                perm = mv.value_perm(blk)
+                if perm is not None:
+                    vals = rel // low % n
+                    img += (perm[vals].astype(np.int64) - vals) * low
+            perms.append(img)
+        ids, least, size = labelling._orbit_labels(sl.size, perms)
+        labels[sl.block, sl.rank] = ids.astype(np.int64) + offset
+        offset += len(least)
+        reps.append(least + sl.start)
+        sizes.append(size * sl.orbit)
+    return np.concatenate(reps), np.concatenate(sizes), labels
+
+
+@pytest.mark.parametrize("m", [2, 4], ids=["gf4", "gf16"])
+def test_levels_match_flat_slice_labelling(m, dtilde4):
+    """On the cap vector, labelling block by block gives the classes, sizes
+    and lookups that labelling each slice whole gives: every state over
+    GF(4), and over GF(16) every state of every slice and a sample of the
+    others, which reduce to a slice first."""
+    cat = isoclasses(dtilde4[0], (0, 1, 1, 1, 2), qf.make_field(2, m))
+    reps, sizes, labels = _flat_labelling(cat)
+    assert cat.class_reps.tolist() == reps.tolist() and cat.class_reps.dtype == reps.dtype
+    assert cat.sizes.tolist() == sizes.tolist() and cat.sizes.dtype == sizes.dtype
+    for sl in cat.slices:
+        got = [cat.class_of_state(sl.start + i) for i in range(sl.size)]
+        assert got == labels[sl.block, sl.rank].tolist(), (sl.block, sl.rank)
+    size = cat.space.size
+    states = range(size) if size <= 4**6 else np.random.default_rng(5).integers(size, size=1_000)
+    for state in map(int, states):
+        j, k, moved = cat.space.to_slice(state)
+        sl = cat._slice_at[j, k]
+        assert cat.class_of_state(state) == labels[j, k][moved - sl.start], state
+
+
+def test_delta_over_gf16_past_the_default_cap(dtilde4):
+    """Star delta over GF(16) has 16^8 states, 2^8 times the default cap,
+    yet labels a few thousand block values: 65 classes, of which
+    I_delta(16) = q + 4 = 20 are indecomposable."""
+    clear_catalog_store()
+    cat = isoclasses(dtilde4[0], (1, 1, 1, 1, 2), qf.make_field(2, 4), state_cap=2**32)
+    assert cat.n_classes == 65
+    assert int(cat.sizes.sum()) == 16**8
+    assert int(cat.indec_flags.sum()) == 20
+    clear_catalog_store()
 
 
 def _label_dtypes(cat):
-    return {sl.labels.dtype for sl in cat.slices}
+    return {level.labels.dtype for level, _ in _leaf_states(cat)}
 
 
 def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
-    """Every slice holds global class ids, in the narrowest dtype that fits
-    the catalog's class count."""
+    """Every last-block level holds global class ids, in the narrowest dtype
+    that fits the catalog's class count; every level above it holds orbit
+    ids, tree parents and generator indices, each in the narrowest dtype
+    that fits them."""
     cat = isoclasses(counterexample[0], (1, 1, 1, 1, 1), F5)
     assert cat.n_classes == 106 and _label_dtypes(cat) == {np.dtype(np.uint8)}
     # nine parallel arrows at dims (1, 1) over GF(2): no move acts, so every
@@ -409,12 +535,19 @@ def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
     assert cat.class_reps.tolist() == sorted(cat.class_reps.tolist())
     ids = [cat.class_of_state(s) for s in cat.class_reps.tolist()]
     assert ids == list(range(cat.n_classes))
-    reps = cat.class_reps
+    reps = set(cat.class_reps.tolist())
     direct = [
-        sl.labels[reps[(reps >= sl.start) & (reps < sl.start + sl.size)] - sl.start]
-        for sl in cat.slices
+        level.labels[[i for i, s in enumerate(states) if s in reps]]
+        for level, states in _leaf_states(cat)
     ]
     assert np.array_equal(np.concatenate(direct), np.arange(cat.n_classes))
+    for level in _levels(cat):
+        if level.below is not None:
+            n = len(level.labels)
+            assert level.labels.dtype == np.min_scalar_type(len(level.below) - 1)
+            assert level.parent.dtype == np.min_scalar_type(n - 1)
+            assert level.gen.dtype == np.min_scalar_type(max(len(level.gens[0]) - 1, 0))
+            assert all(s.dtype == np.min_scalar_type(s.shape[1] - 1) for s in level.gens)
 
 
 def _labelling(cat):
@@ -423,7 +556,12 @@ def _labelling(cat):
         cat.class_reps.dtype,
         cat.sizes.tolist(),
         cat.sizes.dtype,
-        [(sl.labels.tolist(), sl.labels.dtype) for sl in cat.slices],
+        [
+            (arr.tolist(), arr.dtype)
+            for level in _levels(cat)
+            for arr in (level.labels, level.parent, level.gen)
+            if arr is not None
+        ],
     )
 
 
@@ -438,7 +576,7 @@ def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkey
     ]
     clear_catalog_store()
     whole = [_labelling(isoclasses(q, d, f)) for q, d, f in cases]
-    monkeypatch.setattr(cat_mod, "_BATCH", 7)
+    monkeypatch.setattr(labelling, "_BATCH", 7)
     clear_catalog_store()
     assert [_labelling(isoclasses(q, d, f)) for q, d, f in cases] == whole
     clear_catalog_store()
@@ -649,11 +787,11 @@ def test_prime_field_frobenius_periods_do_not_twist(dtilde4, F3, monkeypatch):
 
 def test_broken_orbit_partition_is_refused(a3, F2, monkeypatch):
     # the first slice labelled, the zero state's, loses its one state
-    real = cat_mod._orbit_labels
+    real = labelling._orbit_labels
     slices = []
 
-    def drop_one(n, tables):
-        labels, reps, sizes = real(n, tables)
+    def drop_one(n, perms):
+        labels, reps, sizes = real(n, perms)
         if not slices:
             sizes = sizes.copy()
             sizes[0] -= 1
@@ -663,7 +801,7 @@ def test_broken_orbit_partition_is_refused(a3, F2, monkeypatch):
     dims = (1, 2, 1)
     key = cat_mod._store_key(a3, F2, dims)
     clear_catalog_store()
-    monkeypatch.setattr(cat_mod, "_orbit_labels", drop_one)
+    monkeypatch.setattr(labelling, "_orbit_labels", drop_one)
     with pytest.raises(OrbitPartitionBroken, match="^orbit sizes sum to 15, not to the 16 states$"):
         isoclasses(a3, dims, F2)
     assert key not in cat_mod._STORE

@@ -230,12 +230,12 @@ def test_refusal_builds_nothing(monkeypatch, job, predicted):
     # every job plans its vectors before the first build, so an oversized
     # job refuses with the figure enumeration would have met, having built
     # no catalog at all
-    from quiverfold import catalog
+    from quiverfold import catalog, labelling
 
     def no_build(*args):
         raise RuntimeError("a catalog was built")
 
-    monkeypatch.setattr(catalog, "_orbit_labels", no_build)
+    monkeypatch.setattr(labelling, "_orbit_labels", no_build)
     stored = dict(catalog._STORE)
     with pytest.raises(BudgetExceeded, match="before any catalog was built") as ei:
         job()
@@ -431,9 +431,9 @@ def test_one_plan_per_job(monkeypatch, job, distinct):
     seen = []
     reduce_context = theorems._reduce_context
 
-    def counted(a, beta, fld, state_cap):
+    def counted(a, lat, beta, fld, state_cap):
         seen.append(beta)
-        return reduce_context(a, beta, fld, state_cap)
+        return reduce_context(a, lat, beta, fld, state_cap)
 
     monkeypatch.setattr(theorems, "_reduce_context", counted)
     job()
@@ -462,6 +462,36 @@ def test_one_twist_per_handle(monkeypatch, job, distinct):
     monkeypatch.setattr(theorems._TwistOrbitEngine, "t_handle", counted)
     job()
     assert len(seen) == len(set(seen)) == distinct
+
+
+def _base_representations():
+    classes = qf.ii_classes(_DTILDE4_4CYCLE, (1, 1, 1, 1, 2), qf.make_field(3))
+    return [c.base_representation() for c in classes]
+
+
+@pytest.mark.parametrize(
+    "job, builds",
+    [
+        (lambda: qf.verify_main_theorem(qf.build_dtilde4()[2], qf.make_field(2), 4), 1),
+        (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 1),
+        # the engine's, then one for each of the two classes' chains
+        (_base_representations, 3),
+    ],
+    ids=["verify_main", "verify_species", "base_representation"],
+)
+def test_one_lattice_per_job(monkeypatch, job, builds):
+    # a reflection keeps the quiver's lattice, so an engine builds it once
+    # for all the vectors it reduces
+    calls = []
+    real = theorems.quiver_lattice
+
+    def counted(quiver):
+        calls.append(quiver)
+        return real(quiver)
+
+    monkeypatch.setattr(theorems, "quiver_lattice", counted)
+    job()
+    assert len(calls) == builds
 
 
 # twist-orbit engines and the height of the sweep that visits their boxes
