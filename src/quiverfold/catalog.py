@@ -40,16 +40,18 @@ breadth-first tree of the orbit gives generators of Stab(v), carried only
 as permutations of the later blocks' values, which label the next block
 the same way, down to the last.  A class of slice (j, k) then has size
 |G.N_k| * |H.v| * ... * |last orbit|, is named by its least state, and the
-classes still come out in order of it.  The last levels hold the
-catalog's class ids, in the narrowest dtype that fits them all.
+classes still come out in order of it.  A slice keeps the id of its first
+class, and its levels number their classes from 0, so a level that recurs
+is stored once and shared.
 
 ``class_of`` reduces a state to its slice: Gaussian elimination over F_q
 brings its first non-zero block j to N_k by a pair (g_t, g_s), which is
 applied with the field's arithmetic to the blocks at t and s; a state whose
 block j is already N_k is left as it is.  Each level then steps the state
 along its tree, one stored generator at a time, until its block holds its
-orbit's least value, and passes it to that orbit's level below; the last
-level's labels name the class.
+orbit's least value, and passes it to that orbit's level below; the class
+id is the slice's first id plus the number of classes in the orbits before
+each one it passes through plus the last level's label.
 
 Indecomposability flags come from the end ring.  By Fitting's lemma X is
 indecomposable exactly when End(X) is local (Assem, Simson and Skowroński,
@@ -248,8 +250,8 @@ class _Slice:
     start: int
     size: int
     orbit: int  # |G.N_k|
-    first: int  # the entries from here on vary within the slice
     level: _Level | None = None  # the first level of its labels, once labelled
+    first_class: int = 0  # the id of its first class, once labelled
 
 
 class StateSpace:
@@ -348,12 +350,12 @@ class StateSpace:
         """The zero state, then one slice per block j, from the last block to
         the first, and rank k >= 1 of block j: in ascending order."""
         q = self.field.q
-        out = [_Slice(None, 0, 0, 1, 1, self.n_entries)]
+        out = [_Slice(None, 0, 0, 1, 1)]
         for j in reversed(range(len(self.blocks))):
-            off, r, c, _, _ = self.blocks[j]
+            _, r, c, _, _ = self.blocks[j]
             size = self.below[j]
             for value, k in self.normal_ranks[j].items():
-                out.append(_Slice(j, k, value * size, size, _rank_count(q, r, c, k), off + r * c))
+                out.append(_Slice(j, k, value * size, size, _rank_count(q, r, c, k)))
         return out
 
     def block_values(self, j: int | None) -> list[int]:
@@ -510,7 +512,7 @@ class IsoClassCatalog:
             rest, x = divmod(rest, n)
             vals.append(x)
         vals.reverse()
-        return _class_of_values(sl.level, vals, values)
+        return sl.first_class + _class_of_values(sl.level, vals, values)
 
     def class_of(self, rep: Representation) -> int:
         return self.class_of_state(self.space.encode_rep(rep))
@@ -585,7 +587,7 @@ def isoclasses(
     _check_size(quiver, field, dd, state_cap)
     space = StateSpace(quiver, field, dd)
     slices = space.slices()
-    reps, sizes, leaves, memo = [], [], [], {}
+    reps, sizes, memo, count = [], [], {}, 0
     for sl in slices:
         values = space.block_values(sl.block)
         later = space.blocks[len(space.blocks) - len(values) :]
@@ -597,7 +599,9 @@ def isoclasses(
         for b, n in enumerate(values):
             rows = [np.arange(n) if g[b] is None else g[b] for g in perms]
             gens.append(np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(perms), n))
-        sl.level, got, size = _label_blocks(values, gens, leaves, memo)
+        sl.level, got, size = _label_blocks(values, gens, memo)
+        sl.first_class = count
+        count += len(got)
         reps.append(got + sl.start)
         sizes.append(size * sl.orbit)
     class_reps = np.concatenate(reps)
@@ -606,14 +610,6 @@ def isoclasses(
         raise OrbitPartitionBroken(
             f"orbit sizes sum to {int(sizes.sum())}, not to the {space.size} states"
         )
-    # global class ids, in the narrowest dtype that holds them all
-    dtype = np.min_scalar_type(len(class_reps) - 1)
-    offset = 0
-    for level in leaves:
-        count = int(level.labels.max()) + 1
-        level.labels = np.add(level.labels, offset, dtype=dtype)
-        offset += count
-
     cat = IsoClassCatalog(space, class_reps, sizes, slices)
     _STORE[key] = cat
     return cat

@@ -25,14 +25,15 @@ left makes every state of the blocks from there on an orbit of its own, one
 last level for them all.  The least state of an orbit is v followed by the
 least of its Stab(v)-orbit, so an orbit's size is |orbit of v| times the
 size of its Stab(v)-orbit, and the orbits come out in order of their least
-state.  Stabilisers repeat, so each set of blocks and generators is
-labelled once per ``memo``, and copied after that.  Labels are held in the
-narrowest unsigned dtype that fits their count.
+state.  A level numbers its classes from 0, so as stabilisers repeat, each
+set of blocks and generators is labelled once per ``memo`` and its level
+shared.  Labels are held in the narrowest unsigned dtype that fits their
+count.
 
 ``_class_of_values`` looks a state up: each level steps it along its tree,
 from w to its parent by the generator stored with w, until its block holds
-its orbit's least value, and passes it to that orbit's level below; the
-last level's label names its orbit.
+its orbit's least value, counts the classes of the orbits before that one
+and passes it to that orbit's level below, and adds the last level's label.
 """
 
 from __future__ import annotations
@@ -71,24 +72,26 @@ def _state_dtype(n: int):
     return np.int32 if n <= 2**31 else np.int64
 
 
-@_record(frozen=False)
+@_record
 class _Level:
-    """The labels of one block's values under one group.  At the last level
-    they label the orbits of the states, which are that block's values, or
-    under a group that moves none of them the states of all the blocks from
-    there on; ``catalog`` makes them its class ids.  Above it they label the
-    orbits of the block's values, and ``parent`` and ``gen`` hold a
+    """The labels of one block's values under one group, shared wherever
+    that group recurs.  At the last level they number the orbits of the
+    states, which are that block's values, or under a group that moves none
+    of them the states of all the blocks from there on.  Above it they label
+    the orbits of the block's values, and ``parent`` and ``gen`` hold a
     breadth-first tree of each orbit from its least value, the root its own
     parent: generator ``gen[w]`` sends value w to ``parent[w]``.  ``gens``
     holds the generators' permutations of the later blocks' values, one
-    array per block with a row per generator, and ``below`` the level of
-    the stabiliser of each orbit's least value, orbit by orbit."""
+    array per block with a row per generator; orbit by orbit, ``below``
+    holds the level of the stabiliser of its least value and ``offsets``
+    the number of classes in the orbits before it."""
 
     labels: np.ndarray
     parent: np.ndarray | None = None
     gen: np.ndarray | None = None
     gens: list | None = None
-    below: list | None = None
+    below: tuple | None = None
+    offsets: tuple | None = None
 
 
 def _orbit_labels(
@@ -237,19 +240,8 @@ def _stabilisers(
     return out
 
 
-def _copied(level: _Level, leaves: list) -> _Level:
-    """A copy of a level and of the levels below it, sharing their arrays,
-    with each last level of the copy appended to ``leaves``."""
-    new = _Level(level.labels, level.parent, level.gen, level.gens)
-    if level.below is None:
-        leaves.append(new)
-    else:
-        new.below = [_copied(child, leaves) for child in level.below]
-    return new
-
-
 def _label_blocks(
-    values: list[int], gens: list[np.ndarray], leaves: list, memo: dict
+    values: list[int], gens: list[np.ndarray], memo: dict
 ) -> tuple[_Level, np.ndarray, np.ndarray]:
     """Label the states made of one value of each block, first block most
     significant, with ``values[b]`` values at block b, under the group that
@@ -262,36 +254,35 @@ def _label_blocks(
     tree's t_w to one with v there, and the states with v there form orbits
     of Stab(v), labelled at the later blocks under its Schreier generators.
     Returns the level and the least state and size of every orbit,
-    ascending, with orbit ids that count from 0 at each last level; appends
-    each last level to ``leaves`` in that order.  Stabilisers often repeat,
-    so the levels of each set of blocks and generators are built once per
-    ``memo`` and copied after that; a group with no generator, whose
-    labelling hooks nothing, is not looked up."""
+    ascending, the orbits numbered from 0 in that order.  Stabilisers often
+    repeat, so the level of each set of blocks and generators is built once
+    per ``memo`` and returned itself after that; a group with no generator,
+    whose labelling hooks nothing, is not looked up."""
     moves = len(gens[0]) if gens else 0
     key = (len(values), *(g.tobytes() for g in gens))
     if moves and key in memo:
-        level, reps, sizes = memo[key]
-        return _copied(level, leaves), reps, sizes
+        return memo[key]
     if len(values) < 2 or not moves:
         # the last block, or all the blocks left under a group with no
         # generator, where each state is a class of its own
         labels, reps, sizes = _orbit_labels(prod(values), list(gens[0]) if moves else [])
         level = _Level(labels)
-        leaves.append(level)
     else:
         n, first = values[0], gens[0]
         moved = ~_identity_rows(first, [0, n])
         labels, orbit_reps, orbit_sizes = _orbit_labels(n, list(first[moved]))
         parent, gen, ts = _transversal(n, orbit_reps, gens, moved)
-        level = _Level(labels, parent, gen, gens[1:], [])
         stabs = _stabilisers(labels, len(orbit_reps), gens, ts)
         below = prod(values[1:])
-        reps, sizes = [], []
+        children, offsets, reps, sizes, count = [], [], [], [], 0
         for v, size, stab in zip(orbit_reps.tolist(), orbit_sizes.tolist(), stabs):
-            child, got, got_sizes = _label_blocks(values[1:], stab, leaves, memo)
-            level.below.append(child)
+            child, got, got_sizes = _label_blocks(values[1:], stab, memo)
+            children.append(child)
+            offsets.append(count)
+            count += len(got)
             reps.append(got + v * below)
             sizes.append(got_sizes * size)
+        level = _Level(labels, parent, gen, gens[1:], tuple(children), tuple(offsets))
         reps, sizes = np.concatenate(reps), np.concatenate(sizes)
     if moves:
         memo[key] = level, reps, sizes
@@ -299,9 +290,9 @@ def _label_blocks(
 
 
 def _class_of_values(level: _Level, vals: list[int], values: list[int]) -> int:
-    """The last level's label of the state whose block values are ``vals``,
-    found from its first level; ``vals`` is stepped in place."""
-    i = 0
+    """The number, among the classes that ``level`` labels, of the class of
+    the state whose block values are ``vals``; ``vals`` is stepped in place."""
+    i = ci = 0
     while level.below is not None:
         w = vals[i]
         while (up := int(level.parent[w])) != w:
@@ -309,9 +300,10 @@ def _class_of_values(level: _Level, vals: list[int], values: list[int]) -> int:
             for b, stack in enumerate(level.gens, i + 1):
                 vals[b] = int(stack[g, vals[b]])
             w = up
-        level, i = level.below[level.labels[w]], i + 1
+        o = level.labels[w]
+        level, ci, i = level.below[o], ci + level.offsets[o], i + 1
     # the last level labels the states of the blocks from i on
     at = 0
     for x, n in zip(vals[i:], values[i:]):
         at = at * n + x
-    return int(level.labels[at])
+    return ci + int(level.labels[at])

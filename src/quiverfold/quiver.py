@@ -278,7 +278,7 @@ class Automorphism:
 
     @property
     def is_identity(self) -> bool:
-        return self.order == 1
+        return self == self.identity(self.quiver)  # no cycle walked
 
     def inverse(self) -> "Automorphism":
         return self.power(-1)

@@ -260,10 +260,12 @@ def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
     rep_of_code = {code(state): code(rep) for state, rep in rep_of.items()}
     for state, rep in rep_of_code.items():
         assert cat.class_reps[cat.class_of_state(state)] == rep
-    # each last-block level's labels, read directly, name the class of each
-    # state they label
-    for level, states in _leaf_states(cat):
-        assert cat.class_reps[level.labels].tolist() == [rep_of_code[s] for s in states]
+    # each last-block level's labels, read directly and added to the class
+    # id of the first class below its path, name the class of each state
+    # they label
+    for level, first, states in _leaf_states(cat):
+        ids = level.labels.astype(np.int64) + first
+        assert cat.class_reps[ids].tolist() == [rep_of_code[s] for s in states]
 
 
 def _levels(cat):
@@ -281,24 +283,27 @@ def _levels(cat):
 
 
 def _leaf_states(cat):
-    """Each last level, in order, with the states it labels: those of its
-    slice that carry, at each block above it, the least value of the orbit
-    that leads to it, and any values at the blocks it labels, which are the
-    last block or, under a group that moves none of them, all the rest."""
+    """Each last level, in the order of the paths that reach it, with the id
+    of the first class it labels there, which is its slice's first class id
+    plus the offsets along the path, and the states it labels there: those
+    of its slice that carry, at each block above it, the least value of the
+    orbit that leads to it, and any values at the blocks it labels, which
+    are the last block or, under a group that moves none of them, all the
+    rest.  A shared level comes once per path."""
     out = []
     for sl in cat.slices:
         values = cat.space.block_values(sl.block)
 
-        def walk(level, prefix, depth):
+        def walk(level, first, prefix, depth):
             if level.below is None:
                 n = prod(values[depth:])
-                out.append((level, [sl.start + prefix * n + x for x in range(n)]))
+                out.append((level, first, [sl.start + prefix * n + x for x in range(n)]))
                 return
-            for o, child in enumerate(level.below):
+            for o, (child, offset) in enumerate(zip(level.below, level.offsets)):
                 least = int(np.flatnonzero(level.labels == o)[0])
-                walk(child, prefix * values[depth] + least, depth + 1)
+                walk(child, first + offset, prefix * values[depth] + least, depth + 1)
 
-        walk(sl.level, 0, 0)
+        walk(sl.level, sl.first_class, 0, 0)
     return out
 
 
@@ -396,7 +401,6 @@ def test_slice_invariants(arrows, dims, q):
     assert sum(sl.orbit * sl.size for sl in slices) == space.size
     assert any(sl.block is not None and sl.block >= 1 for sl in slices)
     for sl in slices:
-        assert fld.q ** (space.n_entries - sl.first) == sl.size
         rel = np.arange(sl.size, dtype=np.int64)
         ents = space.decode_batch(rel + sl.start)
         # G fixes the zero state
@@ -410,7 +414,7 @@ def test_slice_invariants(arrows, dims, q):
 
 
 @pytest.mark.parametrize(
-    "name, dims, q, states, stored, labelled",
+    "name, dims, q, states, walked, labelled",
     [
         ("star", (0, 1, 1, 1, 2), (2, 4), 65_794, 1_282, 1_026),
         ("star", (2, 2, 2, 2, 3), (2, 1), 532_611, 5_891, 2_179),
@@ -418,17 +422,19 @@ def test_slice_invariants(arrows, dims, q):
     ],
     ids=["star-cap-gf16", "star-22223-gf2", "cx-11121-gf5"],
 )
-def test_labelled_states(name, dims, q, states, stored, labelled, dtilde4, monkeypatch):
+def test_labelled_states(name, dims, q, states, walked, labelled, dtilde4, monkeypatch):
     """A catalog's slices hold the cap vector's 16^4 states with its top
     block at N_1, 16^2 with the next block leading and one each with the
     last block leading and the zero state.  A slice is labelled one block at
     a time: the 16^4-state slice as the 256 values of its second block, then
-    256 values of its last block under each of its 3 stabilisers, so the cap
-    catalog stores labels for 1 + 1 + 256 + 256 + 3 * 256 values.  The
-    stabiliser of the zero value has the generators that the slice with the
-    next block leading has on the last block, so the kernel labels those
-    256 values once.  These are work counts: a change that labels more of a
-    slice raises them."""
+    256 values of its last block under each of its 3 stabilisers, so a walk
+    of the cap catalog's levels meets labels for 1 + 1 + 256 + 256 + 3 * 256
+    values.  The stabiliser of the zero value has the generators that the
+    slice with the next block leading has on the last block, so the kernel
+    labels those 256 values once, and the catalog stores them once: its
+    distinct label arrays hold exactly the values the kernel labelled.
+    These are work counts: a change that labels or stores more of a slice
+    raises them."""
     real, sizes = labelling._orbit_labels, []
 
     def counted(n, perms):
@@ -439,9 +445,34 @@ def test_labelled_states(name, dims, q, states, stored, labelled, dtilde4, monke
     clear_catalog_store()
     cat = isoclasses(_quiver(name, None, dtilde4), dims, qf.make_field(*q))
     assert sum(sl.size for sl in cat.slices) == states
-    assert sum(len(level.labels) for level in _levels(cat)) == stored
+    levels = _levels(cat)
+    assert sum(len(level.labels) for level in levels) == walked
+    stored = {id(level.labels): len(level.labels) for level in levels}
+    assert sum(stored.values()) == labelled
     assert sum(sizes) == labelled
     clear_catalog_store()
+
+
+def test_memo_hit_returns_the_level_itself(dtilde4):
+    """A memo hit returns the memoised level, reps and sizes themselves, not
+    copies, and a level refuses assignment.  On the cap vector over GF(16)
+    the zero value's stabiliser in the top slice is the group of the slice
+    with the next block leading, and both reach one level."""
+    gens = [np.array([[1, 0, 2]], dtype=np.uint8), np.array([[1, 0]], dtype=np.uint8)]
+    memo = {}
+    level, reps, sizes = labelling._label_blocks([3, 2], gens, memo)
+    again, reps_again, sizes_again = labelling._label_blocks([3, 2], gens, memo)
+    assert again is level and reps_again is reps and sizes_again is sizes
+    fresh, _, _ = labelling._label_blocks([3, 2], gens, {})
+    assert fresh is not level and fresh.labels.tolist() == level.labels.tolist()
+    assert reps.tolist() == [0, 1, 4] and sizes.tolist() == [2, 2, 2]
+    with pytest.raises(AttributeError, match="frozen _Level"):
+        level.labels = level.labels.copy()
+    cat = isoclasses(dtilde4[0], (0, 1, 1, 1, 2), qf.make_field(2, 4))
+    top, second = cat.slices[-1], cat.slices[-2]
+    assert (top.block, second.block) == (0, 1)
+    assert top.level.below[0] is second.level
+    assert top.level.offsets == (0, 3, 6) and second.first_class == 2
 
 
 def _flat_labelling(cat):
@@ -508,37 +539,53 @@ def test_delta_over_gf16_past_the_default_cap(dtilde4):
 
 
 def _label_dtypes(cat):
-    return {level.labels.dtype for level, _ in _leaf_states(cat)}
+    """The dtypes of the last levels' labels, each of which must be the
+    narrowest that fits that level's own class count."""
+    dtypes = set()
+    for level, _, _ in _leaf_states(cat):
+        count = int(level.labels.max()) + 1
+        assert np.array_equal(np.unique(level.labels), np.arange(count))
+        assert level.labels.dtype == np.min_scalar_type(count - 1)
+        dtypes.add(level.labels.dtype)
+    return dtypes
 
 
 def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
-    """Every last-block level holds global class ids, in the narrowest dtype
-    that fits the catalog's class count; every level above it holds orbit
-    ids, tree parents and generator indices, each in the narrowest dtype
-    that fits them."""
+    """Every last-block level numbers its own classes from 0, in the
+    narrowest dtype that fits their count, and those numbers plus the
+    offsets along a path to it are the catalog's class ids; every level
+    above it holds orbit ids, tree parents and generator indices, each in
+    the narrowest dtype that fits them."""
     cat = isoclasses(counterexample[0], (1, 1, 1, 1, 1), F5)
     assert cat.n_classes == 106 and _label_dtypes(cat) == {np.dtype(np.uint8)}
     # nine parallel arrows at dims (1, 1) over GF(2): no move acts, so every
-    # one of the 512 states is its own class
+    # one of the 512 states is its own class, and the largest slice, with
+    # the first arrow leading, holds 256 of them; with ten arrows it holds 512
     many = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(9)])
     cat = isoclasses(many, (1, 1), F2)
-    assert cat.n_classes == 512 and _label_dtypes(cat) == {np.dtype(np.uint16)}
+    assert cat.n_classes == 512 and _label_dtypes(cat) == {np.dtype(np.uint8)}
     assert cat.class_reps.tolist() == list(range(512))
     assert cat.sizes.tolist() == [1] * 512
     assert [cat.class_of_state(s) for s in range(512)] == list(range(512))
+    ten = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(10)])
+    cat = isoclasses(ten, (1, 1), F2)
+    assert cat.n_classes == 1024
+    assert _label_dtypes(cat) == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    assert [cat.class_of_state(s) for s in range(1024)] == list(range(1024))
     # six parallel arrows at dims (1, 1) over GF(3): the scalings pair each
-    # nonzero state with its negative, so the class ids outgrow uint8
+    # nonzero state with its negative, so the class ids outgrow uint8, yet
+    # the 243 classes of the slice with the first block leading fit it
     six = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(6)])
     cat = isoclasses(six, (1, 1), F3)
-    assert cat.n_classes == 1 + (3**6 - 1) // 2 and _label_dtypes(cat) == {np.dtype(np.uint16)}
+    assert cat.n_classes == 1 + (3**6 - 1) // 2 and _label_dtypes(cat) == {np.dtype(np.uint8)}
     assert cat.sizes.tolist() == [1] + [2] * (cat.n_classes - 1)
     assert cat.class_reps.tolist() == sorted(cat.class_reps.tolist())
     ids = [cat.class_of_state(s) for s in cat.class_reps.tolist()]
     assert ids == list(range(cat.n_classes))
     reps = set(cat.class_reps.tolist())
     direct = [
-        level.labels[[i for i, s in enumerate(states) if s in reps]]
-        for level, states in _leaf_states(cat)
+        level.labels[[i for i, s in enumerate(states) if s in reps]].astype(np.int64) + first
+        for level, first, states in _leaf_states(cat)
     ]
     assert np.array_equal(np.concatenate(direct), np.arange(cat.n_classes))
     for level in _levels(cat):

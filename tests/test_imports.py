@@ -3,7 +3,9 @@ every name a function stores is read in that function or a scope nested in it.
 
 An unused import still costs its compile and import time in every cold
 process, and a top-level one can load a whole submodule for nothing.  The
-package ``__init__`` imports nothing of its own and is not scanned.
+package ``__init__`` imports nothing of its own and is not scanned.  Every
+field of a private record is read somewhere in the package, too: a field
+that is only ever stored is memory and code for nothing.
 
 No module generates code at run time either: records are plain classes, not
 ``dataclasses``, and nothing calls ``exec`` or ``eval``.
@@ -125,6 +127,59 @@ def test_the_scan_finds_an_unread_local():
         "    return g, v\n"
     )
     assert _unread_locals(tree) == [(2, "k"), (3, "i"), (8, "w")]
+
+
+def _unread_private_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """``module._Class.field`` for each field of a private record class, one
+    whose name starts with ``_`` and that ``_record`` makes, that no
+    attribute read in any of the modules names.  A public record's fields
+    are API and are not scanned."""
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not cls.name.startswith("_"):
+                continue
+            makers = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "_record" for d in makers):
+                continue
+            out += [
+                f"{module}.{cls.name}.{st.target.id}"
+                for st in cls.body
+                if isinstance(st, ast.AnnAssign) and st.target.id not in read
+            ]
+    return out
+
+
+def test_no_unread_private_fields():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+    }
+    assert _unread_private_fields(trees) == []
+
+
+def test_the_scan_finds_an_unread_private_field():
+    trees = {
+        "a": ast.parse(
+            "@_record(frozen=False)\n"
+            "class _Box:\n"
+            "    width: int\n"
+            "    depth: int\n"
+            "    label: str = ''\n"
+            "@_record\n"
+            "class Report:\n"
+            "    total: int\n"
+            "class _Plain:\n"
+            "    kept: int\n"
+        ),
+        "b": ast.parse("def f(box):\n    box.label = 'x'\n    return box.width\n"),
+    }
+    assert _unread_private_fields(trees) == ["a._Box.depth", "a._Box.label"]
 
 
 def _generated_code(tree: ast.Module) -> list[tuple[int, str]]:

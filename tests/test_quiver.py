@@ -228,3 +228,42 @@ def test_power_is_the_composition(name):
         assert p.vertex_image == tuple(vmap[v] for v in q.vertices), k
         assert p.arrow_image == tuple(amap[r.id] for r in q.arrows), k
         assert p.is_identity == (k % a.order == 0)
+
+
+@pytest.mark.parametrize("name", list(_automorphisms()))
+def test_is_identity_reads_the_images(name):
+    """is_identity, read off the images before any cycle is walked, agrees
+    with order == 1 on the automorphism and each of its powers."""
+    a = _automorphisms()[name]
+    for k in range(a.order + 1):
+        p = a.power(k)
+        identity = p.is_identity
+        assert not {"vertex_orbits", "arrow_orbits", "order"} & p.__dict__.keys(), k
+        assert identity == (p.order == 1), k
+
+
+def test_identity_checks_walk_no_cycle(monkeypatch):
+    """Classing the counterexample's representations at (1, 1, 1, 1, 1)
+    over GF(5) under its rotation walks the cycles of one automorphism, the
+    engine's twist, whose vertex orbits it reads, and the engine walks its
+    own period once; the identity automorphisms that each twisted class and
+    Frobenius period builds walk none.  A work count: it read 106
+    automorphism walks while is_identity computed the order."""
+    from quiverfold import quiver, theorems
+
+    _, rot = qf.build_counterexample()
+    real, calls = quiver._cycles, {"automorphism": 0, "engine": 0}
+
+    def counted(key):
+        def walk(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return walk
+
+    monkeypatch.setattr(quiver, "_cycles", counted("automorphism"))
+    monkeypatch.setattr(theorems, "_cycles", counted("engine"))
+    qf.clear_catalog_store()
+    assert len(theorems.ii_classes(rot, (1, 1, 1, 1, 1), qf.make_field(5))) == 1
+    assert calls == {"automorphism": 1, "engine": 1}
+    qf.clear_catalog_store()

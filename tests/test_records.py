@@ -79,7 +79,7 @@ def test_init_by_keyword_and_default():
     rec = DimensionRecord(count=2, kind="real", vector=(1,))
     assert rec == DimensionRecord((1,), "real", 2, (), None, None)
     assert DimensionRecord((1,), "real", 2, crosscheck=3).crosscheck == 3
-    assert _Slice(None, 0, 0, 1, 1, 4).level is None
+    assert _Slice(None, 0, 0, 1, 1).level is None
     for args, kwargs, message in [
         (("a", "1"), {}, "missing target"),
         ((), {"id": "a"}, "missing source, target"),
@@ -92,7 +92,7 @@ def test_init_by_keyword_and_default():
 
 
 def test_mutable_records_accept_assignment_and_are_unhashable():
-    sl = _Slice(0, 1, 2, 2, 1, 1)
+    sl = _Slice(0, 1, 2, 2, 1)
     sl.level = np.arange(2)
     ii = _ii_class()
     ii.period = 2
