@@ -11,47 +11,49 @@ such element, given by its matrices at a few vertices.  GL(d) is generated
 by the scaling of row 0 by a primitive element, one transvection and the
 d-cycle.  The canonical representative of a class is its least state.
 
-Slices.  G maps a block to zero only from zero, so all states of an orbit
-share their first non-zero block j, and as the blocks before it are zero,
-block j is the most significant part of the state.  The least state of an
-orbit therefore carries as block j the least matrix of block j's GL x GL
-orbit: for block j of shape r x c and rank k that is the rank-k normal form
-N_k, the anti-diagonal in the bottom-right k x k corner.  Slice (j, k) is the
-set of states whose blocks before j are zero and whose block j is N_k, a
-contiguous range of ``q**(n_entries - off_j - r*c)`` states, and the states
-of an orbit that lie in it form one orbit of the stabiliser H_k of N_k at
-block j.  So the classes are the zero state, a class of its own, and the
-H_k-orbits of the slices (j, k) with k = 1 .. min(r, c), and by
-orbit-stabiliser a class of slice (j, k) has size |G.N_k| * |H_k.x|, where
-|G.N_k| is the number of rank-k r x c matrices.  H_k is generated by G's
-generators at every vertex other than block j's s and t, and by the
+Top levels.  G maps a block to zero only from zero, and on block j of a
+state whose blocks before j are zero it acts as GL(d_t) x GL(d_s) on an
+r x c matrix, whose orbits are the matrices of each rank.  The least
+rank-k matrix is the normal form N_k, the anti-diagonal in the bottom-right
+k x k corner, and N_1 < ... < N_m with m = min(r, c).  So the top level of
+block j, which labels the states whose blocks before j are zero, knows the
+orbits of block j's values under G in advance: the zero value and the
+orbits of least value N_1, ..., N_m.  A breadth-first tree of each, from
+that least value under G's generators, labels them without the labelling
+kernel.  The zero orbit's child is the top level of block j + 1; the child
+of rank k labels the later blocks under H_k, the stabiliser of N_k at block
+j.  The root is the top level of block 0, the last block's top level is a
+last level, and the zero state is a class of its own.  H_k is generated by
+G's generators at every vertex other than block j's s and t, and by the
 stabiliser of [[I_k, 0], [0, 0]] carried to N_k by permuting rows and
 columns: GL(k) acting jointly at s and t, GL(r-k) at t, GL(c-k) at s, one
-upper transvection at t and one lower transvection at s.  Slices ascend
-with N_k within a block, and a later block's slices lie below an earlier
-one's, so the classes come out in order of their least state.
+upper transvection at t and one lower transvection at s.  Deriving H_k by
+Schreier's lemma instead would carry hundreds of generators.  The orbits
+come in order of their least value, and every state below an orbit is less
+than every state below the next, so the classes come out in order of their
+least state.
 
 Levels.  A move acts on each arrow block on its own, so it is stored as
-one value permutation per block, built once by running the move on the
-block's q^(rc) values, and a slice is labelled one block at a time
-(``labelling``).  With H = H_k, the values of the block after j are
-labelled under H; for each orbit's least value v, Schreier's lemma over a
+one value permutation per block, built once per block shape and end
+matrices by running the move on the block's q^(rc) values.  G's are
+gathered into one array per block once per space, which every top level
+reads.  Below rank k of block j the later blocks are labelled one block at
+a time (``labelling``): with H = H_k, the values of block j + 1 are labelled
+under H; for each orbit's least value v, Schreier's lemma over a
 breadth-first tree of the orbit gives generators of Stab(v), carried only
 as permutations of the later blocks' values, which label the next block
-the same way, down to the last.  A class of slice (j, k) then has size
-|G.N_k| * |H.v| * ... * |last orbit|, is named by its least state, and the
-classes still come out in order of it.  A slice keeps the id of its first
-class, and its levels number their classes from 0, so a level that recurs
-is stored once and shared.
+the same way, down to the last.  By orbit-stabiliser a class with N_k at
+block j then has size |G.N_k| * |H.v| * ... * |last orbit|, where |G.N_k|
+is the number of rank-k r x c matrices, and is named by its least state.
+Each level numbers its classes from 0 and records the number of classes in
+the orbits before each orbit, so a level that recurs is stored once and
+shared.
 
-``class_of`` reduces a state to its slice: Gaussian elimination over F_q
-brings its first non-zero block j to N_k by a pair (g_t, g_s), which is
-applied with the field's arithmetic to the blocks at t and s; a state whose
-block j is already N_k is left as it is.  Each level then steps the state
-along its tree, one stored generator at a time, until its block holds its
-orbit's least value, and passes it to that orbit's level below; the class
-id is the slice's first id plus the number of classes in the orbits before
-each one it passes through plus the last level's label.
+``class_of`` splits a state into its block values and walks the tree from
+its root: each level steps the state along its tree, one stored generator
+at a time, until its block holds its orbit's least value, and passes it to
+that orbit's level below.  The class id is the number of classes in the
+orbits before each one it passes through, plus the last level's label.
 
 Indecomposability flags come from the end ring.  By Fitting's lemma X is
 indecomposable exactly when End(X) is local (Assem, Simson and Skowroński,
@@ -77,22 +79,21 @@ from .errors import (
     SpaceMismatch,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, _orbit, _record
-from .reps import (
-    Mat,
-    Representation,
-    ext_dim,
-    identity,
-    mat_mul,
-    rref,
-    transpose,
-    twist_auto,
-    twist_frobenius,
-)
+from .quiver import Automorphism, Quiver, _orbit
+from .reps import Mat, Representation, ext_dim, transpose, twist_auto, twist_frobenius
 
 # labelling loads numpy, after the package's own modules and with a
 # one-thread BLAS pool
-from .labelling import _class_of_values, _label_blocks, _Level, _state_dtype, np
+from .labelling import (
+    _class_of_values,
+    _identity_rows,
+    _label_blocks,
+    _Level,
+    _state_dtype,
+    _transversal,
+    _tree_level,
+    np,
+)
 
 _CHUNK = 1 << 18  # block values per batch while a value permutation is built
 
@@ -122,12 +123,6 @@ def _gl_generators(f: FiniteField, d: int) -> list[Pair]:
         cycle = tuple(tuple(int(b == (a - 1) % d) for b in range(d)) for a in range(d))
         out.append((cycle, transpose(cycle)))
     return out
-
-
-def _inverse(f: FiniteField, g: Mat) -> Mat:
-    n = len(g)
-    red, _ = rref(f, [list(row) + list(e) for row, e in zip(g, identity(n))])
-    return tuple(tuple(row[n:]) for row in red)
 
 
 def _normal_order(r: int, c: int, k: int) -> tuple[list[int], list[int]]:
@@ -203,13 +198,15 @@ class _Move:
     def value_perm(self, block: tuple) -> np.ndarray | None:
         """perm[x] is the value the move sends value x of the block
         (offset, rows, cols, target, source) to; None if it fixes every one.
-        Built once per block, by running the move on the block's values."""
-        if block not in self._perms:
-            _, rows, cols, t, s = block
+        Built once per shape and end matrices, by running the move on the
+        block's values, so blocks that the move acts on alike share it."""
+        _, rows, cols, t, s = block
+        t, s = (t if t in self.mats else None), (s if s in self.mats else None)
+        if (rows, cols, t, s) not in self._perms:
             q, width = self.field.q, rows * cols
             n = q**width
             perm = None
-            if t in self.mats or s in self.mats:
+            if t is not None or s is not None:
                 one = _Move(self.field, [(0, rows, cols, t, s)], self.mats)
                 perm = np.empty(n, dtype=np.min_scalar_type(n - 1))
                 for start in range(0, n, _CHUNK):
@@ -218,8 +215,8 @@ class _Move:
                     perm[start : start + len(vals)] = _undigits(ents, q)
                 if np.array_equal(perm, np.arange(n)):
                     perm = None
-            self._perms[block] = perm
-        return self._perms[block]
+            self._perms[rows, cols, t, s] = perm
+        return self._perms[rows, cols, t, s]
 
 
 def _digits(values: np.ndarray, width: int, q: int, dtype) -> np.ndarray:
@@ -237,21 +234,6 @@ def _undigits(digits: np.ndarray, q: int) -> np.ndarray:
     for k in range(digits.shape[1]):
         s = s * q + digits[:, k].astype(np.int64)
     return s
-
-
-@_record(frozen=False)
-class _Slice:
-    """The states whose blocks before ``block`` are zero and whose block
-    ``block`` is N_rank: ``start`` .. ``start + size - 1``.  The zero state
-    is a slice of its own, with block None and rank 0."""
-
-    block: int | None
-    rank: int
-    start: int
-    size: int
-    orbit: int  # |G.N_k|
-    level: _Level | None = None  # the first level of its labels, once labelled
-    first_class: int = 0  # the id of its first class, once labelled
 
 
 class StateSpace:
@@ -277,17 +259,15 @@ class StateSpace:
         self.n_entries = quiver.entry_count(self.dims)
         self.size = field.q**self.n_entries
         self.dtype = _entry_dtype(field.q)
-        # the values of each block, and the states per value of it
+        # the values of each block, and the value of each N_k there, k >= 1
         self.values = [field.q ** (r * c) for _, r, c, _, _ in self.blocks]
-        self.below = [field.q ** (self.n_entries - off - r * c) for off, r, c, _, _ in self.blocks]
-        # the rank k of each value N_k of each block, k >= 1
-        self.normal_ranks = []
+        self.normal_forms = []
         for _, r, c, _, _ in self.blocks:
-            ranks = {}
+            forms = []
             for k in range(1, min(r, c) + 1):
                 rows, cols = _normal_order(r, c, k)
-                ranks[sum(field.q ** (r * c - 1 - rows[i] * c - cols[i]) for i in range(k))] = k
-            self.normal_ranks.append(ranks)
+                forms.append(sum(field.q ** (r * c - 1 - rows[i] * c - cols[i]) for i in range(k)))
+            self.normal_forms.append(forms)
         self._moves: list[_Move] | None = None
 
     def decode_batch(self, states: np.ndarray) -> np.ndarray:
@@ -346,23 +326,6 @@ class StateSpace:
                         self._moves.append(mv)
         return self._moves
 
-    def slices(self) -> list[_Slice]:
-        """The zero state, then one slice per block j, from the last block to
-        the first, and rank k >= 1 of block j: in ascending order."""
-        q = self.field.q
-        out = [_Slice(None, 0, 0, 1, 1)]
-        for j in reversed(range(len(self.blocks))):
-            _, r, c, _, _ = self.blocks[j]
-            size = self.below[j]
-            for value, k in self.normal_ranks[j].items():
-                out.append(_Slice(j, k, value * size, size, _rank_count(q, r, c, k)))
-        return out
-
-    def block_values(self, j: int | None) -> list[int]:
-        """The number of values of each block after block j, whose values
-        make up the states of slice (j, k); none for the zero state's."""
-        return self.values[j + 1 :] if j is not None else []
-
     def stabiliser(self, j: int, k: int) -> list[_Move]:
         """Generators of H_k, the stabiliser of N_k at block j in G."""
         f = self.field
@@ -385,62 +348,6 @@ class StateSpace:
         others = [mv for mv in self.moves() if t not in mv.mats and s not in mv.mats]
         return others + [_Move(f, self.blocks, m) for m in mats]
 
-    def to_slice(self, state: int) -> tuple[int | None, int, int]:
-        """The state's first non-zero block j and its rank k, and a state of
-        slice (j, k) in the state's orbit; (None, 0, 0) for the zero state."""
-        f, q = self.field, self.field.q
-        for j, below in enumerate(self.below):
-            # with the blocks before j zero, this is the value of block j
-            value = state // below
-            if value:
-                break
-        else:
-            return None, 0, state
-        off, r, c, t, s = self.blocks[j]
-        if value in self.normal_ranks[j]:
-            return j, self.normal_ranks[j][value], state
-        ents = self.entries(state)
-        # a M = red, with red in reduced row echelon form
-        red, _ = rref(
-            f, [ents[off + i * c : off + i * c + c] + list(e) for i, e in enumerate(identity(r))]
-        )
-        k = sum(any(row[:c]) for row in red)
-        a = [row[c:] for row in red]
-        # red b^T = [[I_k, 0], [0, 0]]
-        red_t = [[red[i][x] for i in range(r)] + list(e) for x, e in enumerate(identity(c))]
-        b = [row[r:] for row in rref(f, red_t)[0]]
-        # carry [[I_k, 0], [0, 0]] to N_k
-        rows, cols = _normal_order(r, c, k)
-        g_t = [()] * r
-        for i in range(r):
-            g_t[rows[i]] = tuple(a[i])
-        g_t = tuple(g_t)
-        g_s_inv = tuple(tuple(b[cols.index(x)][i] for x in range(c)) for i in range(c))
-        # g_v acts on the left of each arrow into v and g_v^-1 on the right of
-        # each arrow out of v; an identity acts on neither
-        left, right = {}, {}
-        if g_t != identity(r):
-            left[t] = g_t
-            if any(blk[4] == t for blk in self.blocks):
-                right[t] = _inverse(f, g_t)
-        if g_s_inv != identity(c):
-            right[s] = g_s_inv
-            if any(blk[3] == s for blk in self.blocks):
-                left[s] = _inverse(f, g_s_inv)
-        # the blocks before j are zero, and g_t M g_s^-1 keeps a zero block zero
-        for off, r, c, bt, bs in self.blocks[j:]:
-            if bt in left or bs in right:
-                m = [ents[off + i * c : off + i * c + c] for i in range(r)]
-                if bt in left:
-                    m = mat_mul(f, left[bt], m)
-                if bs in right:
-                    m = mat_mul(f, m, right[bs])
-                ents[off : off + r * c] = [x for row in m for x in row]
-        out = 0
-        for x in ents:
-            out = out * q + x
-        return j, k, out
-
     def move_permutation(self, move: _Move) -> np.ndarray:
         """perm[s] is the state the move sends s to."""
         q, dtype = self.field.q, _state_dtype(self.size)
@@ -459,20 +366,13 @@ class StateSpace:
 class IsoClassCatalog:
     """Orbit partition of a state space: canonical representatives (least
     state per class, ascending), orbit sizes, the class id of every state of
-    each slice, lazy indecomposability flags and twist annotations."""
+    the space, lazy indecomposability flags and twist annotations."""
 
-    def __init__(
-        self,
-        space: StateSpace,
-        class_reps: np.ndarray,
-        sizes: np.ndarray,
-        slices: list[_Slice],
-    ):
+    def __init__(self, space: StateSpace, class_reps: np.ndarray, sizes: np.ndarray, level: _Level):
         self.space = space
         self.class_reps = class_reps
         self.sizes = sizes
-        self.slices = slices
-        self._slice_at = {(sl.block, sl.rank): sl for sl in slices}
+        self.level = level  # the top level of block 0, the root of the labels
         self._indec: np.ndarray | None = None
         self._indec_ids: tuple[int, ...] | None = None
         self._rep_cache: dict[int, Representation] = {}
@@ -503,16 +403,13 @@ class IsoClassCatalog:
     def class_of_state(self, state: int) -> int:
         if not 0 <= state < self.space.size:
             raise SpaceMismatch(f"state {state} is outside range({self.space.size})")
-        j, k, state = self.space.to_slice(int(state))
-        sl = self._slice_at[j, k]
-        # the values of the blocks after j, first block first
-        values = self.space.block_values(j)
-        rest, vals = state - sl.start, []
+        values = self.space.values
+        rest, vals = int(state), []
         for n in reversed(values):
             rest, x = divmod(rest, n)
             vals.append(x)
         vals.reverse()
-        return sl.first_class + _class_of_values(sl.level, vals, values)
+        return _class_of_values(self.level, vals, values)
 
     def class_of(self, rep: Representation) -> int:
         return self.class_of_state(self.space.encode_rep(rep))
@@ -586,33 +483,50 @@ def isoclasses(
     key = _store_key(quiver, field, dd)
     _check_size(quiver, field, dd, state_cap)
     space = StateSpace(quiver, field, dd)
-    slices = space.slices()
-    reps, sizes, memo, count = [], [], {}, 0
-    for sl in slices:
-        values = space.block_values(sl.block)
-        later = space.blocks[len(space.blocks) - len(values) :]
-        # a slice of one state, such as the zero state's, needs no move
-        moves = space.stabiliser(sl.block, sl.rank) if values else []
-        perms = [[mv.value_perm(b) for b in later] for mv in moves]
-        perms = [g for g in perms if any(p is not None for p in g)]
-        gens = []  # one array per block, row g the g-th move's permutation
-        for b, n in enumerate(values):
-            rows = [np.arange(n) if g[b] is None else g[b] for g in perms]
-            gens.append(np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(perms), n))
-        sl.level, got, size = _label_blocks(values, gens, memo)
-        sl.first_class = count
-        count += len(got)
-        reps.append(got + sl.start)
-        sizes.append(size * sl.orbit)
-    class_reps = np.concatenate(reps)
-    sizes = np.concatenate(sizes)
+    gens = _value_perms(space.moves(), space.blocks, space.values)
+    level, class_reps, sizes = _top_level(space, gens, 0, {})
     if int(sizes.sum()) != space.size:
         raise OrbitPartitionBroken(
             f"orbit sizes sum to {int(sizes.sum())}, not to the {space.size} states"
         )
-    cat = IsoClassCatalog(space, class_reps, sizes, slices)
+    cat = IsoClassCatalog(space, class_reps, sizes, level)
     _STORE[key] = cat
     return cat
+
+
+def _value_perms(moves: list[_Move], blocks: list, values: list[int]) -> list[np.ndarray]:
+    """One array per block, whose row g is the g-th move's permutation of
+    the block's values, leaving out the moves that fix every value of every
+    block."""
+    perms = [[mv.value_perm(b) for b in blocks] for mv in moves]
+    perms = [g for g in perms if any(p is not None for p in g)]
+    gens = []
+    for b, n in enumerate(values):
+        rows = [np.arange(n) if g[b] is None else g[b] for g in perms]
+        gens.append(np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(perms), n))
+    return gens
+
+
+def _top_level(
+    space: StateSpace, gens: list[np.ndarray], j: int, memo: dict
+) -> tuple[_Level, np.ndarray, np.ndarray]:
+    """The level of the states whose blocks before j are zero under G, from
+    block j on, with the least state and size of each of their classes,
+    ascending; ``gens`` holds G's permutations of every block's values."""
+    values = space.values[j:]
+    if not values:  # a space with no block holds one state
+        return _label_blocks([], [], memo)
+    n, first = values[0], gens[j]
+    least = np.array([0, *space.normal_forms[j]])
+    labels, parent, gen, _ = _transversal(n, least, [first], ~_identity_rows(first, [0, n]))
+    sizes = np.bincount(labels)
+    if len(values) == 1:
+        return _Level(labels), least, sizes
+    children = [_top_level(space, gens, j + 1, memo)]
+    for k in range(1, len(least)):
+        stab = _value_perms(space.stabiliser(j, k), space.blocks[j + 1 :], values[1:])
+        children.append(_label_blocks(values[1:], stab, memo))
+    return _tree_level(labels, parent, gen, gens[j + 1 :], least, sizes, children, values)
 
 
 def _end_ring_flags(cat: IsoClassCatalog) -> np.ndarray:

@@ -5,8 +5,9 @@ A state here is one value of each of the blocks b_1 .. b_m, b_1 most
 significant, with ``values[b]`` values at block b, and a group acts on each
 block on its own: a generator is one permutation of each block's values,
 and the generators come as one array per block, whose row g is generator
-g's permutation.  ``catalog`` labels each slice of a state space this way,
-under the stabiliser of the slice's normal form.
+g's permutation.  Below each rank of a top level of its tree, ``catalog``
+labels the later blocks this way, under the stabiliser of that rank's
+normal form.
 
 The values of b_1 are labelled by min-label hooking (``_orbit_labels``):
 each value points at a value of its orbit no greater than itself, at first
@@ -152,44 +153,51 @@ def _identity_rows(table: np.ndarray, cuts: list[int]) -> np.ndarray:
 
 def _transversal(
     n: int, reps: np.ndarray, gens: list[np.ndarray], moved: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """A breadth-first tree of every orbit of the first block's values from
-    its least value, in which each value w is reached from its parent x by
-    the generator g with g(w) = x, g one that ``moved`` marks: the parent
-    and the index of g of every value, and for each later block an array
-    whose row w is t_w there, the product of the steps from w to its root,
-    which carries w to the root."""
+    its least value, given in ``reps`` ascending, in which each value w is
+    reached from its parent x by the generator g with g(w) = x, g one that
+    ``moved`` marks: the orbit id, parent and index of g of every value, and
+    for each later block an array whose row w is t_w there, the product of
+    the steps from w to its root, which carries w to the root."""
     first, later = gens[0], gens[1:]
     movers = np.flatnonzero(moved)
     back = np.empty_like(first[movers])  # their inverses on the first block
     back[np.arange(len(movers))[:, None], first[movers]] = np.arange(n, dtype=first.dtype)
+    labels = np.empty(n, dtype=np.min_scalar_type(len(reps) - 1))
+    labels[reps] = np.arange(len(reps))
     parent = np.arange(n, dtype=np.min_scalar_type(n - 1))
     gen = np.zeros(n, dtype=np.min_scalar_type(max(len(first) - 1, 0)))
     ts = [np.empty((n, stack.shape[1]), dtype=stack.dtype) for stack in later]
     for t in ts:
         t[reps] = np.arange(t.shape[1])
-    seen = np.zeros(n, dtype=bool)
-    seen[reps] = True
+    # -1 at the roots, the largest int64 at a value not yet reached, and at a
+    # value reached in a round the position of the first of that round's
+    # images to reach it
+    unreached = np.iinfo(np.int64).max
+    first_hit = np.full(n, unreached)
+    first_hit[reps] = -1
     frontier = reps
     while len(frontier):
-        reached = []
-        for gi, perm in zip(movers.tolist(), back):
-            img = perm[frontier]
-            fresh = ~seen[img]
-            if fresh.any():
-                img = img[fresh]
-                seen[img] = True
-                parent[img] = frontier[fresh]
-                gen[img] = gi
-                reached.append(img)
-        frontier = np.concatenate(reached) if reached else frontier[:0]
+        # the frontier's images, mover by mover: a value not yet reached is
+        # reached by its first image, and the next frontier is in that order
+        img, width = back[:, frontier].ravel(), len(frontier)
+        fresh = np.flatnonzero(first_hit[img] == unreached)
+        hit = img[fresh]
+        np.minimum.at(first_hit, hit, fresh)
+        at = fresh[first_hit[hit] == fresh]
+        mover, pos = np.divmod(at, width)
+        x, frontier = frontier[pos], img[at]
+        parent[frontier] = x
+        labels[frontier] = labels[x]
+        gen[frontier] = movers[mover]
         for t, stack in zip(ts, later):
             # t_w = t_x g on the block's values, in batches of about _BATCH
             step = max(1, _BATCH // t.shape[1])
             for lo in range(0, len(frontier), step):
                 ws = frontier[lo : lo + step]
                 t[ws] = t[parent[ws][:, None], stack[gen[ws]]]
-    return parent, gen, ts
+    return labels, parent, gen, ts
 
 
 def _stabilisers(
@@ -266,27 +274,44 @@ def _label_blocks(
         # the last block, or all the blocks left under a group with no
         # generator, where each state is a class of its own
         labels, reps, sizes = _orbit_labels(prod(values), list(gens[0]) if moves else [])
-        level = _Level(labels)
+        out = _Level(labels), reps, sizes
     else:
         n, first = values[0], gens[0]
         moved = ~_identity_rows(first, [0, n])
         labels, orbit_reps, orbit_sizes = _orbit_labels(n, list(first[moved]))
-        parent, gen, ts = _transversal(n, orbit_reps, gens, moved)
+        _, parent, gen, ts = _transversal(n, orbit_reps, gens, moved)
         stabs = _stabilisers(labels, len(orbit_reps), gens, ts)
-        below = prod(values[1:])
-        children, offsets, reps, sizes, count = [], [], [], [], 0
-        for v, size, stab in zip(orbit_reps.tolist(), orbit_sizes.tolist(), stabs):
-            child, got, got_sizes = _label_blocks(values[1:], stab, memo)
-            children.append(child)
-            offsets.append(count)
-            count += len(got)
-            reps.append(got + v * below)
-            sizes.append(got_sizes * size)
-        level = _Level(labels, parent, gen, gens[1:], tuple(children), tuple(offsets))
-        reps, sizes = np.concatenate(reps), np.concatenate(sizes)
+        children = [_label_blocks(values[1:], stab, memo) for stab in stabs]
+        out = _tree_level(labels, parent, gen, gens[1:], orbit_reps, orbit_sizes, children, values)
     if moves:
-        memo[key] = level, reps, sizes
-    return level, reps, sizes
+        memo[key] = out
+    return out
+
+
+def _tree_level(
+    labels: np.ndarray,
+    parent: np.ndarray,
+    gen: np.ndarray,
+    later: list[np.ndarray],
+    least: np.ndarray,
+    sizes: np.ndarray,
+    children: list[tuple[_Level, np.ndarray, np.ndarray]],
+    values: list[int],
+) -> tuple[_Level, np.ndarray, np.ndarray]:
+    """The level of the first block's orbits, with the least value and size
+    of each orbit and the level, least states and sizes of the classes of
+    the stabiliser of its least value below; and the least state and size
+    of every class, ascending."""
+    below = prod(values[1:])
+    offsets, reps, out_sizes, count = [], [], [], 0
+    for v, size, (_, got, got_sizes) in zip(least.tolist(), sizes.tolist(), children):
+        offsets.append(count)
+        count += len(got)
+        reps.append(got + v * below)
+        out_sizes.append(got_sizes * size)
+    below_levels = tuple(child for child, _, _ in children)
+    level = _Level(labels, parent, gen, later, below_levels, tuple(offsets))
+    return level, np.concatenate(reps), np.concatenate(out_sizes)
 
 
 def _class_of_values(level: _Level, vals: list[int], values: list[int]) -> int:

@@ -6,6 +6,7 @@ explicit GL generators, idempotent search for indecomposability).
 """
 
 import importlib.util
+import sys
 from collections import Counter
 from math import prod
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 import quiverfold as qf
 from quiverfold import catalog as cat_mod
 from quiverfold import labelling
+from quiverfold import reps as reps_mod
 from quiverfold.catalog import (
     IsoClassCatalog,
     auto_period,
@@ -269,7 +271,7 @@ def test_partition_matches_oracle(name, dims, p, a3, dtilde4):
 
 
 def _levels(cat):
-    """Every level of every slice, each slice's levels depth first."""
+    """Every level of the catalog's tree, depth first from its root."""
     out = []
 
     def walk(level):
@@ -277,33 +279,30 @@ def _levels(cat):
         for child in level.below or ():
             walk(child)
 
-    for sl in cat.slices:
-        walk(sl.level)
+    walk(cat.level)
     return out
 
 
 def _leaf_states(cat):
     """Each last level, in the order of the paths that reach it, with the id
-    of the first class it labels there, which is its slice's first class id
-    plus the offsets along the path, and the states it labels there: those
-    of its slice that carry, at each block above it, the least value of the
-    orbit that leads to it, and any values at the blocks it labels, which
-    are the last block or, under a group that moves none of them, all the
-    rest.  A shared level comes once per path."""
-    out = []
-    for sl in cat.slices:
-        values = cat.space.block_values(sl.block)
+    of the first class it labels there, which is the sum of the offsets
+    along the path, and the states it labels there: those that carry, at
+    each block above it, the least value of the orbit that leads to it, and
+    any values at the blocks it labels, which are the last block or, under a
+    group that moves none of them, all the rest.  A shared level comes once
+    per path."""
+    values, out = cat.space.values, []
 
-        def walk(level, first, prefix, depth):
-            if level.below is None:
-                n = prod(values[depth:])
-                out.append((level, first, [sl.start + prefix * n + x for x in range(n)]))
-                return
-            for o, (child, offset) in enumerate(zip(level.below, level.offsets)):
-                least = int(np.flatnonzero(level.labels == o)[0])
-                walk(child, first + offset, prefix * values[depth] + least, depth + 1)
+    def walk(level, first, prefix, depth):
+        if level.below is None:
+            n = prod(values[depth:])
+            out.append((level, first, [prefix * n + x for x in range(n)]))
+            return
+        for o, (child, offset) in enumerate(zip(level.below, level.offsets)):
+            least = int(np.flatnonzero(level.labels == o)[0])
+            walk(child, first + offset, prefix * values[depth] + least, depth + 1)
 
-        walk(sl.level, sl.first_class, 0, 0)
+    walk(cat.level, 0, 0, 0)
     return out
 
 
@@ -370,71 +369,73 @@ def _with(mat, entries):
     ids=["kronecker-22-gf4", "a3-121-gf9", "line-212-gf4", "triangle-231-gf3", "a3-122-gf3"],
 )
 def test_slice_invariants(arrows, dims, q):
-    """The slices are the zero state and, for each block j and rank k >= 1,
-    the states whose blocks before j are zero and whose block j is N_k, the
-    least rank-k value of block j; they tile the space.  Each generator of
-    the stabiliser of N_k fixes N_k, and each of G fixes the zero state, so
-    it maps its slice onto itself, and the permutation built from its block
-    value permutations agrees with decode -> _Move.apply -> encode there."""
+    """The top level of block j, reached from the root through the zero
+    orbit of every block before j, labels block j's values under G by rank:
+    its orbits are the zero value and, for each rank k >= 1, the rank-k
+    matrices, whose least value is N_k, so their least values ascend as
+    0, N_1, ..., N_m and the orbit of N_k holds _rank_count of them.  Each
+    generator of G fixes the zero state, and each of stabiliser(j, k) fixes
+    N_k, so it maps the slice of states whose blocks before j are zero and
+    whose block j is N_k onto itself, and the permutation built from its
+    block value permutations agrees with decode -> _Move.apply -> encode
+    there."""
     quiver = qf.validate_quiver(["1", "2", "3"], arrows)
     fld = qf.make_field(*q)
-    space = cat_mod.StateSpace(quiver, fld, dims)
-    # the least state, the state count and the count of free states of each
-    # leading block and rank
-    least = {(None, 0): 0}
-    count = Counter({(None, 0): 1})
-    free = {None: 1}
+    cat = isoclasses(quiver, dims, fld)
+    space = cat.space
+    assert all(space.move_permutation(mv)[0] == 0 for mv in space.moves())
+    assert len(space.blocks) >= 2
+    top = cat.level
     for j, (off, r, c, _, _) in enumerate(space.blocks):
-        rest = space.n_entries - off - r * c
-        free[j] = fld.q**rest
-        for value in range(1, fld.q ** (r * c)):
-            ents = space.entries(value * fld.q**rest)[off : off + r * c]
-            k = rank(fld, tuple(tuple(ents[i * c : i * c + c]) for i in range(r)))
-            least.setdefault((j, k), value * fld.q**rest)
-            count[j, k] += fld.q**rest
-    assert sum(count.values()) == space.size == fld.q**space.n_entries
-    slices = space.slices()
-    assert [sl.start for sl in slices] == sorted(least.values())
-    assert {(sl.block, sl.rank): sl.start for sl in slices} == least
-    assert all(sl.size == free[sl.block] for sl in slices)
-    assert all(sl.orbit * sl.size == count[sl.block, sl.rank] for sl in slices)
-    assert sum(sl.orbit * sl.size for sl in slices) == space.size
-    assert any(sl.block is not None and sl.block >= 1 for sl in slices)
-    for sl in slices:
-        rel = np.arange(sl.size, dtype=np.int64)
-        ents = space.decode_batch(rel + sl.start)
-        # G fixes the zero state
-        moves = space.moves() if sl.block is None else space.stabiliser(sl.block, sl.rank)
-        assert moves
-        for mv in moves:
-            ref = space.encode_batch(mv.apply(ents)) - sl.start
-            assert np.array_equal(np.sort(ref), rel), (sl.block, sl.rank, mv.mats)
-            perm = space.move_permutation(mv)[rel + sl.start] - sl.start
-            assert np.array_equal(perm, ref), (sl.block, sl.rank, mv.mats)
+        free = fld.q ** (space.n_entries - off - r * c)  # the states per value of block j
+        ranks = []
+        for value in range(fld.q ** (r * c)):
+            ents = space.entries(value * free)[off : off + r * c]
+            ranks.append(rank(fld, tuple(tuple(ents[i * c : i * c + c]) for i in range(r))))
+        least = [ranks.index(k) for k in range(min(r, c) + 1)]
+        assert top.labels.tolist() == ranks
+        assert least == [0, *space.normal_forms[j]] == sorted(least)
+        counts = Counter(ranks)
+        assert [counts[k] for k in range(len(least))] == [
+            cat_mod._rank_count(fld.q, r, c, k) for k in range(len(least))
+        ]
+        rel = np.arange(free, dtype=np.int64)
+        for k, value in enumerate(least[1:], 1):
+            start = value * free
+            ents = space.decode_batch(rel + start)
+            moves = space.stabiliser(j, k)
+            assert moves
+            for mv in moves:
+                ref = space.encode_batch(mv.apply(ents)) - start
+                assert np.array_equal(np.sort(ref), rel), (j, k, mv.mats)
+                perm = space.move_permutation(mv)[rel + start] - start
+                assert np.array_equal(perm, ref), (j, k, mv.mats)
+        if top.below is not None:
+            top = top.below[0]
+    assert top.below is None
 
 
 @pytest.mark.parametrize(
-    "name, dims, q, states, walked, labelled",
+    "name, dims, q, walked, stored, labelled",
     [
-        ("star", (0, 1, 1, 1, 2), (2, 4), 65_794, 1_282, 1_026),
-        ("star", (2, 2, 2, 2, 3), (2, 1), 532_611, 5_891, 2_179),
-        ("counterexample", (1, 1, 1, 2, 1), (5, 1), 94_507, 1_032, 582),
+        ("star", (0, 1, 1, 1, 2), (2, 4), 2_048, 1_792, 1_024),
+        ("star", (2, 2, 2, 2, 3), (2, 1), 6_144, 2_432, 2_176),
+        ("counterexample", (1, 1, 1, 2, 1), (5, 1), 1_120, 670, 580),
     ],
     ids=["star-cap-gf16", "star-22223-gf2", "cx-11121-gf5"],
 )
-def test_labelled_states(name, dims, q, states, walked, labelled, dtilde4, monkeypatch):
-    """A catalog's slices hold the cap vector's 16^4 states with its top
-    block at N_1, 16^2 with the next block leading and one each with the
-    last block leading and the zero state.  A slice is labelled one block at
-    a time: the 16^4-state slice as the 256 values of its second block, then
-    256 values of its last block under each of its 3 stabilisers, so a walk
-    of the cap catalog's levels meets labels for 1 + 1 + 256 + 256 + 3 * 256
-    values.  The stabiliser of the zero value has the generators that the
-    slice with the next block leading has on the last block, so the kernel
-    labels those 256 values once, and the catalog stores them once: its
-    distinct label arrays hold exactly the values the kernel labelled.
-    These are work counts: a change that labels or stores more of a slice
-    raises them."""
+def test_labelled_states(name, dims, q, walked, stored, labelled, dtilde4, monkeypatch):
+    """The cap vector over GF(16) has three blocks of 256 values.  Its top
+    levels label each block's values by rank without the kernel: block 0 at
+    the root, block 1 in the root's zero orbit and block 2 in that one's.
+    Under the stabiliser of N_1 at block 0 the kernel labels block 1's 256
+    values, then block 2's under the stabiliser of each of its 3 orbits' least
+    values; the stabiliser of the zero value there has the generators that
+    the stabiliser of N_1 at block 1 has on block 2, so those 256 values are
+    labelled and stored once.  A walk of the catalog's levels meets labels
+    for 8 * 256 values, its distinct label arrays hold 7 * 256, and the
+    kernel labels 4 * 256, the values below the top levels.  These are work
+    counts: a change that labels or stores more of a catalog raises them."""
     real, sizes = labelling._orbit_labels, []
 
     def counted(n, perms):
@@ -444,11 +445,10 @@ def test_labelled_states(name, dims, q, states, walked, labelled, dtilde4, monke
     monkeypatch.setattr(labelling, "_orbit_labels", counted)
     clear_catalog_store()
     cat = isoclasses(_quiver(name, None, dtilde4), dims, qf.make_field(*q))
-    assert sum(sl.size for sl in cat.slices) == states
     levels = _levels(cat)
     assert sum(len(level.labels) for level in levels) == walked
-    stored = {id(level.labels): len(level.labels) for level in levels}
-    assert sum(stored.values()) == labelled
+    distinct = {id(level.labels): len(level.labels) for level in levels}
+    assert sum(distinct.values()) == stored
     assert sum(sizes) == labelled
     clear_catalog_store()
 
@@ -456,8 +456,10 @@ def test_labelled_states(name, dims, q, states, walked, labelled, dtilde4, monke
 def test_memo_hit_returns_the_level_itself(dtilde4):
     """A memo hit returns the memoised level, reps and sizes themselves, not
     copies, and a level refuses assignment.  On the cap vector over GF(16)
-    the zero value's stabiliser in the top slice is the group of the slice
-    with the next block leading, and both reach one level."""
+    the root's zero-orbit child is the top level of blocks 1.. under G,
+    which reads the same arrays of G's permutations; the stabiliser of N_1
+    at block 0 meets, at the zero value of block 1, the group that the
+    stabiliser of N_1 at block 1 has on block 2, and both reach one level."""
     gens = [np.array([[1, 0, 2]], dtype=np.uint8), np.array([[1, 0]], dtype=np.uint8)]
     memo = {}
     level, reps, sizes = labelling._label_blocks([3, 2], gens, memo)
@@ -469,61 +471,59 @@ def test_memo_hit_returns_the_level_itself(dtilde4):
     with pytest.raises(AttributeError, match="frozen _Level"):
         level.labels = level.labels.copy()
     cat = isoclasses(dtilde4[0], (0, 1, 1, 1, 2), qf.make_field(2, 4))
-    top, second = cat.slices[-1], cat.slices[-2]
-    assert (top.block, second.block) == (0, 1)
-    assert top.level.below[0] is second.level
-    assert top.level.offsets == (0, 3, 6) and second.first_class == 2
+    root = cat.level
+    zero = root.below[0]
+    assert zero.labels.tolist() == root.labels.tolist() and zero.gens[0] is root.gens[1]
+    assert root.below[1].below[0] is zero.below[1]
+    assert root.offsets == (0, 5) and zero.offsets == (0, 2)
 
 
 def _flat_labelling(cat):
-    """Each slice labelled as a whole, by one ``_orbit_labels`` call on the
-    permutations of its states that the stabiliser's moves make, each put
-    together from the moves' block value permutations.  Returns the class
-    reps and sizes this gives, and the class id of every state of each
-    slice."""
+    """The space labelled as a whole, by one ``_orbit_labels`` call on the
+    permutations of its states that G's generators make: the class id of
+    every state, and the least state and size of every class."""
     space = cat.space
-    reps, sizes, labels, offset = [], [], {}, 0
-    for sl in cat.slices:
-        values = space.block_values(sl.block)
-        later = space.blocks[len(space.blocks) - len(values) :]
-        rel = np.arange(sl.size, dtype=np.int64)
-        perms = []
-        for mv in space.stabiliser(sl.block, sl.rank) if values else []:
-            img, low = rel.copy(), sl.size
-            for blk, n in zip(later, values):
-                low //= n
-                perm = mv.value_perm(blk)
-                if perm is not None:
-                    vals = rel // low % n
-                    img += (perm[vals].astype(np.int64) - vals) * low
-            perms.append(img)
-        ids, least, size = labelling._orbit_labels(sl.size, perms)
-        labels[sl.block, sl.rank] = ids.astype(np.int64) + offset
-        offset += len(least)
-        reps.append(least + sl.start)
-        sizes.append(size * sl.orbit)
-    return np.concatenate(reps), np.concatenate(sizes), labels
+    return labelling._orbit_labels(space.size, [space.move_permutation(mv) for mv in space.moves()])
 
 
-@pytest.mark.parametrize("m", [2, 4], ids=["gf4", "gf16"])
+@pytest.mark.parametrize("m", [2, 3], ids=["gf4", "gf8"])
 def test_levels_match_flat_slice_labelling(m, dtilde4):
-    """On the cap vector, labelling block by block gives the classes, sizes
-    and lookups that labelling each slice whole gives: every state over
-    GF(4), and over GF(16) every state of every slice and a sample of the
-    others, which reduce to a slice first."""
+    """On the cap vector, the tree of levels gives the classes, sizes and
+    lookups that labelling the whole space at once gives: every state over
+    GF(4), and over GF(8) every class representative and a sample of the
+    other states."""
     cat = isoclasses(dtilde4[0], (0, 1, 1, 1, 2), qf.make_field(2, m))
-    reps, sizes, labels = _flat_labelling(cat)
+    labels, reps, sizes = _flat_labelling(cat)
     assert cat.class_reps.tolist() == reps.tolist() and cat.class_reps.dtype == reps.dtype
     assert cat.sizes.tolist() == sizes.tolist() and cat.sizes.dtype == sizes.dtype
-    for sl in cat.slices:
-        got = [cat.class_of_state(sl.start + i) for i in range(sl.size)]
-        assert got == labels[sl.block, sl.rank].tolist(), (sl.block, sl.rank)
     size = cat.space.size
-    states = range(size) if size <= 4**6 else np.random.default_rng(5).integers(size, size=1_000)
+    states = range(size)
+    if size > 4**6:
+        sample = np.random.default_rng(5).integers(size, size=1_000)
+        states = np.concatenate([cat.class_reps, sample])
     for state in map(int, states):
-        j, k, moved = cat.space.to_slice(state)
-        sl = cat._slice_at[j, k]
-        assert cat.class_of_state(state) == labels[j, k][moved - sl.start], state
+        assert cat.class_of_state(state) == labels[state], state
+
+
+def test_lookup_runs_no_elimination(dtilde4, F3):
+    """A lookup walks the tree of levels from its root by stored generators
+    alone: looking up every state of star delta over GF(3) runs no
+    ``reps.rref``, under whatever name it is called."""
+    cat = isoclasses(dtilde4[0], (1, 1, 1, 1, 2), F3)
+    code, calls = reps_mod.rref.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        ids = [cat.class_of_state(s) for s in range(cat.space.size)]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert (cat.class_reps[ids] <= np.arange(cat.space.size)).all()
+    assert Counter(ids) == dict(enumerate(cat.sizes.tolist()))
 
 
 def test_delta_over_gf16_past_the_default_cap(dtilde4):
@@ -559,8 +559,8 @@ def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
     cat = isoclasses(counterexample[0], (1, 1, 1, 1, 1), F5)
     assert cat.n_classes == 106 and _label_dtypes(cat) == {np.dtype(np.uint8)}
     # nine parallel arrows at dims (1, 1) over GF(2): no move acts, so every
-    # one of the 512 states is its own class, and the largest slice, with
-    # the first arrow leading, holds 256 of them; with ten arrows it holds 512
+    # one of the 512 states is its own class, and the largest last level,
+    # below the first arrow's value 1, holds 256 of them; with ten arrows 512
     many = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(9)])
     cat = isoclasses(many, (1, 1), F2)
     assert cat.n_classes == 512 and _label_dtypes(cat) == {np.dtype(np.uint8)}
@@ -574,7 +574,7 @@ def test_labels_narrowest_dtype(F2, F3, F5, counterexample):
     assert [cat.class_of_state(s) for s in range(1024)] == list(range(1024))
     # six parallel arrows at dims (1, 1) over GF(3): the scalings pair each
     # nonzero state with its negative, so the class ids outgrow uint8, yet
-    # the 243 classes of the slice with the first block leading fit it
+    # the 243 classes below the first block's non-zero orbit fit it
     six = qf.validate_quiver(["u", "v"], [(f"a{k}", "u", "v") for k in range(6)])
     cat = isoclasses(six, (1, 1), F3)
     assert cat.n_classes == 1 + (3**6 - 1) // 2 and _label_dtypes(cat) == {np.dtype(np.uint8)}
@@ -614,7 +614,7 @@ def _labelling(cat):
 
 def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkeypatch):
     """Hooking and pointer jumping across batch borders give the labelling
-    that a slice within one batch gets."""
+    that a level within one batch gets."""
     kronecker = _quiver("kronecker", None, None)
     cases = [
         (dtilde4[0], (0, 1, 1, 1, 2), F3),
@@ -833,23 +833,25 @@ def test_prime_field_frobenius_periods_do_not_twist(dtilde4, F3, monkeypatch):
 
 
 def test_broken_orbit_partition_is_refused(a3, F2, monkeypatch):
-    # the first slice labelled, the zero state's, loses its one state
+    # the first level the kernel labels, block 1's values under the
+    # stabiliser of N_1 at block 0, loses a state from the orbit of the zero
+    # value, and so the catalog loses one per rank-1 value of block 0: 3
     real = labelling._orbit_labels
-    slices = []
+    levels = []
 
     def drop_one(n, perms):
         labels, reps, sizes = real(n, perms)
-        if not slices:
+        if not levels:
             sizes = sizes.copy()
             sizes[0] -= 1
-        slices.append(n)
+        levels.append(n)
         return labels, reps, sizes
 
     dims = (1, 2, 1)
     key = cat_mod._store_key(a3, F2, dims)
     clear_catalog_store()
     monkeypatch.setattr(labelling, "_orbit_labels", drop_one)
-    with pytest.raises(OrbitPartitionBroken, match="^orbit sizes sum to 15, not to the 16 states$"):
+    with pytest.raises(OrbitPartitionBroken, match="^orbit sizes sum to 13, not to the 16 states$"):
         isoclasses(a3, dims, F2)
     assert key not in cat_mod._STORE
 

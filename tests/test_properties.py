@@ -11,7 +11,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import quiverfold as qf
 from quiverfold.reps import hom_space, ext_dim, reflection_functor
@@ -264,3 +264,44 @@ def test_frobenius_is_additive_and_multiplicative(spec, xseed, yseed):
     assert qf.frobenius(fld, 1, fld.add(x, y)) == fld.add(fx, fy)
     assert qf.frobenius(fld, 1, fld.mul(x, y)) == fld.mul(fx, fy)
     assert qf.frobenius(fld, fld.m, x) == x
+
+
+SMALL_QUIVERS = {
+    "a2": (["u", "v"], [("r", "u", "v")]),
+    "a3": (["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]),
+    "line": (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]),
+    "kronecker": (["u", "v", "w"], [("a", "u", "v"), ("b", "u", "v")]),
+    "triangle": (["1", "2", "3"], [("a", "2", "1"), ("b", "3", "1"), ("c", "2", "3")]),
+}
+
+
+@cache
+def _small_quiver(name):
+    return qf.validate_quiver(*SMALL_QUIVERS[name])
+
+
+@cache
+def _move_permutations(name, dims, spec):
+    cat = qf.isoclasses(_small_quiver(name), dims, qf.make_field(*spec))
+    return cat, [cat.space.move_permutation(mv) for mv in cat.space.moves()]
+
+
+@settings(max_examples=SAMPLES, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(SMALL_QUIVERS)),
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8),
+)
+def test_class_of_state_is_constant_on_orbits(name, dims, spec, seeds):
+    """A lookup gives every state of an orbit one class, whose least state
+    is no greater than it: the class of s is the class of each generator's
+    image of s, and the representative of that class is at most s."""
+    dims = dims[: len(SMALL_QUIVERS[name][0])]
+    q = spec[0] ** spec[1]
+    assume(q ** _small_quiver(name).entry_count(dims) <= 3**7)
+    cat, perms = _move_permutations(name, dims, spec)
+    for state in (x % cat.space.size for x in seeds):
+        ci = cat.class_of_state(state)
+        assert cat.class_reps[ci] <= state
+        assert all(cat.class_of_state(int(perm[state])) == ci for perm in perms)

@@ -1,11 +1,9 @@
 """Value records: the plain classes that ``quiver._record`` makes, with the
 init, repr, equality, hashing and frozenness that callers rely on."""
 
-import numpy as np
 import pytest
 
 import quiverfold as qf
-from quiverfold.catalog import _Slice
 from quiverfold.quiver import Arrow, Quiver, _record
 from quiverfold.skew import DoubleSkewReport
 from quiverfold.theorems import DimensionRecord, IIClass, TheoremReport
@@ -79,7 +77,6 @@ def test_init_by_keyword_and_default():
     rec = DimensionRecord(count=2, kind="real", vector=(1,))
     assert rec == DimensionRecord((1,), "real", 2, (), None, None)
     assert DimensionRecord((1,), "real", 2, crosscheck=3).crosscheck == 3
-    assert _Slice(None, 0, 0, 1, 1).level is None
     for args, kwargs, message in [
         (("a", "1"), {}, "missing target"),
         ((), {"id": "a"}, "missing source, target"),
@@ -92,16 +89,15 @@ def test_init_by_keyword_and_default():
 
 
 def test_mutable_records_accept_assignment_and_are_unhashable():
-    sl = _Slice(0, 1, 2, 2, 1)
-    sl.level = np.arange(2)
     ii = _ii_class()
     ii.period = 2
+    ii.base_dims = (2, 1, 1)
     report = DoubleSkewReport(True, None, 2, 2)
     report.vertex_map = {"1": "1:0:0"}
-    assert sl.level.tolist() == [0, 1] and ii.period == 2 and report.vertex_map == {"1": "1:0:0"}
+    assert ii.base_dims == (2, 1, 1) and ii.period == 2 and report.vertex_map == {"1": "1:0:0"}
     assert repr(report) == (
         "DoubleSkewReport(found=True, vertex_map={'1': '1:0:0'}, skew_order=2, double_skew_order=2)"
     )
-    for rec in (sl, ii, report):
+    for rec in (ii, report):
         with pytest.raises(TypeError, match="unhashable"):
             hash(rec)
