@@ -65,7 +65,9 @@ product of two or more factors 1 - q^-a, never 1 - q^-r.  As |Aut(X)| is
 and Ext(X, X) are the kernel and cokernel of one intertwiner map, from
 sum d_v^2 to entry_count(d) dimensions, so e is the Tits form of d plus
 ``ext_dim(X, X)`` and no basis of End(X) is built.  The idempotent search
-in reps stays as a second, tested route.
+in reps stays as a second, tested route.  A space too large for its cap or
+for the field's dense tables is refused before it is built, by the one
+check that every plan reads, ``gf._check_states``.
 """
 
 from __future__ import annotations
@@ -73,12 +75,8 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    OrbitPartitionBroken,
-    SpaceMismatch,
-)
-from .gf import FiniteField
+from .errors import OrbitPartitionBroken, SpaceMismatch
+from .gf import FiniteField, _check_states
 from .quiver import Automorphism, Quiver, _orbit
 from .reps import Mat, Representation, ext_dim, transpose, twist_auto, twist_frobenius
 
@@ -393,11 +391,15 @@ class IsoClassCatalog:
     def n_classes(self) -> int:
         return len(self.class_reps)
 
+    def _class_id(self, ci: int) -> int:
+        """ci itself, refused unless it names a class of the catalog."""
+        if not 0 <= ci < self.n_classes:
+            raise SpaceMismatch(f"class id {ci} is outside range({self.n_classes})")
+        return ci
+
     def representative(self, ci: int) -> Representation:
         if ci not in self._rep_cache:
-            if not 0 <= ci < self.n_classes:
-                raise SpaceMismatch(f"class id {ci} is outside range({self.n_classes})")
-            self._rep_cache[ci] = self.space.decode(int(self.class_reps[ci]))
+            self._rep_cache[ci] = self.space.decode(int(self.class_reps[self._class_id(ci)]))
         return self._rep_cache[ci]
 
     def class_of_state(self, state: int) -> int:
@@ -437,17 +439,6 @@ def _store_key(quiver: Quiver, field: FiniteField, dd: tuple[int, ...]) -> tuple
     return (quiver, field.p, field.m, dd)
 
 
-def _check_size(quiver: Quiver, field: FiniteField, dd: tuple, cap: int, planned=False) -> None:
-    q, n = field.q, quiver.entry_count(dd)
-    if q**n > cap:
-        note = "; refused while planning, before any catalog was built" if planned else ""
-        raise BudgetExceeded(
-            f"state space at dims {dd} over GF({q}) holds {q}^{n} = {q**n} "
-            f"representations, cap is {cap}{note}",
-            predicted=q**n,
-        )
-
-
 def plan_isoclasses(
     quiver: Quiver,
     vectors: Iterable[Sequence[int]],
@@ -459,12 +450,12 @@ def plan_isoclasses(
 
     Raises the BudgetExceeded that isoclasses would raise at the first of
     the vectors, in the order given, whose catalog is neither stored nor
-    within the cap.  This is arithmetic on state-space sizes only.
+    within ``gf._check_states``, marked as refused while planning.
     """
     for dims in vectors:
         dd = quiver.check_dims(dims)
         if _store_key(quiver, field, dd) not in _STORE:
-            _check_size(quiver, field, dd, state_cap, planned=True)
+            _check_states(quiver, dd, field, state_cap, planned=True)
 
 
 def isoclasses(
@@ -474,14 +465,14 @@ def isoclasses(
     state_cap: int = 2**24,
 ) -> IsoClassCatalog:
     """Classify all representations of the dimension vector, memoised."""
-    # an invalid vector is never stored, so only a miss needs the check
+    # an invalid or oversized vector is never stored, so only a miss needs the checks
     dd = tuple(dims)
     got = _STORE.get(_store_key(quiver, field, dd))
     if got is not None:
         return got
     dd = quiver.check_dims(dd)
     key = _store_key(quiver, field, dd)
-    _check_size(quiver, field, dd, state_cap)
+    _check_states(quiver, dd, field, state_cap)
     space = StateSpace(quiver, field, dd)
     gens = _value_perms(space.moves(), space.blocks, space.values)
     level, class_reps, sizes = _top_level(space, gens, 0, {})
@@ -563,9 +554,9 @@ def twisted_class(
     class is looked up in the catalog at the twisted dimension vector, which
     has exactly cat's state count: b permutes the matrix entries and
     Frobenius keeps the dims, so that count is its cap."""
-    rep = cat.representative(ci)
     if b.is_identity and s % cat.field.m == 0:
-        return cat.dims, ci
+        return cat.dims, cat._class_id(ci)
+    rep = cat.representative(ci)
     if s % cat.field.m:
         rep = twist_frobenius(rep, s)
     rep = twist_auto(b, rep)

@@ -139,8 +139,8 @@ class NotSource(QuiverFoldError):
     """A backward reflection functor was requested at a non-source."""
 
 
-class BadParameter(QuiverFoldError):
-    """A fixture parameter lies outside its allowed set."""
+class BadParameter(QuiverFoldError, ValueError):
+    """A fixture parameter or a reflection direction is outside its allowed set."""
 
 
 class CharacteristicWarning(UserWarning):

@@ -322,6 +322,27 @@ class FiniteField:
         return add.astype(dtype), mul.astype(dtype)
 
 
+def _check_states(quiver, dims, field, cap: int, origin=None, note="", planned=False) -> None:
+    """Refuse the state space of the quiver at dims over the field past
+    ``cap`` states, or with entries over a field past the dense tables' cap:
+    the one numpy-free size check that every catalog build and plan reads.
+    The message names dims, reduced from ``origin`` if given, then ``note``."""
+    q, n = field.q, quiver.entry_count(dims)
+    if q**n > cap:
+        limit = f"cap is {cap}"
+    elif n and q > _TABLE_CAP:
+        limit = f"dense field tables are capped at q <= {_TABLE_CAP}"
+    else:
+        return
+    where = f"{dims} (reduced from {origin})" if origin else dims
+    stage = "; refused while planning, before any catalog was built" if planned else ""
+    raise BudgetExceeded(
+        f"state space at dims {where} over GF({q}) holds {q}^{n} = {q**n} "
+        f"representations, {limit}{note}{stage}",
+        predicted=q**n,
+    )
+
+
 def make_field(p: int, m: int = 1) -> FiniteField:
     """The canonical GF(p^m).  Cached on (p, m) however they are passed, so
     repeated calls share one object and its tables."""

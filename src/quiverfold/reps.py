@@ -17,6 +17,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    BadParameter,
     EndRingTooLarge,
     FieldMismatch,
     HomSpaceTooLarge,
@@ -544,7 +545,7 @@ def reflection_functor(x: Representation, vertex: str, direction: str) -> Repres
             raise NotSource(f"vertex {vertex!r} is not a source")
         return _dual(reflection_functor(_dual(x), vertex, "+"))
     if direction != "+":
-        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+        raise BadParameter(f"direction must be '+' or '-', got {direction!r}")
     if not q.is_sink(vertex):
         raise NotSink(f"vertex {vertex!r} is not a sink")
     vi = idx[vertex]

@@ -22,18 +22,18 @@ orbits, the symmetric form and the twist stay the job's.  The chain ends
 at a vector with no matrix entries, where the zero maps are indecomposable
 exactly at a unit vector; at a negative entry, which certifies that no
 indecomposable exists; or where no reflection lowers the height.  Only
-that last end builds a catalog, and an oversized one is refused with the
-exact blowup figure rather than approximated.
+that last end builds a catalog, and ``gf._check_states``, the one size
+check of every build and plan, refuses an oversized one with its figure.
 
 Every twist-orbit job runs on one ``_TwistOrbitEngine``, which owns the
 job's plan: the reduction context of each vector the job will visit is
 fixed first, in visiting order, from state-space sizes alone, once per
-vector.  A job that cannot fit its cap therefore refuses, at the same vector
-and with the same figure as it would have met while enumerating, having
-built no catalog.  ``catalog``, and numpy with it, is imported only where a
-catalog is built, so a twist-engine job whose chains all end without one, or
-that is refused while planning, never loads numpy.  ``reps`` loads only to
-materialise an ``IIClass``'s representative.
+vector.  A job that cannot fit its cap or the field's dense tables
+therefore refuses at the vector it would have failed at, having built no
+catalog.  ``catalog``, and numpy with it, is imported only where a catalog
+is built, so a twist-engine job whose chains all end without one, or that
+is refused while planning, never loads numpy.  An ``IIClass`` keeps its
+engine's reduction context; ``reps`` loads only to materialise it.
 
 The engine plans, reduces and catalogs only the vectors that can contribute
 to a target d: the nonzero beta <= d with d = m*S(beta) for an integer
@@ -57,13 +57,8 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .cartan import CartanLattice, ValuedQuiver, f_inverse, f_map, fold, quiver_lattice, root_length
-from .errors import (
-    BudgetExceeded,
-    CharacteristicWarning,
-    CrossCheckFailed,
-    NotFixed,
-)
-from .gf import FiniteField, make_field, prime_power
+from .errors import CharacteristicWarning, CrossCheckFailed, NotFixed
+from .gf import FiniteField, _check_states, make_field, prime_power
 from .quiver import Automorphism, Quiver, _box, _cycles, act_on_dimension_vector, _record
 from .roots import _nonneg_vectors, apply_reflections, classify
 
@@ -97,15 +92,15 @@ def _reduce_context(
     entries, whose one representation is the zero maps, or where no
     reflection lowers the height.  Returns None when a reflection lands
     outside the positive cone, which certifies that no indecomposable of
-    dims beta exists at all.  Raises BudgetExceeded when the bottom's state
-    space is over the cap.  Builds no catalog.  ``lat`` is the quiver's
-    lattice, which a reflection leaves as it is: it reads only the
-    underlying graph.
+    dims beta exists at all.  The bottom's state space goes through
+    ``gf._check_states``, which refuses it while planning.  Builds no
+    catalog.  ``lat`` is the quiver's lattice, which a reflection leaves as
+    it is: it reads only the underlying graph.
     """
     q = a.quiver
     cur_dims = q.check_vector(beta)
     steps: list[tuple[tuple[str, ...], str]] = []
-    while n_entries := q.entry_count(cur_dims):
+    while q.entry_count(cur_dims):
         best = None
         for orbit in a.vertex_orbits:
             if all(q.is_sink(v) for v in orbit):
@@ -121,18 +116,9 @@ def _reduce_context(
             if sum(new_dims) < sum(best[2] if best else cur_dims):
                 best = (orbit, direction, new_dims)
         if best is None:
-            size = fld.q**n_entries
-            if size <= state_cap:
-                break
-            origin = f" (reduced from {beta})" if steps else ""
-            raise BudgetExceeded(
-                f"state space at dims {cur_dims}{origin} over GF({fld.q}) holds "
-                f"{fld.q}^{n_entries} = {size} "
-                f"representations (cap {state_cap}) and no sink or source orbit "
-                "reflection reduces the height; refused while planning, before "
-                "any catalog was built",
-                predicted=size,
-            )
+            note = "; no sink or source orbit reflection reduces the height"
+            _check_states(q, cur_dims, fld, state_cap, beta if steps else None, note, planned=True)
+            break
         orbit, direction, cur_dims = best
         steps.append((orbit, direction))
         q = q.reversed_at(orbit)
@@ -300,7 +286,7 @@ class IIClass:
     direct: bool
     _auto: Automorphism
     _field: FiniteField
-    _state_cap: int
+    _context: _ReductionContext  # the engine's plan for base_dims
 
     @property
     def summand_count(self) -> int:
@@ -309,19 +295,19 @@ class IIClass:
     def base_representation(self) -> Representation:
         """The indecomposable whose twist orbit this class sums: the class's
         representative at the bottom of its reduction chain, reflected back
-        up the chain."""
+        up the chain.  A bottom catalog dropped from the store is rebuilt
+        under its own state count."""
         from .reps import s_fold_functor, simple_representation
 
-        lat = quiver_lattice(self._auto.quiver)
-        ctx = _reduce_context(self._auto, lat, self.base_dims, self._field, self._state_cap)
+        ctx, fld = self._context, self._field
         qr = ctx.quiver
-        if qr.entry_count(ctx.dims):
+        if n := qr.entry_count(ctx.dims):
             from .catalog import isoclasses
 
-            cat = isoclasses(qr, ctx.dims, self._field, state_cap=self._state_cap)
+            cat = isoclasses(qr, ctx.dims, fld, state_cap=fld.q**n)
             rep = cat.representative(self.base_class_id)
         else:
-            rep = simple_representation(qr, self._field, qr.vertices[ctx.dims.index(1)])
+            rep = simple_representation(qr, fld, qr.vertices[ctx.dims.index(1)])
         for orbit, direction in reversed(ctx.steps):
             rep = s_fold_functor(self._auto, orbit, "-" if direction == "+" else "+", rep)
         return rep
@@ -369,7 +355,7 @@ def ii_classes(
                 direct=not engine.contexts[beta].steps,
                 _auto=a,
                 _field=fld,
-                _state_cap=state_cap,
+                _context=engine.contexts[beta],
             )
         )
     if out:

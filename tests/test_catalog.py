@@ -148,6 +148,41 @@ def test_plan_passes_stored_catalogs(a2, F2):
     assert "dims (1, 2)" in str(ei.value)
 
 
+_KRONECKER = qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")])
+
+
+def test_field_past_the_tables_is_refused_before_a_build(monkeypatch):
+    # at (1,1) the Kronecker quiver holds 2048^2 states, under the cap, but
+    # GF(2048) is past the dense tables, and no reflection lowers (1,1)
+    f = qf.make_field(2, 11)
+    spaces = []
+    monkeypatch.setattr(cat_mod.StateSpace, "__init__", lambda self, *args: spaces.append(args))
+    clear_catalog_store()
+    message = (
+        "state space at dims (1, 1) over GF(2048) holds 2048^2 = 4194304 "
+        "representations, dense field tables are capped at q <= 1024"
+    )
+    planned = "; refused while planning, before any catalog was built"
+    jobs = [
+        (lambda: qf.verify_kac(_KRONECKER, f, 2),
+         "; no sink or source orbit reflection reduces the height" + planned),
+        (lambda: plan_isoclasses(_KRONECKER, [(1, 0), (1, 1)], f), planned),
+        (lambda: isoclasses(_KRONECKER, (1, 1), f), ""),
+    ]
+    for job, stage in jobs:
+        with pytest.raises(BudgetExceeded) as ei:
+            job()
+        assert str(ei.value) == message + stage
+        assert ei.value.predicted == 2048**2
+    assert cat_mod._STORE == {} and spaces == []
+
+
+def test_zero_entry_vector_past_the_tables_builds():
+    # a vector with no matrix entries needs no field table
+    cat = isoclasses(_KRONECKER, (1, 0), qf.make_field(2, 11))
+    assert cat.n_classes == 1 and cat.sizes.tolist() == [1]
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -817,19 +852,26 @@ def test_frobenius_period_odd_order():
 
 
 def test_prime_field_frobenius_periods_do_not_twist(dtilde4, F3, monkeypatch):
-    # over a prime field the Frobenius twist is the identity
+    # over a prime field the Frobenius twist is the identity, so no class
+    # of a fresh catalog is twisted or even decoded
     q, _, _ = dtilde4
+    clear_catalog_store()
     cat = isoclasses(q, (1, 1, 1, 1, 2), F3)
-    real = cat_mod.twist_auto
-    calls = []
+    real, decode = cat_mod.twist_auto, cat_mod.StateSpace.decode
+    calls, decoded = [], []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def counted_decode(self, state):
+        decoded.append(state)
+        return decode(self, state)
+
     monkeypatch.setattr(cat_mod, "twist_auto", counted)
+    monkeypatch.setattr(cat_mod.StateSpace, "decode", counted_decode)
     assert [frobenius_period(cat, ci) for ci in range(cat.n_classes)] == [1] * 52
-    assert len(calls) == 0
+    assert len(calls) == 0 and len(decoded) == 0
 
 
 def test_broken_orbit_partition_is_refused(a3, F2, monkeypatch):

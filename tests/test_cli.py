@@ -515,6 +515,8 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
     (tmp_path / "pair41.json").write_text(qf.json_dumps(qf.valued_to_dict(pair41)))
     (tmp_path / "star.json").write_text(qf.json_dumps(qf.quiver_to_dict(qf.build_dtilde4()[0])))
     (tmp_path / "a3.json").write_text(qf.json_dumps(qf.quiver_to_dict(line)))
+    kron = qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")])
+    (tmp_path / "kron.json").write_text(qf.json_dumps(qf.quiver_to_dict(kron)))
     # each command, and the quiverfold submodules that a cold call of it loads
     runs = {
         "fixtures": (["fixtures"], "cli errors"),
@@ -550,6 +552,11 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
              "--cap-states", "2187"],
             "cartan cli errors gf quiver roots serialize theorems",
         ),
+        # (1,1) holds 2048^2 states, under the cap, over a field past the tables
+        "refused-tables": (
+            ["verify", "kac", "kron.json", "--field", "2^11", "--max-height", "2"],
+            "cartan cli errors gf quiver roots serialize theorems",
+        ),
     }
     code = (
         "import contextlib, io, json, sys\n"
@@ -571,11 +578,12 @@ def test_catalog_free_commands_leave_numpy_unloaded(tmp_path):
         assert not doc["numpy"], name
         assert doc["stdlib"] == [], name
         assert doc["loaded"] == loads.split(), name
-    refused = [docs.pop("refused"), docs.pop("refused-kac")]
+    refused = [docs.pop("refused"), docs.pop("refused-kac"), docs.pop("refused-tables")]
     assert [doc["code"] for doc in docs.values()] == [0] * 8
     for doc in refused:
         assert doc["code"] == 2 and doc["error"].startswith("error:")
         assert "refused while planning" in doc["error"]
+    assert "dims (1, 1) over GF(2048)" in refused[2]["error"]
 
 
 def test_lazy_exports_resolve_to_submodule_objects():

@@ -6,12 +6,13 @@ import pytest
 import quiverfold as qf
 from quiverfold.quiver import Arrow, Quiver, _record
 from quiverfold.skew import DoubleSkewReport
-from quiverfold.theorems import DimensionRecord, IIClass, TheoremReport
+from quiverfold.theorems import DimensionRecord, IIClass, TheoremReport, _ReductionContext
 
 
-def _ii_class(cap=99):
-    _, flip = qf.build_a3_flip()
-    return IIClass((1, 1, 1), 1, ((1, 1, 1),), (1, 1, 1), 3, True, flip, qf.field_from_spec("2"), cap)
+def _ii_class(dims=(1, 1, 1)):
+    q, flip = qf.build_a3_flip()
+    context = _ReductionContext(q, dims, ())
+    return IIClass((1, 1, 1), 1, ((1, 1, 1),), (1, 1, 1), 3, True, flip, qf.field_from_spec("2"), context)
 
 
 def test_repr_text():
@@ -25,7 +26,7 @@ def test_repr_text():
         "DimensionRecord(vector=(1, 2), kind='real', count=1, periods=(), "
         "expected_length=None, crosscheck=None)"
     )
-    # the automorphism, field and cap of an IIClass stay out of its repr
+    # the automorphism, field and reduction context of an IIClass stay out of its repr
     assert repr(_ii_class()) == (
         "IIClass(total_dims=(1, 1, 1), period=1, member_dims=((1, 1, 1),), "
         "base_dims=(1, 1, 1), base_class_id=3, direct=True)"
@@ -47,7 +48,7 @@ def test_equal_fields_equal_records():
     assert rec == same and hash(rec) == hash(same)
     assert rec != DimensionRecord((1,), "real", 1, crosscheck=1)
     # the fields left out of the repr still count for equality
-    assert _ii_class() == _ii_class() and _ii_class(98) != _ii_class()
+    assert _ii_class() == _ii_class() and _ii_class((1, 1, 0)) != _ii_class()
 
     @_record
     class Twin:

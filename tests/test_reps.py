@@ -4,6 +4,7 @@ import pytest
 
 import quiverfold as qf
 from quiverfold.errors import (
+    BadParameter,
     BudgetExceeded,
     EndRingTooLarge,
     FieldMismatch,
@@ -128,6 +129,8 @@ def test_reflection_functor(a2, F2):
         qf.reflection_functor(p, "v", "-")
     with pytest.raises(ValueError, match="direction must be"):
         qf.reflection_functor(p, "v", "*")
+    with pytest.raises(BadParameter, match="direction must be"):
+        qf.reflection_functor(p, "u", "-+")
 
 
 def test_reflection_dimension_identity(a3, F2):

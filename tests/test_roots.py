@@ -236,3 +236,27 @@ def test_sigma_root_image(a3_flip):
 def test_reflect_by_name(a3_flip):
     lat = folded(a3_flip[1])
     assert qf.reflect(lat, "2", (1, 0)) == qf.reflect(lat, 1, (1, 0))
+
+
+_ROUTES = {
+    "star-h10": (lambda: qf.quiver_lattice(qf.build_dtilde4()[0]), 10),
+    "counterexample-h8": (lambda: qf.quiver_lattice(qf.build_counterexample()[0]), 8),
+    "4cycle-fold-h8": (lambda: folded(qf.build_dtilde4()[1]), 8),
+    "3cycle-fold-h8": (lambda: folded(qf.build_dtilde4()[2]), 8),
+    "pair41-h8": (lambda: qf.make_valued_quiver(["u", "v"], [4, 1], [("u", "v", 4)]).lattice, 8),
+}
+
+
+@pytest.mark.parametrize("make_lattice, height", _ROUTES.values(), ids=_ROUTES.keys())
+def test_closure_agrees_with_a_classify_sweep(make_lattice, height):
+    # the reflection closure and a vector-by-vector classification are two
+    # routes to the same roots and kinds
+    lat = make_lattice()
+    closure = {r.vector: r.kind for r in qf.positive_roots_up_to(lat, height).records}
+    swept = {}
+    for v in roots._nonneg_vectors(len(lat.names), height):
+        kind = qf.classify(lat, v).kind
+        if kind != "nonroot":
+            swept[v] = kind
+    assert closure == swept
+    assert "real" in closure.values()

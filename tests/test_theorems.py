@@ -281,7 +281,7 @@ def test_refusal_names_reduced_vector_and_field():
         qf.species_count(_PAIR41, (1, 2), 2)
     assert str(ei.value) == (
         "state space at dims (1, 1, 1, 1, 2) over GF(16) holds 16^8 = 4294967296 "
-        "representations (cap 16777216) and no sink or source orbit reflection "
+        "representations, cap is 16777216; no sink or source orbit reflection "
         "reduces the height; refused while planning, before any catalog was built"
     )
 
@@ -474,8 +474,8 @@ def _base_representations():
     [
         (lambda: qf.verify_main_theorem(qf.build_dtilde4()[2], qf.make_field(2), 4), 1),
         (lambda: qf.verify_species_theorem(_PAIR21, 3, 4), 1),
-        # the engine's, then one for each of the two classes' chains
-        (_base_representations, 3),
+        # the engine's only: each class keeps the chain its engine planned
+        (_base_representations, 1),
     ],
     ids=["verify_main", "verify_species", "base_representation"],
 )
@@ -492,6 +492,18 @@ def test_one_lattice_per_job(monkeypatch, job, builds):
     monkeypatch.setattr(theorems, "quiver_lattice", counted)
     job()
     assert len(calls) == builds
+
+
+def test_base_representation_reads_the_planned_chain(monkeypatch):
+    # the chain is not planned again, and a bottom catalog dropped from the
+    # store is rebuilt under its own state count
+    classes = qf.ii_classes(_DTILDE4_4CYCLE, (1, 1, 1, 1, 2), qf.make_field(3))
+    first = [c.base_representation() for c in classes]
+    plans = []
+    monkeypatch.setattr(theorems, "_reduce_context", lambda *args: plans.append(args))
+    qf.clear_catalog_store()
+    assert [c.base_representation() for c in classes] == first
+    assert plans == []
 
 
 # twist-orbit engines and the height of the sweep that visits their boxes
