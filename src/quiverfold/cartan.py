@@ -26,7 +26,7 @@ from .errors import (
     NotPermutation,
     VertexLoop,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit, _record, _triple
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -155,6 +155,13 @@ class ValuedQuiver:
         return tuple(sorted(tuple(sorted(self.edge_pair(e))) for e in self.edges))
 
 
+def _integer(x, what: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise LatticeMismatch(f"{what} is {x!r}, not an integer") from None
+
+
 def make_valued_quiver(
     vertices: Sequence[str], d: Sequence[int], edges: Sequence
 ) -> ValuedQuiver:
@@ -169,7 +176,7 @@ def make_valued_quiver(
         raise DuplicateId("duplicate vertex id in valued quiver")
     if len(d) != len(verts):
         raise LatticeMismatch("symmetriser length does not match vertex count")
-    dd = tuple(int(x) for x in d)
+    dd = tuple(_integer(x, f"weight d of vertex {v!r}") for v, x in zip(verts, d))
     if any(x < 1 for x in dd):
         raise LatticeMismatch("symmetriser entries must be positive")
 
@@ -179,11 +186,9 @@ def make_valued_quiver(
     for item in edges:
         if isinstance(item, ValuedEdge):
             e = item
-        elif isinstance(item, dict):
-            e = ValuedEdge(str(item["from"]), str(item["to"]), int(item["b"]))
         else:
-            s, t, b = item
-            e = ValuedEdge(str(s), str(t), int(b))
+            s, t, b = _triple(item, ("from", "to", "b"), "edge")
+            e = ValuedEdge(str(s), str(t), _integer(b, f"edge count b of {item!r}"))
         if e.source not in idx or e.target not in idx:
             raise DanglingEndpoint(f"edge {e.source!r}->{e.target!r} has an unknown endpoint")
         if e.source == e.target:

@@ -33,16 +33,18 @@ come in order of their least value, and every state below an orbit is less
 than every state below the next, so the classes come out in order of their
 least state.
 
-Levels.  A move acts on each arrow block on its own, so it is stored as
-one value permutation per block, built once per block shape and end
-matrices by running the move on the block's q^(rc) values.  G's are
-gathered into one array per block once per space, which every top level
-reads.  Below rank k of block j the later blocks are labelled one block at
-a time (``labelling``): with H = H_k, the values of block j + 1 are labelled
-under H; for each orbit's least value v, Schreier's lemma over a
-breadth-first tree of the orbit gives generators of Stab(v), carried only
-as permutations of the later blocks' values, which label the next block
-the same way, down to the last.  By orbit-stabiliser a class with N_k at
+Levels.  A move is its matrices, {v: (g_v, g_v^-1)} at a few vertices,
+and it acts on each arrow block on its own: ``StateSpace.value_perm``
+builds its permutation of a block's q^(rc) values, M -> g_t M g_s^-1,
+once per block shape and end matrices while the catalog is built, and the
+space drops them after, as the levels keep their own generator rows.
+G's are gathered into one array per block once per space, which every top
+level reads.  Below rank k of block j the later blocks are labelled one
+block at a time (``labelling``): with H = H_k, the values of block j + 1
+are labelled under H; for each orbit's least value v, Schreier's lemma
+over a breadth-first tree of the orbit gives generators of Stab(v),
+carried only as permutations of the later blocks' values, which label the
+next block the same way, down to the last.  By orbit-stabiliser a class with N_k at
 block j then has size |G.N_k| * |H.v| * ... * |last orbit|, where |G.N_k|
 is the number of rank-k r x c matrices, and is named by its least state.
 Each level numbers its classes from 0 and records the number of classes in
@@ -96,6 +98,7 @@ from .labelling import (
 _CHUNK = 1 << 18  # block values per batch while a value permutation is built
 
 Pair = tuple[Mat, Mat]  # a matrix and its inverse
+Move = dict[int, Pair]  # an element of G: vertex index -> (g_v, g_v^-1), the identity elsewhere
 
 
 def _elementary(n: int, i: int, j: int, x: int) -> Mat:
@@ -151,10 +154,6 @@ def _rank_count(q: int, r: int, c: int, k: int) -> int:
     return num // den
 
 
-def _entry_dtype(q: int):
-    return np.uint8 if q <= 256 else np.uint16
-
-
 def _left(f: FiniteField, g: Mat, blk: np.ndarray) -> np.ndarray:
     """g times each matrix of a batch of shape (N, rows, cols)."""
     add, mul = f.tables()
@@ -167,54 +166,6 @@ def _left(f: FiniteField, g: Mat, blk: np.ndarray) -> np.ndarray:
                 acc = term if acc is None else add[acc, term]
         out[:, i] = 0 if acc is None else acc
     return out
-
-
-class _Move:
-    """One element of the base-change group, given by its matrix g_v at some
-    vertices and the identity elsewhere, as an entry transform."""
-
-    def __init__(self, field: FiniteField, blocks, mats: dict[int, Pair]):
-        self.field = field
-        self.mats = mats  # vertex index -> (g_v, g_v^-1)
-        # (offset, rows, cols, target, source) of every block the move touches
-        self.blocks = [b for b in blocks if b[3] in mats or b[4] in mats]
-        self._perms: dict[tuple, np.ndarray | None] = {}
-
-    def apply(self, ents: np.ndarray) -> np.ndarray:
-        f = self.field
-        out = ents.copy()
-        for off, rows, cols, t, s in self.blocks:
-            blk = ents[:, off : off + rows * cols].reshape(-1, rows, cols)
-            if t in self.mats:
-                blk = _left(f, self.mats[t][0], blk)
-            if s in self.mats:
-                right = transpose(self.mats[s][1])
-                blk = _left(f, right, blk.transpose(0, 2, 1)).transpose(0, 2, 1)
-            out[:, off : off + rows * cols] = blk.reshape(-1, rows * cols)
-        return out
-
-    def value_perm(self, block: tuple) -> np.ndarray | None:
-        """perm[x] is the value the move sends value x of the block
-        (offset, rows, cols, target, source) to; None if it fixes every one.
-        Built once per shape and end matrices, by running the move on the
-        block's values, so blocks that the move acts on alike share it."""
-        _, rows, cols, t, s = block
-        t, s = (t if t in self.mats else None), (s if s in self.mats else None)
-        if (rows, cols, t, s) not in self._perms:
-            q, width = self.field.q, rows * cols
-            n = q**width
-            perm = None
-            if t is not None or s is not None:
-                one = _Move(self.field, [(0, rows, cols, t, s)], self.mats)
-                perm = np.empty(n, dtype=np.min_scalar_type(n - 1))
-                for start in range(0, n, _CHUNK):
-                    vals = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
-                    ents = one.apply(_digits(vals, width, q, _entry_dtype(q)))
-                    perm[start : start + len(vals)] = _undigits(ents, q)
-                if np.array_equal(perm, np.arange(n)):
-                    perm = None
-            self._perms[rows, cols, t, s] = perm
-        return self._perms[rows, cols, t, s]
 
 
 def _digits(values: np.ndarray, width: int, q: int, dtype) -> np.ndarray:
@@ -256,7 +207,7 @@ class StateSpace:
             off += rows * cols
         self.n_entries = quiver.entry_count(self.dims)
         self.size = field.q**self.n_entries
-        self.dtype = _entry_dtype(field.q)
+        self.dtype = np.uint8 if field.q <= 256 else np.uint16  # of matrix entries
         # the values of each block, and the value of each N_k there, k >= 1
         self.values = [field.q ** (r * c) for _, r, c, _, _ in self.blocks]
         self.normal_forms = []
@@ -266,12 +217,15 @@ class StateSpace:
                 rows, cols = _normal_order(r, c, k)
                 forms.append(sum(field.q ** (r * c - 1 - rows[i] * c - cols[i]) for i in range(k)))
             self.normal_forms.append(forms)
-        self._moves: list[_Move] | None = None
+        # value permutations by block shape and end matrices, kept during a build
+        self._perms: dict[tuple, np.ndarray | None] = {}
 
     def decode_batch(self, states: np.ndarray) -> np.ndarray:
+        """Row i is the matrix entries of states[i], most significant first."""
         return _digits(states, self.n_entries, self.field.q, self.dtype)
 
     def encode_batch(self, ents: np.ndarray) -> np.ndarray:
+        """The state of each row of matrix entries; decode_batch undone."""
         return _undigits(ents, self.field.q)
 
     def entries(self, state: int) -> list[int]:
@@ -312,28 +266,22 @@ class StateSpace:
                     s = s * q + int(x)
         return s
 
-    def moves(self) -> list[_Move]:
+    def moves(self) -> list[Move]:
         """G's generators at every vertex that a non-empty block touches,
-        built once per space."""
-        if self._moves is None:
-            self._moves = []
-            for v, d in enumerate(self.dims):
-                for pair in _gl_generators(self.field, d):
-                    mv = _Move(self.field, self.blocks, {v: pair})
-                    if mv.blocks:
-                        self._moves.append(mv)
-        return self._moves
+        each a move {v: (g_v, g_v^-1)}."""
+        touched = sorted({v for *_, t, s in self.blocks for v in (t, s)})
+        return [{v: pair} for v in touched for pair in _gl_generators(self.field, self.dims[v])]
 
-    def stabiliser(self, j: int, k: int) -> list[_Move]:
+    def stabiliser(self, j: int, k: int) -> list[Move]:
         """Generators of H_k, the stabiliser of N_k at block j in G."""
         f = self.field
         _, r, c, t, s = self.blocks[j]
         rows, cols = _normal_order(r, c, k)
 
-        def at_t(lo: int, pair: Pair) -> dict[int, Pair]:
+        def at_t(lo: int, pair: Pair) -> Move:
             return {t: tuple(_conjugate(g, lo, r, rows) for g in pair)}
 
-        def at_s(lo: int, pair: Pair) -> dict[int, Pair]:
+        def at_s(lo: int, pair: Pair) -> Move:
             return {s: tuple(_conjugate(g, lo, c, cols) for g in pair)}
 
         mats = [at_t(0, pair) | at_s(0, pair) for pair in _gl_generators(f, k)]
@@ -343,18 +291,44 @@ class StateSpace:
             mats.append(at_t(0, _transvection(f, r, 0, k)))
         if 0 < k < c:  # the lower transvection at s
             mats.append(at_s(0, _transvection(f, c, k, 0)))
-        others = [mv for mv in self.moves() if t not in mv.mats and s not in mv.mats]
-        return others + [_Move(f, self.blocks, m) for m in mats]
+        return [mv for mv in self.moves() if t not in mv and s not in mv] + mats
 
-    def move_permutation(self, move: _Move) -> np.ndarray:
-        """perm[s] is the state the move sends s to."""
+    def value_perm(self, move: Move, b: int) -> np.ndarray | None:
+        """perm[x] is the value that the move sends value x of block b to,
+        M -> g_t M g_s^-1; None if it fixes every one.  Built once per block
+        shape and end matrices, so blocks that moves act on alike share it."""
+        _, rows, cols, t, s = self.blocks[b]
+        left = move[t][0] if t in move else None
+        right = move[s][1] if s in move else None
+        key = rows, cols, left, right
+        if key not in self._perms:
+            f, width = self.field, rows * cols
+            n = f.q**width
+            perm = None
+            if left is not None or right is not None:
+                perm = np.empty(n, dtype=np.min_scalar_type(n - 1))
+                for start in range(0, n, _CHUNK):
+                    vals = np.arange(start, min(start + _CHUNK, n))
+                    blk = _digits(vals, width, f.q, self.dtype).reshape(-1, rows, cols)
+                    if left is not None:
+                        blk = _left(f, left, blk)
+                    if right is not None:
+                        blk = _left(f, transpose(right), blk.transpose(0, 2, 1)).transpose(0, 2, 1)
+                    perm[start : start + len(vals)] = _undigits(blk.reshape(-1, width), f.q)
+                if np.array_equal(perm, np.arange(n)):
+                    perm = None
+            self._perms[key] = perm
+        return self._perms[key]
+
+    def move_permutation(self, move: Move) -> np.ndarray:
+        """perm[s] is the state the move sends s to, assembled from its
+        value permutations of the blocks."""
         q, dtype = self.field.q, _state_dtype(self.size)
         states = np.arange(self.size, dtype=dtype)
         out = states.copy()
-        for blk in move.blocks:
-            perm = move.value_perm(blk)
+        for b, (off, rows, cols, _, _) in enumerate(self.blocks):
+            perm = self.value_perm(move, b)
             if perm is not None:
-                off, rows, cols, _, _ = blk
                 low = q ** (self.n_entries - off - rows * cols)  # states per block value
                 vals = states // low % q ** (rows * cols)
                 out += (perm[vals].astype(dtype) - vals) * low
@@ -474,8 +448,8 @@ def isoclasses(
     key = _store_key(quiver, field, dd)
     _check_states(quiver, dd, field, state_cap)
     space = StateSpace(quiver, field, dd)
-    gens = _value_perms(space.moves(), space.blocks, space.values)
-    level, class_reps, sizes = _top_level(space, gens, 0, {})
+    level, class_reps, sizes = _top_level(space, _value_perms(space, space.moves(), 0), 0, {})
+    space._perms.clear()  # the levels keep their own generator rows
     if int(sizes.sum()) != space.size:
         raise OrbitPartitionBroken(
             f"orbit sizes sum to {int(sizes.sum())}, not to the {space.size} states"
@@ -485,14 +459,14 @@ def isoclasses(
     return cat
 
 
-def _value_perms(moves: list[_Move], blocks: list, values: list[int]) -> list[np.ndarray]:
-    """One array per block, whose row g is the g-th move's permutation of
-    the block's values, leaving out the moves that fix every value of every
-    block."""
-    perms = [[mv.value_perm(b) for b in blocks] for mv in moves]
+def _value_perms(space: StateSpace, moves: list[Move], first: int) -> list[np.ndarray]:
+    """One array per block from block ``first`` on, whose row g is the g-th
+    move's permutation of the block's values, leaving out the moves that fix
+    every value of every one of those blocks."""
+    perms = [[space.value_perm(mv, b) for b in range(first, len(space.blocks))] for mv in moves]
     perms = [g for g in perms if any(p is not None for p in g)]
     gens = []
-    for b, n in enumerate(values):
+    for b, n in enumerate(space.values[first:]):
         rows = [np.arange(n) if g[b] is None else g[b] for g in perms]
         gens.append(np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(perms), n))
     return gens
@@ -515,7 +489,7 @@ def _top_level(
         return _Level(labels), least, sizes
     children = [_top_level(space, gens, j + 1, memo)]
     for k in range(1, len(least)):
-        stab = _value_perms(space.stabiliser(j, k), space.blocks[j + 1 :], values[1:])
+        stab = _value_perms(space, space.stabiliser(j, k), j + 1)
         children.append(_label_blocks(values[1:], stab, memo))
     return _tree_level(labels, parent, gen, gens[j + 1 :], least, sizes, children, values)
 

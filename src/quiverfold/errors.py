@@ -49,7 +49,8 @@ class NotFixed(QuiverFoldError):
 
 
 class UnknownVertex(QuiverFoldError):
-    """Reflection requested at a vertex the lattice does not have."""
+    """A vertex that the lattice or quiver does not have, e.g. a reflection
+    requested there."""
 
 
 class ZeroVector(QuiverFoldError):

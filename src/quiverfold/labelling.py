@@ -9,14 +9,14 @@ g's permutation.  Below each rank of a top level of its tree, ``catalog``
 labels the later blocks this way, under the stabiliser of that rank's
 normal form.
 
-The values of b_1 are labelled by min-label hooking (``_orbit_labels``):
-each value points at a value of its orbit no greater than itself, at first
-itself, and each generator hooks the larger pointer of x and of its image
-onto the smaller, with pointers jumped towards their roots, until none
-hooks.  The roots are then the orbits' least values; forward generators
-suffice because each has finite order.  A breadth-first tree of each orbit
-from its least value v gives every member w an element t_w of the group
-with t_w(w) = v, and the states with v at b_1 form orbits of Stab(v), which
+The values of b_1 are labelled by min-label hooking (``_orbit_labels``),
+all in one array: each value points at a value of its orbit no greater
+than itself, at first itself, and each generator hooks the larger pointer
+of x and of its image onto the smaller, with pointers jumped towards their
+roots, until none hooks.  The roots are then the orbits' least values;
+forward generators suffice because each has finite order.  A breadth-first
+tree of each orbit from its least value v gives every member w an element
+t_w of the group with t_w(w) = v, and the states with v at b_1 form orbits of Stab(v), which
 by Schreier's lemma is generated by the t_{gw} g t_w^-1 over the members w
 and the generators g (Seress, Permutation Group Algorithms, 2003).  Carried
 only as permutations of the values of b_2 .. b_m, with identities and
@@ -64,7 +64,9 @@ finally:
     if _PIN_BLAS:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-_BATCH = 1 << 14  # values pushed through a permutation at once
+# values that the transversal and the Schreier step take at once, which
+# bounds their index temporaries
+_BATCH = 1 << 14
 
 
 def _state_dtype(n: int):
@@ -105,13 +107,13 @@ def _orbit_labels(
 
     Throughout, parent[x] <= x and parent[x] lies in the orbit of x: a
     permutation m hooks the larger of parent[s] and parent[m(s)] onto the
-    smaller, and the chunk of s then jumps its pointers one step.  After each
-    round that hooked, every pointer jumps to its root, which keeps every
-    equality parent[s] == parent[m(s)] already seen.  Once every permutation
-    in a row finds them equal for all s, parent is constant on each orbit
-    and names its least value."""
+    smaller, over every s at once, and every pointer then jumps one step.
+    After each round that hooked, every pointer jumps to its root, which
+    keeps every equality parent[s] == parent[m(s)] already seen.  Once every
+    permutation in a row finds them equal for all s, parent is constant on
+    each orbit and names its least value.  The values are taken as one
+    array, as a catalog's levels hold a few hundred of them."""
     parent = np.arange(n, dtype=_state_dtype(n))
-    chunks = [slice(i, min(i + _BATCH, n)) for i in range(0, n, _BATCH)]
     idle = 0  # permutations in a row that hooked nothing
     while idle < len(perms):
         hooked = False
@@ -119,29 +121,21 @@ def _orbit_labels(
             if idle == len(perms):
                 break
             idle += 1
-            for c in chunks:
-                a, b = parent[c], parent[perm[c]]
-                if (a != b).any():
-                    np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-                    parent[c] = parent[parent[c]]
-                    idle, hooked = 0, True
+            a, b = parent, parent[perm]
+            if (a != b).any():
+                np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+                parent = parent[parent]
+                idle, hooked = 0, True
         if hooked:
-            # chunks ascend, so a pointer out of a chunk is one jump from its root
-            for c in chunks:
-                up = parent[parent[c]]
-                while not np.array_equal(up, parent[c]):
-                    parent[c] = up
-                    up = parent[up]
-    roots = [np.flatnonzero(parent[c] == np.arange(c.start, c.stop)) + c.start for c in chunks]
-    reps = np.concatenate(roots)
+            up = parent[parent]
+            while not np.array_equal(up, parent):
+                parent, up = up, up[up]
+    reps = np.flatnonzero(parent == np.arange(n))
     # the roots' ids first: every other value reads the id of its root
     labels = np.zeros(n, dtype=np.min_scalar_type(len(reps) - 1))
     labels[reps] = np.arange(len(reps))
-    sizes = np.zeros(len(reps), dtype=np.int64)
-    for c in chunks:
-        labels[c] = labels[parent[c]]
-        sizes += np.bincount(labels[c], minlength=len(reps))
-    return labels, reps, sizes
+    labels = labels[parent]
+    return labels, reps, np.bincount(labels, minlength=len(reps))
 
 
 def _identity_rows(table: np.ndarray, cuts: list[int]) -> np.ndarray:

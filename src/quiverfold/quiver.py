@@ -186,6 +186,18 @@ def _box(d: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield beta
 
 
+def _triple(item, keys: tuple[str, str, str], what: str) -> tuple:
+    """The three fields of a document's arrow or edge, given as a mapping
+    with ``keys`` or as a triple; refused, naming a missing key, otherwise."""
+    try:
+        a, b, c = (item[k] for k in keys) if isinstance(item, Mapping) else item
+    except KeyError as exc:
+        raise Incompatible(f"{what} {item!r} needs {exc.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise Incompatible(f"{what} {item!r} is not a triple ({', '.join(keys)})") from None
+    return a, b, c
+
+
 def validate_quiver(vertices: Sequence[str], arrows: Iterable) -> Quiver:
     """Build a :class:`Quiver` after checking the usual sanity conditions.
 
@@ -203,10 +215,8 @@ def validate_quiver(vertices: Sequence[str], arrows: Iterable) -> Quiver:
     for item in arrows:
         if isinstance(item, Arrow):
             r = item
-        elif isinstance(item, Mapping):
-            r = Arrow(str(item["id"]), str(item["from"]), str(item["to"]))
         else:
-            rid, src, tgt = item
+            rid, src, tgt = _triple(item, ("id", "from", "to"), "arrow")
             r = Arrow(str(rid), str(src), str(tgt))
         norm.append(r)
 
@@ -341,6 +351,9 @@ def validate_automorphism(
     `arrow_map` is omitted it is inferred, which is unambiguous exactly when
     no two parallel arrows share their endpoint pair.
     """
+    for name, m in (("vertex", vertex_map), ("arrow", arrow_map or {})):
+        if not isinstance(m, Mapping):
+            raise NotPermutation(f"{name} map {m!r} is not a mapping of ids to ids")
     vset = set(quiver.vertices)
     for v in vertex_map:
         if v not in vset:

@@ -163,17 +163,20 @@ def make_representation(
     """Validate shapes and entries and build a representation.  Omitted
     matrices default to zero."""
     dd = quiver.check_dims(dims)
+    ids = [r.id for r in quiver.arrows]
+    if matrices is not None and not isinstance(matrices, Mapping):
+        if len(matrices) != len(ids):
+            raise LatticeMismatch(f"{len(matrices)} matrices for the {len(ids)} arrows")
+        matrices = dict(zip(ids, matrices))
+    for rid in matrices or ():
+        if rid not in ids:
+            raise LatticeMismatch(f"matrix for arrow {rid!r}, which the quiver does not have")
     idx = quiver.vertex_index
     mats: list[Mat] = []
-    for k, arr in enumerate(quiver.arrows):
+    for arr in quiver.arrows:
         rows_want = dd[idx[arr.target]]
         cols_want = dd[idx[arr.source]]
-        if matrices is None:
-            raw = None
-        elif isinstance(matrices, Mapping):
-            raw = matrices.get(arr.id)
-        else:
-            raw = matrices[k]
+        raw = (matrices or {}).get(arr.id)
         if raw is None:
             mats.append(zeros(rows_want, cols_want))
             continue

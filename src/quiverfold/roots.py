@@ -191,6 +191,8 @@ class RootSet:
 
 def _nonneg_vectors(n: int, h_max: int):
     """All nonzero vectors in N^n of coordinate sum <= h_max."""
+    if not n:
+        return
     vec = [0] * n
 
     def rec(pos: int, left: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from .errors import Incompatible
+from .errors import Incompatible, UnknownVertex
 from .quiver import Automorphism, Quiver, validate_automorphism, validate_quiver
 
 if TYPE_CHECKING:
@@ -47,6 +47,8 @@ def quiver_from_dict(doc: dict) -> tuple[Quiver, Automorphism | None]:
     auto = None
     spec = doc.get("automorphism")
     if spec is not None:
+        if not isinstance(spec, dict):
+            raise Incompatible("'automorphism' must map 'vertices' and 'arrows'")
         auto = validate_automorphism(q, spec.get("vertices", {}), spec.get("arrows"))
     return q, auto
 
@@ -69,11 +71,8 @@ def valued_from_dict(doc: dict) -> ValuedQuiver:
         if key not in doc:
             raise Incompatible(f"valued quiver document needs {key!r}")
     verts = [str(v) for v in doc["vertices"]]
-    dmap = doc["d"]
-    if isinstance(dmap, dict):
-        d = [int(dmap[v]) for v in verts]
-    else:
-        d = [int(x) for x in dmap]
+    d = doc["d"]
+    d = [d.get(v) for v in verts] if isinstance(d, dict) else d
     return make_valued_quiver(verts, d, doc["edges"])
 
 
@@ -129,6 +128,9 @@ def rep_from_dict(doc: dict, quiver: Quiver) -> Representation:
     fld = field_from_spec(doc["field"])
     dims_doc = doc["dims"]
     if isinstance(dims_doc, dict):
+        for v in dims_doc:
+            if v not in quiver.vertex_index:
+                raise UnknownVertex(f"'dims' names vertex {v!r}, which the quiver does not have")
         dims = [int(dims_doc.get(v, 0)) for v in quiver.vertices]
     else:
         dims = [int(x) for x in dims_doc]

@@ -354,7 +354,8 @@ def _leaf_states(cat):
 )
 def test_move_tables_match_decode_apply_encode(arrows, dims, q):
     """Each move's table-built permutation equals the reference route
-    decode -> _Move.apply -> encode, and is a bijection of the states."""
+    decode -> g_t M g_s^-1 by mat_mul -> encode_rep, and is a bijection of
+    the states."""
     quiver = qf.validate_quiver(["1", "2", "3"], arrows)
     space = cat_mod.StateSpace(quiver, qf.make_field(*q), dims)
     states = np.arange(space.size, dtype=np.int64)
@@ -365,7 +366,7 @@ def test_move_tables_match_decode_apply_encode(arrows, dims, q):
     # cycle sending row i - 1 to row i, each stored with its inverse
     kinds = set()
     for mv in moves:
-        [(v, (g, g_inv))] = mv.mats.items()
+        [(v, (g, g_inv))] = mv.items()
         d = space.dims[v]
         eye = identity(d)
         assert mat_mul(f, g, g_inv) == eye
@@ -376,10 +377,27 @@ def test_move_tables_match_decode_apply_encode(arrows, dims, q):
         }[g]
         kinds.add(kind)
         perm = space.move_permutation(mv)
-        ref = space.encode_batch(mv.apply(space.decode_batch(states)))
+        ref = [_moved_state(space, mv, x) for x in range(space.size)]
         assert np.array_equal(perm, ref), kind
         assert np.array_equal(np.sort(perm), states), kind
     assert kinds == {"scale", "transvect", "cycle"}
+
+
+def _moved_state(space, move, state):
+    """The state that the move sends ``state`` to, by matrix products on its
+    representation, sharing no code with the table-built permutations:
+    M_a -> g_t M_a g_s^-1 at every arrow a from s to t."""
+    rep = space.decode(state)
+    idx = space.quiver.vertex_index
+    mats = []
+    for arr, m in zip(space.quiver.arrows, rep.matrices):
+        t, s = idx[arr.target], idx[arr.source]
+        if t in move:
+            m = mat_mul(space.field, move[t][0], m)
+        if s in move:
+            m = mat_mul(space.field, m, move[s][1])
+        mats.append(m)
+    return space.encode_rep(reps_mod.Representation(rep.quiver, rep.field, rep.dims, tuple(mats)))
 
 
 def _zeros(d):
@@ -412,8 +430,8 @@ def test_slice_invariants(arrows, dims, q):
     generator of G fixes the zero state, and each of stabiliser(j, k) fixes
     N_k, so it maps the slice of states whose blocks before j are zero and
     whose block j is N_k onto itself, and the permutation built from its
-    block value permutations agrees with decode -> _Move.apply -> encode
-    there."""
+    block value permutations agrees there with decode -> g_t M g_s^-1 by
+    mat_mul -> encode_rep."""
     quiver = qf.validate_quiver(["1", "2", "3"], arrows)
     fld = qf.make_field(*q)
     cat = isoclasses(quiver, dims, fld)
@@ -437,14 +455,13 @@ def test_slice_invariants(arrows, dims, q):
         rel = np.arange(free, dtype=np.int64)
         for k, value in enumerate(least[1:], 1):
             start = value * free
-            ents = space.decode_batch(rel + start)
             moves = space.stabiliser(j, k)
             assert moves
             for mv in moves:
-                ref = space.encode_batch(mv.apply(ents)) - start
-                assert np.array_equal(np.sort(ref), rel), (j, k, mv.mats)
+                ref = np.array([_moved_state(space, mv, int(x)) for x in rel + start]) - start
+                assert np.array_equal(np.sort(ref), rel), (j, k, mv)
                 perm = space.move_permutation(mv)[rel + start] - start
-                assert np.array_equal(perm, ref), (j, k, mv.mats)
+                assert np.array_equal(perm, ref), (j, k, mv)
         if top.below is not None:
             top = top.below[0]
     assert top.below is None
@@ -511,6 +528,15 @@ def test_memo_hit_returns_the_level_itself(dtilde4):
     assert zero.labels.tolist() == root.labels.tolist() and zero.gens[0] is root.gens[1]
     assert root.below[1].below[0] is zero.below[1]
     assert root.offsets == (0, 5) and zero.offsets == (0, 2)
+
+
+def test_stored_space_keeps_no_value_permutations(dtilde4):
+    """The levels keep their own generator rows, so the space of a built
+    catalog drops the value permutations that they were gathered from."""
+    clear_catalog_store()
+    cat = isoclasses(dtilde4[0], (0, 1, 1, 1, 2), qf.make_field(2, 2))
+    assert cat.space._perms == {} and cat.level.gens
+    clear_catalog_store()
 
 
 def _flat_labelling(cat):
@@ -648,8 +674,9 @@ def _labelling(cat):
 
 
 def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkeypatch):
-    """Hooking and pointer jumping across batch borders give the labelling
-    that a level within one batch gets."""
+    """The transversal and the Schreier step, which take the values of a
+    level in batches of _BATCH, give the labelling across batch borders
+    that they give within one batch; the orbit kernel takes a level whole."""
     kronecker = _quiver("kronecker", None, None)
     cases = [
         (dtilde4[0], (0, 1, 1, 1, 2), F3),

@@ -336,6 +336,58 @@ def test_negative_dims_exit_two(tmp_path, pair_doc, capsys, command, doc, field,
     assert captured.out == ""
 
 
+_A3 = {"vertices": ["1", "2", "3"], "arrows": [["a", "1", "2"], ["b", "3", "2"]]}
+_PAIR = {"vertices": ["u", "v"], "d": {"u": 2, "v": 1}, "edges": [{"from": "u", "to": "v", "b": 2}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        ("fold", {"vertices": ["1", "2"], "arrows": [{"id": "a", "from": "1"}]},
+         "error: arrow {'id': 'a', 'from': '1'} needs 'to'\n"),
+        ("fold", {"vertices": ["1", "2"], "arrows": [["a", "1"]]},
+         "error: arrow ['a', '1'] is not a triple (id, from, to)\n"),
+        ("fold", {**_A3, "automorphism": {"vertices": ["1"]}},
+         "error: vertex map ['1'] is not a mapping of ids to ids\n"),
+        ("fold", {**_A3, "automorphism": ["1", "3"]},
+         "error: 'automorphism' must map 'vertices' and 'arrows'\n"),
+        ("roots", {**_PAIR, "d": {"u": 2}},
+         "error: weight d of vertex 'v' is None, not an integer\n"),
+        ("roots", {**_PAIR, "d": {"u": 2, "v": "one"}},
+         "error: weight d of vertex 'v' is 'one', not an integer\n"),
+        ("roots", {**_PAIR, "edges": [{"from": "u", "to": "v"}]},
+         "error: edge {'from': 'u', 'to': 'v'} needs 'b'\n"),
+    ],
+    ids=["arrow-without-to", "arrow-pair", "vertex-map-list", "automorphism-list", "d-misses-vertex",
+         "d-not-integer", "edge-without-b"],
+)
+def test_malformed_document_exits_two(tmp_path, capsys, command, doc, error):
+    # a malformed document is refused, naming the bad field, not a traceback
+    # with exit 1, which is kept for a failed theorem check
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--max-height", "2"] if command == "roots" else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+@pytest.mark.parametrize(
+    "command, last",
+    [
+        (["roots"], "0 roots up to height 2"),
+        (["verify", "kac", "--field", "2"], "PASS"),
+        (["verify", "multisets", "--field", "2"], "PASS"),
+    ],
+    ids=["roots", "verify-kac", "verify-multisets"],
+)
+def test_vertexless_quiver(tmp_path, capsys, command, last):
+    # a quiver with no vertex has no root and no nonzero dimension vector
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "arrows": []}))
+    assert cli.main([*command, str(path), "--max-height", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last
+
+
 def test_ii_indecs_text(tmp_path, capsys):
     q, rot = qf.build_counterexample()
     path = tmp_path / "cx.json"

@@ -11,9 +11,10 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import quiverfold as qf
+from quiverfold import labelling
 from quiverfold.reps import hom_space, ext_dim, reflection_functor
 
 SAMPLES = 200
@@ -305,3 +306,45 @@ def test_class_of_state_is_constant_on_orbits(name, dims, spec, seeds):
         ci = cat.class_of_state(state)
         assert cat.class_reps[ci] <= state
         assert all(cat.class_of_state(int(perm[state])) == ci for perm in perms)
+
+
+def _plain_orbits(n, perms):
+    """Orbit id of every value 0 .. n - 1 under the permutations, and the
+    least value and size of every orbit, by a depth-first search in plain
+    Python from each value not yet met, in increasing order."""
+    labels, reps, sizes = [None] * n, [], []
+    for x in range(n):
+        if labels[x] is None:
+            labels[x], todo, size = len(reps), [x], 0
+            while todo:
+                y = todo.pop()
+                size += 1
+                for p in perms:
+                    if labels[p[y]] is None:
+                        labels[p[y]] = len(reps)
+                        todo.append(p[y])
+            reps.append(x)
+            sizes.append(size)
+    return labels, reps, sizes
+
+
+@st.composite
+def _permutation_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    return n, draw(st.lists(st.permutations(range(n)), max_size=4))
+
+
+@settings(max_examples=SAMPLES, deadline=None, derandomize=True)
+@given(_permutation_sets())
+@example((1, []))
+@example((5, []))
+@example((1, [[0]]))
+@example((1023, [[(x + 1) % 1023 for x in range(1023)]]))
+def test_orbit_labels_match_plain_search(case):
+    """The labelling kernel numbers the orbits in order of their least
+    value, as a plain search does: with no permutations, on one value, and
+    on the increasing 1,023-cycle, whose least value would take 1,022 rounds
+    to reach every value by passing minima along the cycle without hooks."""
+    n, perms = case
+    labels, reps, sizes = labelling._orbit_labels(n, [np.array(p) for p in perms])
+    assert (labels.tolist(), reps.tolist(), sizes.tolist()) == _plain_orbits(n, perms)

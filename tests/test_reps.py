@@ -33,6 +33,23 @@ def test_make_representation_validation(a2, F2, F3):
         qf.hom_space(x, y)
 
 
+@pytest.mark.parametrize(
+    "matrices, message",
+    [
+        ([], "0 matrices for the 2 arrows"),
+        ([[[1]], [[1]], [[1]]], "3 matrices for the 2 arrows"),
+        ({"a": [[1]], "c": [[1]]}, "matrix for arrow 'c', which the quiver does not have"),
+    ],
+    ids=["short-list", "long-list", "unknown-arrow"],
+)
+def test_make_representation_refuses_unplaced_matrices(a3, F2, matrices, message):
+    # a matrix that no arrow takes is refused, not dropped; an arrow left
+    # out of a mapping still gets the zero map
+    with pytest.raises(LatticeMismatch, match=f"^{message}$"):
+        qf.make_representation(a3, F2, (1, 1, 1), matrices)
+    assert qf.make_representation(a3, F2, (1, 1, 1), {"a": [[1]]}).matrices == (((1,),), ((0,),))
+
+
 def test_hom_space_pinned_values(a2, F2):
     p = P(a2, F2)
     su = qf.simple_representation(a2, F2, "u")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import Incompatible
+from quiverfold.errors import Incompatible, UnknownVertex
 from quiverfold.serialize import is_valued_document
 
 
@@ -83,6 +83,12 @@ def test_rep_round_trip(a3, F4):
     assert qf.rep_from_dict(doc, a3) == rep
     with pytest.raises(Incompatible):
         qf.rep_from_dict({"dims": {}}, a3)
+
+
+def test_rep_dims_naming_no_vertex_refused(a3):
+    doc = {"field": "2", "dims": {"1": 1, "9": 1}, "matrices": {}}
+    with pytest.raises(UnknownVertex, match="^'dims' names vertex '9', which the quiver does not have$"):
+        qf.rep_from_dict(doc, a3)
 
 
 def test_catalog_document(a2, F2):
