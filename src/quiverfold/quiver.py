@@ -32,22 +32,19 @@ from .errors import (
 )
 
 
-def _record(cls=None, /, *, frozen=True):
+def _record(cls):
     """Make a class body's annotated names, in order, the fields of a value
     record; a name also assigned in the body takes that value as default.
 
     Adds ``__init__`` (positional or keyword arguments; a missing or unknown
     one raises TypeError), ``__repr__`` (``Name(field=value, ...)``, leaving
     out fields whose name starts with ``_``) and ``__eq__`` (records of the
-    same class with equal fields).  A frozen record refuses assignment and
-    deletion with AttributeError and hashes its fields, unless the body
-    defines ``__hash__``; a mutable one (``@_record(frozen=False)``) is
-    unhashable.  The methods are closures over the field names, so defining
-    a record generates no code and a cold start does not import
+    same class with equal fields).  Every record is a frozen value: it
+    refuses assignment and deletion with AttributeError and hashes its
+    fields.  The methods are closures over the field names, so defining a
+    record generates no code and a cold start does not import
     ``dataclasses``.
     """
-    if cls is None:
-        return lambda c: _record(c, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     shown = [n for n in names if not n.startswith("_")]
@@ -81,12 +78,8 @@ def _record(cls=None, /, *, frozen=True):
         raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {cls.__name__}")
 
     cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    if not frozen:
-        cls.__hash__ = None
-    else:
-        cls.__setattr__ = cls.__delattr__ = refuse
-        if "__hash__" not in cls.__dict__:
-            cls.__hash__ = lambda self: hash(fields(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__hash__ = lambda self: hash(fields(self))
     return cls
 
 
@@ -101,13 +94,6 @@ class Arrow:
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.vertices, self.arrows))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property, partial
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import SimpleNamespace
 from typing import Iterable, Literal, Sequence
 
@@ -189,10 +189,21 @@ class RootSet:
         return tuple(r.vector for r in self.records if r.kind == "real")
 
 
+# the most vectors a height sweep walks: the grid of _nonneg_vectors
+_GRID_CAP = 10**6
+
+
 def _nonneg_vectors(n: int, h_max: int):
-    """All nonzero vectors in N^n of coordinate sum <= h_max."""
-    if not n:
-        return
+    """An iterator over the nonzero vectors in N^n of coordinate sum <=
+    h_max, refused at once when there are more than _GRID_CAP of them.
+
+    Every height sweep walks this grid, so this is its one budget check."""
+    count = comb(n + h_max, n) - 1 if h_max > 0 else 0
+    if count > _GRID_CAP:
+        raise BudgetExceeded(
+            f"{count} vectors up to height {h_max} exceed the sweep cap of {_GRID_CAP}",
+            predicted=count,
+        )
     vec = [0] * n
 
     def rec(pos: int, left: int):
@@ -207,13 +218,7 @@ def _nonneg_vectors(n: int, h_max: int):
             yield from rec(pos + 1, left - x)
         vec[pos] = 0
 
-    for v in rec(0, h_max):
-        if any(v):
-            yield v
-
-
-# the most roots positive_roots_up_to lists before it refuses
-_ROOT_CAP = 10**6
+    return (v for v in rec(0, h_max) if any(v)) if count else iter(())
 
 
 def positive_roots_up_to(lat: CartanLattice, height: int) -> RootSet:
@@ -226,6 +231,7 @@ def positive_roots_up_to(lat: CartanLattice, height: int) -> RootSet:
     height-decreasing.
     """
     n = len(lat.names)
+    grid = _nonneg_vectors(n, height)  # refused here, before any closure, when too large
     found: dict[tuple[int, ...], RootKind] = {}
 
     def push_closure(seeds, kind: RootKind):
@@ -235,10 +241,6 @@ def positive_roots_up_to(lat: CartanLattice, height: int) -> RootSet:
             if w in found:
                 continue
             found[w] = kind
-            if len(found) > _ROOT_CAP:
-                raise BudgetExceeded(
-                    f"more than {_ROOT_CAP} roots below height {height}", predicted=None
-                )
             for i in range(n):
                 w2 = reflect(lat, i, w)
                 if w2 not in found and min(w2) >= 0 and 0 < sum(w2) <= height:
@@ -252,7 +254,7 @@ def positive_roots_up_to(lat: CartanLattice, height: int) -> RootSet:
     push_closure(simples, "real")
 
     fundamentals = []
-    for w in _nonneg_vectors(n, height):
+    for w in grid:
         if any(lat.pairing(w, i) > 0 for i in range(n)):
             continue
         if _support_connected(lat, w):

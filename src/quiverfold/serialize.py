@@ -40,10 +40,19 @@ def quiver_to_dict(q: Quiver, a: Automorphism | None = None) -> dict:
     return doc
 
 
+def _arrays(doc: dict, what: str, keys: tuple[str, ...]) -> list:
+    """The document's values at keys, each a JSON array ("d" may be an object)."""
+    for key in keys:
+        if key not in doc:
+            raise Incompatible(f"{what} document needs {key!r}")
+        if not isinstance(doc[key], (list, dict) if key == "d" else list):
+            shape = "a JSON array or object" if key == "d" else "a JSON array"
+            raise Incompatible(f"{what} document's {key!r} must be {shape}")
+    return [doc[key] for key in keys]
+
+
 def quiver_from_dict(doc: dict) -> tuple[Quiver, Automorphism | None]:
-    if "vertices" not in doc or "arrows" not in doc:
-        raise Incompatible("quiver document needs 'vertices' and 'arrows'")
-    q = validate_quiver(doc["vertices"], doc["arrows"])
+    q = validate_quiver(*_arrays(doc, "quiver", ("vertices", "arrows")))
     auto = None
     spec = doc.get("automorphism")
     if spec is not None:
@@ -67,13 +76,10 @@ def valued_to_dict(vq: ValuedQuiver) -> dict:
 def valued_from_dict(doc: dict) -> ValuedQuiver:
     from .cartan import make_valued_quiver
 
-    for key in ("vertices", "d", "edges"):
-        if key not in doc:
-            raise Incompatible(f"valued quiver document needs {key!r}")
-    verts = [str(v) for v in doc["vertices"]]
-    d = doc["d"]
+    verts, d, edges = _arrays(doc, "valued quiver", ("vertices", "d", "edges"))
+    verts = [str(v) for v in verts]
     d = [d.get(v) for v in verts] if isinstance(d, dict) else d
-    return make_valued_quiver(verts, d, doc["edges"])
+    return make_valued_quiver(verts, d, edges)
 
 
 def is_valued_document(doc: dict) -> bool:

@@ -161,7 +161,7 @@ def skew(a: Automorphism) -> SkewQuiver:
 # --- double skew recovery ---
 
 
-@_record(frozen=False)
+@_record
 class DoubleSkewReport:
     found: bool
     vertex_map: dict[str, str] | None

@@ -127,7 +127,7 @@ def _reduce_context(
 
 # --- twist-orbit engine ---
 
-Handle = tuple  # (base_dims, quiver, reduced_dims, class_id)
+Handle = tuple  # (base_dims, class_id); the plan at base_dims holds the rest
 
 
 def _rotation_period(seq: list[int]) -> int:
@@ -184,16 +184,16 @@ class _TwistOrbitEngine:
             return self.handles[beta]
         ctx = self.contexts[beta]
         if ctx is None:
-            hs: tuple[Handle, ...] = ()
-        elif not (qr := ctx.quiver).entry_count(ctx.dims):
+            ids = ()
+        elif not ctx.quiver.entry_count(ctx.dims):
             # the zero maps are indecomposable exactly at a unit vector
-            hs = ((beta, qr, ctx.dims, 0),) if sum(ctx.dims) == 1 else ()
+            ids = (0,) if sum(ctx.dims) == 1 else ()
         else:
             from .catalog import isoclasses
 
-            cat = isoclasses(qr, ctx.dims, self.field, state_cap=self.state_cap)
-            hs = tuple((beta, qr, ctx.dims, cid) for cid in cat.indec_class_ids())
-        self.handles[beta] = hs
+            cat = isoclasses(ctx.quiver, ctx.dims, self.field, state_cap=self.state_cap)
+            ids = cat.indec_class_ids()
+        self.handles[beta] = hs = tuple((beta, cid) for cid in ids)
         return hs
 
     def box(self, d: Vec) -> Sequence[Vec]:
@@ -239,7 +239,10 @@ class _TwistOrbitEngine:
         return self.images[h]
 
     def t_handle(self, h: Handle) -> Handle:
-        beta, qr, gamma, cid = h
+        """The twist of a handle, stepped at the bottom that the plan gives beta."""
+        beta, cid = h
+        ctx = self.contexts[beta]
+        qr, gamma = ctx.quiver, ctx.dims
         # a**power carried to the bottom's orientation: the same vertex and arrow images
         b = Automorphism(qr, self.twist.vertex_image, self.twist.arrow_image)
         beta2 = act_on_dimension_vector(b, beta)
@@ -247,22 +250,25 @@ class _TwistOrbitEngine:
             from .catalog import isoclasses, twisted_class
 
             cat = isoclasses(qr, gamma, self.field, state_cap=self.state_cap)
-            h2 = (beta2, qr, *twisted_class(cat, cid, b, self.frobenius))
+            gamma2, cid2 = twisted_class(cat, cid, b, self.frobenius)
         else:
-            h2 = (beta2, qr, act_on_dimension_vector(b, gamma), 0)
-        if beta2 not in self.contexts or h2 not in self.handles_at(beta2):
+            gamma2, cid2 = act_on_dimension_vector(b, gamma), 0
+        # the twisted class must sit at the bottom that the plan gives beta2
+        ctx2 = self.contexts.get(beta2)
+        planned = ctx2 is not None and (ctx2.quiver, ctx2.dims) == (qr, gamma2)
+        if not planned or (beta2, cid2) not in self.handles_at(beta2):
             raise CrossCheckFailed(
                 "twisting left the computed class sets; the reduction chain is "
                 "not twist-stable"
             )
-        return h2
+        return beta2, cid2
 
     def orbits(self, d: Vec) -> tuple[tuple[Handle, ...], ...]:
         self.plan([d])
         allh: list[Handle] = []
         for beta in self.boxes[d]:
             allh.extend(self.handles_at(beta))
-        allh.sort(key=lambda h: (h[0], h[3]))
+        allh.sort()
         return _cycles(allh, self.image, self.order_bound)
 
     def orbits_summing_to(self, d: Vec) -> list[tuple[Handle, ...]]:
@@ -273,7 +279,7 @@ class _TwistOrbitEngine:
 # --- invariant-subfield indecomposables ---
 
 
-@_record(frozen=False)
+@_record
 class IIClass:
     """One isomorphism class of twist-orbit sums: the direct sum of the
     `period` successive automorphism twists of an indecomposable."""
@@ -283,7 +289,6 @@ class IIClass:
     member_dims: tuple[Vec, ...]
     base_dims: Vec
     base_class_id: int
-    direct: bool
     _auto: Automorphism
     _field: FiniteField
     _context: _ReductionContext  # the engine's plan for base_dims
@@ -291,6 +296,11 @@ class IIClass:
     @property
     def summand_count(self) -> int:
         return self.period
+
+    @property
+    def direct(self) -> bool:
+        """Whether the base class is counted at base_dims, with no reflection."""
+        return not self._context.steps
 
     def base_representation(self) -> Representation:
         """The indecomposable whose twist orbit this class sums: the class's
@@ -344,7 +354,7 @@ def ii_classes(
     engine = _auto_engine(a, fld, state_cap)
     out = []
     for orbit in engine.orbits_summing_to(dd):
-        beta, _, _, cid = orbit[0]
+        beta, cid = orbit[0]
         out.append(
             IIClass(
                 total_dims=dd,
@@ -352,7 +362,6 @@ def ii_classes(
                 member_dims=tuple(h[0] for h in orbit),
                 base_dims=beta,
                 base_class_id=cid,
-                direct=not engine.contexts[beta].steps,
                 _auto=a,
                 _field=fld,
                 _context=engine.contexts[beta],

@@ -149,6 +149,14 @@ def test_roots_on_valued_input(pair_doc, capsys):
     assert "4 roots up to height 4" in out
 
 
+def test_huge_height_refused(pair_doc, capsys):
+    # 5.0e9 vectors up to the height: refused before the sweep walks one
+    assert cli.main(["roots", pair_doc, "--max-height", "100000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 5000150000 vectors up to height 100000 exceed the sweep cap of 1000000\n"
+    )
+
+
 def test_roots_requires_height(pair_doc, capsys):
     assert cli.main(["roots", pair_doc]) == 2
     assert "max-height" in capsys.readouterr().err
@@ -357,9 +365,21 @@ _PAIR = {"vertices": ["u", "v"], "d": {"u": 2, "v": 1}, "edges": [{"from": "u", 
          "error: weight d of vertex 'v' is 'one', not an integer\n"),
         ("roots", {**_PAIR, "edges": [{"from": "u", "to": "v"}]},
          "error: edge {'from': 'u', 'to': 'v'} needs 'b'\n"),
+        ("roots", {**_PAIR, "d": 5},
+         "error: valued quiver document's 'd' must be a JSON array or object\n"),
+        ("roots", {**_PAIR, "edges": 7},
+         "error: valued quiver document's 'edges' must be a JSON array\n"),
+        ("roots", {**_PAIR, "vertices": 12},
+         "error: valued quiver document's 'vertices' must be a JSON array\n"),
+        ("fold", {**_A3, "arrows": 5},
+         "error: quiver document's 'arrows' must be a JSON array\n"),
+        # a string would be read as one vertex per character
+        ("roots", {"vertices": "ab", "arrows": []},
+         "error: quiver document's 'vertices' must be a JSON array\n"),
     ],
     ids=["arrow-without-to", "arrow-pair", "vertex-map-list", "automorphism-list", "d-misses-vertex",
-         "d-not-integer", "edge-without-b"],
+         "d-not-integer", "edge-without-b", "d-number", "edges-number", "vertices-number",
+         "arrows-number", "vertices-string"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, command, doc, error):
     # a malformed document is refused, naming the bad field, not a traceback

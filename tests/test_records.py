@@ -12,7 +12,7 @@ from quiverfold.theorems import DimensionRecord, IIClass, TheoremReport, _Reduct
 def _ii_class(dims=(1, 1, 1)):
     q, flip = qf.build_a3_flip()
     context = _ReductionContext(q, dims, ())
-    return IIClass((1, 1, 1), 1, ((1, 1, 1),), (1, 1, 1), 3, True, flip, qf.field_from_spec("2"), context)
+    return IIClass((1, 1, 1), 1, ((1, 1, 1),), (1, 1, 1), 3, flip, qf.field_from_spec("2"), context)
 
 
 def test_repr_text():
@@ -26,10 +26,15 @@ def test_repr_text():
         "DimensionRecord(vector=(1, 2), kind='real', count=1, periods=(), "
         "expected_length=None, crosscheck=None)"
     )
-    # the automorphism, field and reduction context of an IIClass stay out of its repr
+    # the automorphism, field and reduction context of an IIClass stay out of
+    # its repr, and so does direct, which the context gives
     assert repr(_ii_class()) == (
         "IIClass(total_dims=(1, 1, 1), period=1, member_dims=((1, 1, 1),), "
-        "base_dims=(1, 1, 1), base_class_id=3, direct=True)"
+        "base_dims=(1, 1, 1), base_class_id=3)"
+    )
+    assert _ii_class().direct
+    assert repr(DoubleSkewReport(True, {"1": "1:0:0"}, 2, 2)) == (
+        "DoubleSkewReport(found=True, vertex_map={'1': '1:0:0'}, skew_order=2, double_skew_order=2)"
     )
     rec = DimensionRecord((0, 1), "imaginary", 2, periods=(1, 2), expected_length=0, crosscheck=2)
     assert repr(TheoremReport("kac", "2", 3, (rec,), ("missing (1, 1)",))) == (
@@ -49,6 +54,10 @@ def test_equal_fields_equal_records():
     assert rec != DimensionRecord((1,), "real", 1, crosscheck=1)
     # the fields left out of the repr still count for equality
     assert _ii_class() == _ii_class() and _ii_class((1, 1, 0)) != _ii_class()
+    assert hash(_ii_class()) == hash(_ii_class())
+    # a record hashes its fields, so one that holds a dict is unhashable
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(DoubleSkewReport(True, {"1": "1:0:0"}, 2, 2))
 
     @_record
     class Twin:
@@ -57,14 +66,21 @@ def test_equal_fields_equal_records():
         target: str
 
     assert Twin("a", "1", "2") != one and one != Twin("a", "1", "2")
-    # Quiver keeps its own hash, cached on first use
+    # a Quiver hashes its fields like every other record
     q = Quiver(("1", "2"), (one,))
-    assert hash(q) == hash((q.vertices, q.arrows)) and "_hash" in q.__dict__
+    assert hash(q) == hash((q.vertices, q.arrows))
 
 
 def test_frozen_records_refuse_assignment_and_deletion():
     q, _ = qf.build_a3_flip()
-    for rec, name in [(q.arrows[0], "id"), (q, "vertices"), (DimensionRecord((1,), "real", 1), "count")]:
+    records = [
+        (q.arrows[0], "id"),
+        (q, "vertices"),
+        (DimensionRecord((1,), "real", 1), "count"),
+        (_ii_class(), "period"),
+        (DoubleSkewReport(True, None, 2, 2), "vertex_map"),
+    ]
+    for rec, name in records:
         message = f"cannot assign to or delete field '{name}' of a frozen {type(rec).__name__}"
         with pytest.raises(AttributeError, match=message):
             setattr(rec, name, 5)
@@ -87,18 +103,3 @@ def test_init_by_keyword_and_default():
     ]:
         with pytest.raises(TypeError, match=f"^Arrow\\(\\) {message}"):
             Arrow(*args, **kwargs)
-
-
-def test_mutable_records_accept_assignment_and_are_unhashable():
-    ii = _ii_class()
-    ii.period = 2
-    ii.base_dims = (2, 1, 1)
-    report = DoubleSkewReport(True, None, 2, 2)
-    report.vertex_map = {"1": "1:0:0"}
-    assert ii.base_dims == (2, 1, 1) and ii.period == 2 and report.vertex_map == {"1": "1:0:0"}
-    assert repr(report) == (
-        "DoubleSkewReport(found=True, vertex_map={'1': '1:0:0'}, skew_order=2, double_skew_order=2)"
-    )
-    for rec in (ii, report):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(rec)

@@ -215,11 +215,13 @@ def test_s_fold_composite(a3_flip):
 
 
 def test_root_count_cap(a2, monkeypatch):
-    # a2 has three positive roots; a cap of two refuses the listing
-    monkeypatch.setattr(roots, "_ROOT_CAP", 2)
-    with pytest.raises(BudgetExceeded, match="more than 2 roots below height 3"):
+    # the cap counts the vectors the sweep walks, which bound the roots: a2
+    # has nine nonzero vectors up to height 3, and three positive roots
+    monkeypatch.setattr(roots, "_GRID_CAP", 8)
+    with pytest.raises(BudgetExceeded, match="^9 vectors up to height 3 exceed the sweep cap of 8$") as ei:
         qf.positive_roots_up_to(qf.quiver_lattice(a2), 3)
-    monkeypatch.setattr(roots, "_ROOT_CAP", 3)
+    assert ei.value.predicted == 9
+    monkeypatch.setattr(roots, "_GRID_CAP", 9)
     assert len(qf.positive_roots_up_to(qf.quiver_lattice(a2), 3).records) == 3
 
 

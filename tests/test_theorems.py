@@ -6,6 +6,9 @@ two-sided base-change orbit walk instead of going through the unfolded
 quiver.
 """
 
+import time
+from math import comb
+
 import pytest
 
 import quiverfold as qf
@@ -241,6 +244,21 @@ def test_refusal_builds_nothing(monkeypatch, job, predicted):
         job()
     assert ei.value.predicted == predicted
     assert catalog._STORE == stored
+
+
+def test_huge_height_refused_at_once(a3, F2):
+    # a height sweep counts its grid before it walks a vector of it
+    calls = [
+        (lambda: qf.positive_roots_up_to(_PAIR21.lattice, 10**5), comb(10**5 + 2, 2) - 1),
+        (lambda: qf.verify_kac(a3, F2, 1000), comb(1003, 3) - 1),
+        (lambda: qf.multiset_crosscheck(a3, F2, 1000), comb(1003, 3) - 1),
+    ]
+    for call, predicted in calls:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="exceed the sweep cap of 1000000$") as ei:
+            call()
+        assert time.perf_counter() - start < 0.25
+        assert ei.value.predicted == predicted
 
 
 @pytest.mark.parametrize(
