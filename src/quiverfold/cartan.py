@@ -26,7 +26,7 @@ from .errors import (
     NotPermutation,
     VertexLoop,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit, _record, _triple
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit, _record, _triple
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -34,7 +34,7 @@ Matrix = tuple[tuple[int, ...], ...]
 def _check_len(name: str, v: Sequence[int], n: int) -> tuple[int, ...]:
     if len(v) != n:
         raise LatticeMismatch(f"{name} has length {len(v)}, expected {n}")
-    return tuple(int(x) for x in v)
+    return tuple(_integer(x, f"entry of {name}") for x in v)
 
 
 # --- lattices ---
@@ -72,7 +72,7 @@ class CartanLattice:
             raise LatticeMismatch(
                 f"vector has length {len(v)}, lattice has {len(self.names)} vertices"
             )
-        return tuple(int(x) for x in v)
+        return tuple(_integer(x, "vector entry") for x in v)
 
     def pairing(self, v: Sequence[int], i: int) -> int:
         """(Bv)_i."""
@@ -153,13 +153,6 @@ class ValuedQuiver:
     def normalized_pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted multiset of sorted edge pairs (orientation-free)."""
         return tuple(sorted(tuple(sorted(self.edge_pair(e))) for e in self.edges))
-
-
-def _integer(x, what: str) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise LatticeMismatch(f"{what} is {x!r}, not an integer") from None
 
 
 def make_valued_quiver(

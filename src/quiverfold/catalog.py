@@ -9,7 +9,8 @@ The base-change group G, the product of GL(d_v) over the vertices, acts on
 the block of an arrow a: s -> t as M_a -> g_t M_a g_s^-1.  A move is one
 such element, given by its matrices at a few vertices.  GL(d) is generated
 by the scaling of row 0 by a primitive element, one transvection and the
-d-cycle.  The canonical representative of a class is its least state.
+d-cycle.  The canonical representative of a class is its least state,
+which a catalog keeps as an integer and decodes on demand.
 
 Top levels.  G maps a block to zero only from zero, and on block j of a
 state whose blocks before j are zero it acts as GL(d_t) x GL(d_s) on an
@@ -337,8 +338,9 @@ class StateSpace:
 
 class IsoClassCatalog:
     """Orbit partition of a state space: canonical representatives (least
-    state per class, ascending), orbit sizes, the class id of every state of
-    the space, lazy indecomposability flags and twist annotations."""
+    state per class, ascending), orbit sizes and the class id of every state
+    of the space.  A representative is decoded from its state on demand; the
+    lazy indecomposability flags are the one derived value kept."""
 
     def __init__(self, space: StateSpace, class_reps: np.ndarray, sizes: np.ndarray, level: _Level):
         self.space = space
@@ -346,8 +348,6 @@ class IsoClassCatalog:
         self.sizes = sizes
         self.level = level  # the top level of block 0, the root of the labels
         self._indec: np.ndarray | None = None
-        self._indec_ids: tuple[int, ...] | None = None
-        self._rep_cache: dict[int, Representation] = {}
 
     @property
     def quiver(self) -> Quiver:
@@ -372,9 +372,8 @@ class IsoClassCatalog:
         return ci
 
     def representative(self, ci: int) -> Representation:
-        if ci not in self._rep_cache:
-            self._rep_cache[ci] = self.space.decode(int(self.class_reps[self._class_id(ci)]))
-        return self._rep_cache[ci]
+        """Class ci's least state, decoded anew on each call."""
+        return self.space.decode(int(self.class_reps[self._class_id(ci)]))
 
     def class_of_state(self, state: int) -> int:
         if not 0 <= state < self.space.size:
@@ -397,9 +396,7 @@ class IsoClassCatalog:
         return self._indec
 
     def indec_class_ids(self) -> tuple[int, ...]:
-        if self._indec_ids is None:
-            self._indec_ids = tuple(np.flatnonzero(self.indec_flags).tolist())
-        return self._indec_ids
+        return tuple(np.flatnonzero(self.indec_flags).tolist())
 
 
 _STORE: dict[tuple, IsoClassCatalog] = {}

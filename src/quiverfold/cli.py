@@ -37,9 +37,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _load_document(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise QuiverFoldError("the input does not hold a JSON object")
+    return doc
 
 
 def _need_quiver(doc: dict) -> tuple[Quiver, Automorphism | None]:

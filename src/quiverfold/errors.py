@@ -141,7 +141,7 @@ class NotSource(QuiverFoldError):
 
 
 class BadParameter(QuiverFoldError, ValueError):
-    """A fixture parameter or a reflection direction is outside its allowed set."""
+    """A fixture parameter, reflection direction or height is outside its allowed set."""
 
 
 class CharacteristicWarning(UserWarning):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -149,7 +149,7 @@ class Quiver:
             raise LatticeMismatch(
                 f"vector has length {len(v)}, quiver has {len(self.vertices)} vertices"
             )
-        return tuple(int(x) for x in v)
+        return tuple(_integer(x, "vector entry") for x in v)
 
     def check_dims(self, v: Sequence[int]) -> tuple[int, ...]:
         """check_vector, also requiring every entry to be non-negative."""
@@ -170,6 +170,14 @@ def _box(d: Sequence[int]) -> Iterator[tuple[int, ...]]:
     for beta in product(*(range(x + 1) for x in d)):
         if any(beta):
             yield beta
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; a float, a string or other non-integer is refused, not truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise LatticeMismatch(f"{what} is {x!r}, not an integer") from None
 
 
 def _triple(item, keys: tuple[str, str, str], what: str) -> tuple:

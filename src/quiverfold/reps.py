@@ -29,7 +29,7 @@ from .errors import (
     UnknownVertex,
 )
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit_members, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit_members, _record
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -180,7 +180,7 @@ def make_representation(
         if raw is None:
             mats.append(zeros(rows_want, cols_want))
             continue
-        m = tuple(tuple(int(x) for x in row) for row in raw)
+        m = tuple(tuple(_integer(x, f"entry of arrow {arr.id!r}") for x in row) for row in raw)
         if len(m) != rows_want or any(len(row) != cols_want for row in m):
             raise LatticeMismatch(
                 f"matrix for arrow {arr.id!r} must be {rows_want}x{cols_want}"

@@ -30,13 +30,14 @@ from .cartan import (
     sigma,
 )
 from .errors import (
+    BadParameter,
     BudgetExceeded,
     LatticeMismatch,
     NoNullRoot,
     UnknownVertex,
     ZeroVector,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, _orbit, _orbit_members, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit, _orbit_members, _record
 
 RootKind = Literal["real", "imaginary", "nonroot"]
 
@@ -195,9 +196,12 @@ _GRID_CAP = 10**6
 
 def _nonneg_vectors(n: int, h_max: int):
     """An iterator over the nonzero vectors in N^n of coordinate sum <=
-    h_max, refused at once when there are more than _GRID_CAP of them.
+    h_max, refused at once when h_max is not an integer >= 0 or there are
+    more than _GRID_CAP of them.
 
     Every height sweep walks this grid, so this is its one budget check."""
+    if (h_max := _integer(h_max, "height")) < 0:
+        raise BadParameter(f"height {h_max} is negative")
     count = comb(n + h_max, n) - 1 if h_max > 0 else 0
     if count > _GRID_CAP:
         raise BudgetExceeded(

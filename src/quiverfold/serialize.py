@@ -132,14 +132,13 @@ def rep_from_dict(doc: dict, quiver: Quiver) -> Representation:
         if key not in doc:
             raise Incompatible(f"representation document needs {key!r}")
     fld = field_from_spec(doc["field"])
-    dims_doc = doc["dims"]
-    if isinstance(dims_doc, dict):
-        for v in dims_doc:
+    dims = doc["dims"]
+    if isinstance(dims, dict):
+        for v in dims:
             if v not in quiver.vertex_index:
                 raise UnknownVertex(f"'dims' names vertex {v!r}, which the quiver does not have")
-        dims = [int(dims_doc.get(v, 0)) for v in quiver.vertices]
-    else:
-        dims = [int(x) for x in dims_doc]
+        dims = [dims.get(v, 0) for v in quiver.vertices]
+    # make_representation refuses a dim that is not an integer
     return make_representation(quiver, fld, dims, doc.get("matrices"))
 
 

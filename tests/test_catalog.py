@@ -539,6 +539,23 @@ def test_stored_space_keeps_no_value_permutations(dtilde4):
     clear_catalog_store()
 
 
+def test_stored_catalogs_keep_no_representations(dtilde4, F2):
+    """A stored catalog keeps states, not decoded Representations, and
+    decodes a class's least state each time it is asked for."""
+    clear_catalog_store()
+    qf.verify_kac(dtilde4[0], F2, 8)
+    assert cat_mod._STORE
+    for cat in cat_mod._STORE.values():
+        for value in vars(cat).values():
+            held = value.values() if isinstance(value, dict) else [value]
+            assert not any(isinstance(v, qf.Representation) for v in held)
+        for ci in range(cat.n_classes):
+            assert cat.representative(ci) == cat.space.decode(int(cat.class_reps[ci]))
+        with pytest.raises(SpaceMismatch):
+            cat.representative(cat.n_classes)
+    clear_catalog_store()
+
+
 def _flat_labelling(cat):
     """The space labelled as a whole, by one ``_orbit_labels`` call on the
     permutations of its states that G's generators make: the class id of
@@ -781,7 +798,6 @@ def test_orbit_size_must_divide_the_group(a3, F3, monkeypatch):
     sizes[1] = 5
     monkeypatch.setattr(cat, "sizes", sizes)
     monkeypatch.setattr(cat, "_indec", None)
-    monkeypatch.setattr(cat, "_indec_ids", None)
     with pytest.raises(
         OrbitPartitionBroken, match=r"^size 5 of class 1 does not divide \|G\| = 192$"
     ):
@@ -789,13 +805,12 @@ def test_orbit_size_must_divide_the_group(a3, F3, monkeypatch):
     assert cat._indec is None
     with pytest.raises(OrbitPartitionBroken):
         cat.indec_class_ids()
-    assert cat._indec_ids is None
 
 
-def test_indec_class_ids_cached(dtilde4, F2):
+def test_indec_class_ids_read_the_flags(dtilde4, F2):
     cat = isoclasses(dtilde4[0], (1, 1, 1, 1, 2), F2)
     ids = cat.indec_class_ids()
-    assert isinstance(ids, tuple) and cat.indec_class_ids() is ids
+    assert isinstance(ids, tuple)
     assert ids == tuple(np.flatnonzero(cat.indec_flags).tolist())
 
 

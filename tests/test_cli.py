@@ -346,6 +346,7 @@ def test_negative_dims_exit_two(tmp_path, pair_doc, capsys, command, doc, field,
 
 _A3 = {"vertices": ["1", "2", "3"], "arrows": [["a", "1", "2"], ["b", "3", "2"]]}
 _PAIR = {"vertices": ["u", "v"], "d": {"u": 2, "v": 1}, "edges": [{"from": "u", "to": "v", "b": 2}]}
+_NOT_OBJECT = "error: the input does not hold a JSON object\n"
 
 
 @pytest.mark.parametrize(
@@ -376,17 +377,22 @@ _PAIR = {"vertices": ["u", "v"], "d": {"u": 2, "v": 1}, "edges": [{"from": "u", 
         # a string would be read as one vertex per character
         ("roots", {"vertices": "ab", "arrows": []},
          "error: quiver document's 'vertices' must be a JSON array\n"),
+        ("fold", 5, _NOT_OBJECT),
+        ("indecs", None, _NOT_OBJECT),
+        ("roots", [1, 2], _NOT_OBJECT),
+        ("fold", "x", _NOT_OBJECT),
     ],
     ids=["arrow-without-to", "arrow-pair", "vertex-map-list", "automorphism-list", "d-misses-vertex",
          "d-not-integer", "edge-without-b", "d-number", "edges-number", "vertices-number",
-         "arrows-number", "vertices-string"],
+         "arrows-number", "vertices-string", "number", "null", "array", "string"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, command, doc, error):
     # a malformed document is refused, naming the bad field, not a traceback
     # with exit 1, which is kept for a failed theorem check
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = [command, str(path)] + (["--max-height", "2"] if command == "roots" else [])
+    extra = {"roots": ["--max-height", "2"], "indecs": ["--field", "2", "--dim", "1,1"]}
+    argv = [command, str(path), *extra.get(command, [])]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", error)
 

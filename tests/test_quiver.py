@@ -1,9 +1,14 @@
+import re
+
+import numpy as np
 import pytest
 
 import quiverfold as qf
 from quiverfold.errors import (
+    BadParameter,
     DanglingEndpoint,
     DuplicateId,
+    LatticeMismatch,
     NotAdmissible,
     NotPermutation,
     TwistPeriodBroken,
@@ -267,3 +272,32 @@ def test_identity_checks_walk_no_cycle(monkeypatch):
     assert len(theorems.ii_classes(rot, (1, 1, 1, 1, 1), qf.make_field(5))) == 1
     assert calls == {"automorphism": 1, "engine": 1}
     qf.clear_catalog_store()
+
+
+_PAIR = {"vertices": ["u", "v"], "edges": [["u", "v", 2]]}
+
+
+@pytest.mark.parametrize(
+    "job, error, message",
+    [
+        (lambda q, f: qf.isoclasses(q, (1.5, 1, 1), f), LatticeMismatch, "vector entry is 1.5, "),
+        (lambda q, f: qf.make_representation(q, f, (1, 1, 1), [((1.5,),), ((1,),)]),
+         LatticeMismatch, "entry of arrow 'a' is 1.5, "),
+        (lambda q, f: qf.valued_from_dict({**_PAIR, "d": {"u": 2.9, "v": 1}}),
+         LatticeMismatch, "weight d of vertex 'u' is 2.9, "),
+        (lambda q, f: qf.quiver_lattice(q).check_vector(("2", "1", "0")),
+         LatticeMismatch, "vector entry is '2', "),
+        (lambda q, f: qf.verify_kac(q, f, 2.5), LatticeMismatch, "height is 2.5, "),
+        (lambda q, f: qf.verify_kac(q, f, -1), BadParameter, "height -1 is negative"),
+    ],
+    ids=["isoclasses-dims", "matrix-entry", "valued-weight", "lattice-vector", "height", "negative-height"],
+)
+def test_non_integers_refused_not_truncated(job, error, message):
+    q, _ = qf.build_a3_flip()
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        job(q, qf.make_field(2))
+
+
+def test_numpy_integers_pass(a3):
+    vec = qf.quiver_lattice(a3).check_vector(np.array([2, 1, 0]))
+    assert vec == (2, 1, 0) and all(type(x) is int for x in vec)
