@@ -26,15 +26,9 @@ from .errors import (
     NotPermutation,
     VertexLoop,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit, _record, _triple
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit, _record, _triple, _vector
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _check_len(name: str, v: Sequence[int], n: int) -> tuple[int, ...]:
-    if len(v) != n:
-        raise LatticeMismatch(f"{name} has length {len(v)}, expected {n}")
-    return tuple(_integer(x, f"entry of {name}") for x in v)
 
 
 # --- lattices ---
@@ -68,11 +62,7 @@ class CartanLattice:
         )
 
     def check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != len(self.names):
-            raise LatticeMismatch(
-                f"vector has length {len(v)}, lattice has {len(self.names)} vertices"
-            )
-        return tuple(_integer(x, "vector entry") for x in v)
+        return _vector(v, len(self.names), "lattice")
 
     def pairing(self, v: Sequence[int], i: int) -> int:
         """(Bv)_i."""
@@ -272,9 +262,7 @@ def bilinear_gamma(
 
 def euler_form(quiver: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
     """Non-symmetric Euler pairing: sum x_i y_i - sum over arrows x_src y_tgt."""
-    n = len(quiver.vertices)
-    xs = _check_len("x", x, n)
-    ys = _check_len("y", y, n)
+    xs, ys = quiver.check_vector(x), quiver.check_vector(y)
     idx = quiver.vertex_index
     total = sum(a * b for a, b in zip(xs, ys))
     for r in quiver.arrows:
@@ -310,7 +298,7 @@ def f_map(a: Automorphism, v: Sequence[int]) -> tuple[int, ...]:
 
 def f_inverse(a: Automorphism, w: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`f_map`: spread orbit coordinates back over vertices."""
-    ws = _check_len("w", w, len(a.vertex_orbits))
+    ws = _vector(w, len(a.vertex_orbits), "fold")
     out = [0] * len(a.quiver.vertices)
     idx = a.quiver.vertex_index
     for k, orb in enumerate(a.vertex_orbits):

@@ -76,6 +76,7 @@ check that every plan reads, ``gf._check_states``.
 from __future__ import annotations
 
 from math import prod
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import OrbitPartitionBroken, SpaceMismatch
@@ -437,12 +438,15 @@ def isoclasses(
 ) -> IsoClassCatalog:
     """Classify all representations of the dimension vector, memoised."""
     # an invalid or oversized vector is never stored, so only a miss needs the checks
-    dd = tuple(dims)
-    got = _STORE.get(_store_key(quiver, field, dd))
+    try:
+        dd = tuple(map(index, dims))
+    except TypeError:  # check_dims refuses it by name
+        dd = quiver.check_dims(dims)
+    key = _store_key(quiver, field, dd)
+    got = _STORE.get(key)
     if got is not None:
         return got
     dd = quiver.check_dims(dd)
-    key = _store_key(quiver, field, dd)
     _check_states(quiver, dd, field, state_cap)
     space = StateSpace(quiver, field, dd)
     level, class_reps, sizes = _top_level(space, _value_perms(space, space.moves(), 0), 0, {})

@@ -393,10 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(ns, "cap_states", 1) < 1:
             raise QuiverFoldError(f"{ns.command} needs a --cap-states of 1 or more")
         return _COMMANDS[ns.command](ns)
-    except QuiverFoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (QuiverFoldError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from functools import cache
 
 from .errors import BadParameter, CrossCheckFailed, UnknownVertex
 from .gf import FiniteField
-from .quiver import Automorphism, Quiver, validate_automorphism, validate_quiver
+from .quiver import Automorphism, Quiver, _integer, validate_automorphism, validate_quiver
 from .reps import Representation, is_isomorphic, make_representation, twist_auto
 
 
@@ -98,7 +98,7 @@ def tube_rep(lam: int, fld: FiniteField) -> Representation:
     """The dimension-(1,1,1,1,2) tube representative with corner columns at
     the projective points 1, lam, infinity, 0.  lam must avoid 0 and 1,
     which already name other columns."""
-    lam = int(lam)
+    lam = _integer(lam, "parameter")
     if not 0 <= lam < fld.q:
         raise BadParameter(f"parameter {lam} is not an element of {fld.spec}")
     if lam in (0, 1):

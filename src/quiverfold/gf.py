@@ -8,15 +8,18 @@ degree m, comparing coefficient tuples from the constant term up; this
 makes every field canonical, so equal parameters give the identical field
 object (the factory is cached).
 
-Fields small enough also expose dense numpy addition and multiplication
-tables for vectorised bulk work; numpy is imported only when a table is
-first built.
+Every polynomial evaluation in a field (root finding, the search for a
+subfield's image and an embedding applied to an element) goes through one
+Horner evaluator, ``_horner``.  Fields small enough also expose dense numpy
+addition and multiplication tables for vectorised bulk work; numpy is
+imported only when a table is first built.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from typing import TYPE_CHECKING, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BudgetExceeded, DegreeTooLarge, NotPrime, NotSubfield
 
@@ -71,7 +74,9 @@ def prime_power(q: int | str) -> tuple[int, int]:
         if m < 1:
             raise NotPrime(f"field spec {q!r} is not a prime power p^m with m >= 1")
         return p, m
-    n = parse_field_spec(q)[0] if isinstance(q, str) else int(q)
+    from .quiver import _integer
+
+    n = parse_field_spec(q)[0] if isinstance(q, str) else _integer(q, "field size")
     primes = _prime_factors(n)
     if len(primes) != 1:
         raise NotPrime(f"{n} is not a prime power")
@@ -102,13 +107,10 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    out = list(a)
+    out = _ptrim(list(a))
     df = len(f) - 1
     inv_lead = pow(f[-1], p - 2, p)
-    while len(out) - 1 >= df and out:
-        out = _ptrim(out)
-        if len(out) - 1 < df:
-            break
+    while len(out) - 1 >= df:
         coef = out[-1] * inv_lead % p
         shift = len(out) - 1 - df
         for i, c in enumerate(f):
@@ -167,19 +169,8 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     x^m + sum c_k x^k, in constant-term-first lexicographic order."""
     if m == 1:
         return (0,)
-
-    def candidates(pos: int, prefix: list[int]):
-        if pos == m:
-            yield tuple(prefix)
-            return
-        for c in range(p):
-            prefix.append(c)
-            yield from candidates(pos + 1, prefix)
-            prefix.pop()
-
-    for low in candidates(0, []):
-        f = list(low) + [1]
-        if _is_irreducible(f, p):
+    for low in product(range(p), repeat=m):
+        if _is_irreducible(list(low) + [1], p):
             return low
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
@@ -346,7 +337,9 @@ def _check_states(quiver, dims, field, cap: int, origin=None, note="", planned=F
 def make_field(p: int, m: int = 1) -> FiniteField:
     """The canonical GF(p^m).  Cached on (p, m) however they are passed, so
     repeated calls share one object and its tables."""
-    return _make_field(p, m)
+    from .quiver import _integer
+
+    return _make_field(_integer(p, "characteristic"), _integer(m, "extension degree"))
 
 
 @cache
@@ -369,6 +362,20 @@ def frobenius(field: FiniteField, s: int, x: int) -> int:
     return field.frobenius(x, s)
 
 
+def _horner(field: FiniteField, coeffs: Sequence[int], x: int) -> int:
+    """sum coeffs[k] x^k in the field, for integer-coded coefficients,
+    constant term first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def _roots(field: FiniteField, coeffs: Sequence[int]) -> Iterator[int]:
+    """The roots of sum coeffs[k] X^k in the field, ascending."""
+    return (x for x in range(field.q) if _horner(field, coeffs, x) == 0)
+
+
 class Embedding:
     """A field embedding determined by the image of the small field's
     polynomial variable; callable on integer-coded elements."""
@@ -379,10 +386,7 @@ class Embedding:
         self.var_image = var_image
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.sub.coeffs(x)):
-            acc = self.big.add(self.big.mul(acc, self.var_image), c % self.big.p)
-        return acc
+        return _horner(self.big, self.sub.coeffs(x), self.var_image)
 
 
 def subfield_embedding(sub: FiniteField, big: FiniteField) -> Embedding:
@@ -390,15 +394,7 @@ def subfield_embedding(sub: FiniteField, big: FiniteField) -> Embedding:
     least root of the small modulus inside the big field."""
     if sub.p != big.p or big.m % sub.m != 0:
         raise NotSubfield(f"GF({sub.q}) does not embed in GF({big.q})")
-    full = list(sub.modulus) + [1]
-    root = None
-    for x in range(big.q):
-        acc = 0
-        for c in reversed(full):
-            acc = big.add(big.mul(acc, x), c % big.p)
-        if acc == 0:
-            root = x
-            break
+    root = next(_roots(big, (*sub.modulus, 1)), None)
     if root is None:
         raise NotSubfield(
             f"modulus of GF({sub.q}) has no root in GF({big.q})"
@@ -412,14 +408,4 @@ def solve_univariate(field: FiniteField, coeffs: Sequence[int]) -> tuple[int, ..
     Coefficients are integer-coded field elements, constant term first;
     plain negative Python ints are folded into the prime subfield.
     """
-    cs = [c % field.p if not 0 <= c < field.q else c for c in coeffs]
-    if all(c == 0 for c in cs):
-        return tuple(range(field.q))
-    roots = []
-    for x in range(field.q):
-        acc = 0
-        for c in reversed(cs):
-            acc = field.add(field.mul(acc, x), c)
-        if acc == 0:
-            roots.append(x)
-    return tuple(roots)
+    return tuple(_roots(field, [c % field.p if not 0 <= c < field.q else c for c in coeffs]))

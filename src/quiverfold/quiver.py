@@ -145,11 +145,7 @@ class Quiver:
         return Quiver(self.vertices, new)
 
     def check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != len(self.vertices):
-            raise LatticeMismatch(
-                f"vector has length {len(v)}, quiver has {len(self.vertices)} vertices"
-            )
-        return tuple(_integer(x, "vector entry") for x in v)
+        return _vector(v, len(self.vertices), "quiver")
 
     def check_dims(self, v: Sequence[int]) -> tuple[int, ...]:
         """check_vector, also requiring every entry to be non-negative."""
@@ -178,6 +174,18 @@ def _integer(x, what: str) -> int:
         return index(x)
     except TypeError:
         raise LatticeMismatch(f"{what} is {x!r}, not an integer") from None
+
+
+def _vector(v, n: int, owner: str) -> tuple[int, ...]:
+    """v as a tuple of n ints, for an ``owner`` of n vertices; a value that
+    is not a sequence, a wrong length or a non-integer entry is refused."""
+    try:
+        size = len(v)
+    except TypeError:
+        raise LatticeMismatch(f"vector is {v!r}, not a sequence") from None
+    if size != n:
+        raise LatticeMismatch(f"vector has length {size}, {owner} has {n} vertices")
+    return tuple(_integer(x, "vector entry") for x in v)
 
 
 def _triple(item, keys: tuple[str, str, str], what: str) -> tuple:

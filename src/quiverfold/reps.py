@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadParameter,
@@ -346,28 +346,31 @@ def _combine(f: FiniteField, basis: tuple[tuple[Mat, ...], ...], coeffs: Sequenc
     return tuple(out)
 
 
+def _nonzero_homs(
+    x: Representation, y: Representation, cap: int, refuse: type, what: str
+) -> Iterator[tuple[Mat, ...]]:
+    """Every nonzero element of Hom(x, y), in coefficient-lexicographic
+    order; a space of more than ``cap`` elements is refused with ``refuse``,
+    naming it ``what``."""
+    f = x.field
+    hom = hom_space(x, y)
+    size = f.q ** hom.dim
+    if size > cap:
+        raise refuse(f"{what} has {f.q}^{hom.dim} elements, cap is {cap}", predicted=size)
+    for coeffs in product(range(f.q), repeat=hom.dim):
+        if any(coeffs):
+            yield _combine(f, hom.basis, coeffs, x.dims, y.dims)
+
+
 def _first_nontrivial_idempotent(
     x: Representation, end_cap: int
 ) -> tuple[Mat, ...] | None:
     """The first (in coefficient-lexicographic order) endomorphism that is
     idempotent and neither zero nor the identity, or None."""
     f = x.field
-    end = end_ring(x)
-    size = f.q ** end.dim
-    if size > end_cap:
-        raise EndRingTooLarge(
-            f"endomorphism ring has {f.q}^{end.dim} elements, cap is {end_cap}",
-            predicted=size,
-        )
     ident = tuple(identity(d) for d in x.dims)
-    for coeffs in product(range(f.q), repeat=end.dim):
-        if not any(coeffs):
-            continue
-        phi = _combine(f, end.basis, coeffs, x.dims, x.dims)
-        if phi == ident:
-            continue
-        sq = tuple(mat_mul(f, m, m) for m in phi)
-        if sq == phi:
+    for phi in _nonzero_homs(x, x, end_cap, EndRingTooLarge, "endomorphism ring"):
+        if phi != ident and tuple(mat_mul(f, m, m) for m in phi) == phi:
             return phi
     return None
 
@@ -390,21 +393,8 @@ def is_isomorphic(x: Representation, y: Representation) -> bool:
         return False
     if x.total_dim == 0:
         return True
-    f = x.field
-    hom = hom_space(x, y)
-    size = f.q ** hom.dim
-    if size > _HOM_CAP:
-        raise HomSpaceTooLarge(
-            f"hom space has {f.q}^{hom.dim} elements, cap is {_HOM_CAP}",
-            predicted=size,
-        )
-    for coeffs in product(range(f.q), repeat=hom.dim):
-        if not any(coeffs):
-            continue
-        phi = _combine(f, hom.basis, coeffs, x.dims, y.dims)
-        if all(is_invertible(f, m) for m in phi):
-            return True
-    return False
+    homs = _nonzero_homs(x, y, _HOM_CAP, HomSpaceTooLarge, "hom space")
+    return any(all(is_invertible(x.field, m) for m in phi) for phi in homs)
 
 
 def _image_basis(f: FiniteField, m: Mat) -> list[tuple[int, ...]]:

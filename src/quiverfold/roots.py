@@ -37,7 +37,7 @@ from .errors import (
     UnknownVertex,
     ZeroVector,
 )
-from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit, _orbit_members, _record
+from .quiver import Automorphism, Quiver, act_on_dimension_vector, _integer, _orbit, _orbit_members, _record, _vector
 
 RootKind = Literal["real", "imaginary", "nonroot"]
 
@@ -363,11 +363,7 @@ def h_map(skq, beta: Sequence[int]) -> tuple[int, ...]:
     """Sum skew-quiver coordinates over each label class (𝐢, *) to land in
     the folded lattice."""
     group = skq.group_of_vertex
-    if len(beta) != len(group):
-        raise LatticeMismatch(
-            f"vector has length {len(beta)}, skew quiver has {len(group)} vertices"
-        )
     out = [0] * len(skq.orbit_names)
-    for k, x in enumerate(beta):
-        out[group[k]] += int(x)
+    for k, x in enumerate(_vector(beta, len(group), "skew quiver")):
+        out[group[k]] += x
     return tuple(out)

@@ -30,6 +30,18 @@ from .quiver import (
 )
 
 
+def _copies(names, counts) -> tuple[list[str], dict[str, str]]:
+    """The copies "v:mu" of each vertex v, for mu below its count, and the
+    cyclic shift "v:mu" -> "v:mu+1" on them."""
+    vertices: list[str] = []
+    shift: dict[str, str] = {}
+    for v, cnt in zip(names, counts):
+        for mu in range(cnt):
+            vertices.append(f"{v}:{mu}")
+            shift[f"{v}:{mu}"] = f"{v}:{(mu + 1) % cnt}"
+    return vertices, shift
+
+
 def unfold(vq: ValuedQuiver) -> Automorphism:
     """Unfold a valued quiver into (plain quiver, copy-shift automorphism).
 
@@ -46,13 +58,7 @@ def unfold(vq: ValuedQuiver) -> Automorphism:
     if any(x < 1 for x in vq.d):
         raise NotUnfoldable("symmetriser entries must be positive")
 
-    vertices: list[str] = []
-    vmap: dict[str, str] = {}
-    for v, dv in zip(vq.vertices, vq.d):
-        for mu in range(dv):
-            vertices.append(f"{v}:{mu}")
-            vmap[f"{v}:{mu}"] = f"{v}:{(mu + 1) % dv}"
-
+    vertices, vmap = _copies(vq.vertices, vq.d)
     arrows: list[tuple[str, str, str]] = []
     amap: dict[str, str] = {}
     for e in vq.edges:
@@ -122,10 +128,7 @@ def skew(a: Automorphism) -> SkewQuiver:
     n = a.order
     names, d = fd.orbit_names, fd.d
 
-    vertices: list[str] = []
-    for k in range(len(names)):
-        vertices.extend(f"{names[k]}:{mu}" for mu in range(n // d[k]))
-
+    vertices, vmap = _copies(names, [n // dk for dk in d])
     arrows: list[tuple[str, str, str]] = []
     origins: list[ArrowOrigin] = []
     amap: dict[str, str] = {}
@@ -148,12 +151,6 @@ def skew(a: Automorphism) -> SkewQuiver:
                         f"{orb[0]}:{(mu + 1) % src_count}:{(nu + 1) % tgt_count}"
                     )
     quiver = validate_quiver(vertices, arrows)
-
-    vmap: dict[str, str] = {}
-    for k in range(len(names)):
-        cnt = n // d[k]
-        for mu in range(cnt):
-            vmap[f"{names[k]}:{mu}"] = f"{names[k]}:{(mu + 1) % cnt}"
     shift = validate_automorphism(quiver, vmap, amap)
     return SkewQuiver(shift, fd, tuple(origins))
 
@@ -256,10 +253,7 @@ def double_skew_check(a: Automorphism) -> DoubleSkewReport:
                 continue
             vmap[v] = w
             ok = True
-            # intertwining on already-assigned vertices
-            av = a.apply_vertex(v)
-            if av in vmap and vmap[av] != a2.apply_vertex(w):
-                ok = False
+            # intertwining on the assigned vertices, v among them
             for u in list(vmap):
                 if a.apply_vertex(u) in vmap and vmap[a.apply_vertex(u)] != a2.apply_vertex(vmap[u]):
                     ok = False

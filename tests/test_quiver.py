@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quiverfold as qf
+from quiverfold import gf
 from quiverfold.errors import (
     BadParameter,
     DanglingEndpoint,
@@ -289,8 +290,20 @@ _PAIR = {"vertices": ["u", "v"], "edges": [["u", "v", 2]]}
          LatticeMismatch, "vector entry is '2', "),
         (lambda q, f: qf.verify_kac(q, f, 2.5), LatticeMismatch, "height is 2.5, "),
         (lambda q, f: qf.verify_kac(q, f, -1), BadParameter, "height -1 is negative"),
+        (lambda q, f: qf.make_field(2.5), LatticeMismatch, "characteristic is 2.5, "),
+        (lambda q, f: qf.make_field(3, 1.0), LatticeMismatch, "extension degree is 1.0, "),
+        (lambda q, f: gf.prime_power(4.5), LatticeMismatch, "field size is 4.5, "),
+        (lambda q, f: qf.tube_rep(2.7, qf.make_field(2, 2)), LatticeMismatch, "parameter is 2.7, "),
+        (lambda q, f: qf.rep_from_dict({"field": "2", "dims": 5}, q), LatticeMismatch, "vector is 5, "),
+        (lambda q, f: qf.isoclasses(q, 5, f), LatticeMismatch, "vector is 5, "),
+        (lambda q, f: (qf.isoclasses(q, (1, 1, 1), f), qf.isoclasses(q, (1.0, 1, 1), f)),
+         LatticeMismatch, "vector entry is 1.0, "),
+        (lambda q, f: qf.h_map(qf.skew(qf.build_a3_flip()[1]), (1.9, 1, 0)),
+         LatticeMismatch, "vector entry is 1.9, "),
     ],
-    ids=["isoclasses-dims", "matrix-entry", "valued-weight", "lattice-vector", "height", "negative-height"],
+    ids=["isoclasses-dims", "matrix-entry", "valued-weight", "lattice-vector", "height", "negative-height",
+         "characteristic", "degree", "prime-power", "tube-parameter", "document-dims", "isoclasses-int",
+         "stored-dims", "h-map"],
 )
 def test_non_integers_refused_not_truncated(job, error, message):
     q, _ = qf.build_a3_flip()

@@ -96,6 +96,7 @@ def test_end_ring_cap_is_a_budget(a2, F2):
         qf.is_indecomposable(two, end_cap=1)
     assert isinstance(ei.value, EndRingTooLarge)
     assert ei.value.predicted == 2**4
+    assert str(ei.value) == "endomorphism ring has 2^4 elements, cap is 1"
 
 
 def test_hom_space_cap_is_a_budget(a2, F2):

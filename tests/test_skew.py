@@ -108,6 +108,40 @@ def test_double_skew_small_fixtures(a3_flip, dtilde4):
     assert set(rep4.vertex_map) == set(four.quiver.vertices)
 
 
+def test_double_skew_backtracks(dtilde4):
+    """The squared rotation of the star makes the search reject candidates
+    that break the intertwining, undo them and backtrack before it finds
+    its map; a search that skips the intertwining test returns another."""
+    _, four, _ = dtilde4
+    rep = double_skew_check(four.power(2))
+    assert rep == qf.DoubleSkewReport(
+        True,
+        {"1": "1:0:0", "2": "2:0:0", "3": "1:0:1", "4": "2:0:1", "5": "5:0:0"},
+        2,
+        2,
+    )
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows",
+    [
+        # the Kronecker quiver: a vertex map is found, no arrow map closes
+        (["0", "1"], [("p", "1", "0"), ("s", "1", "0")]),
+        # a partial vertex map whose arrow counts differ is rejected
+        (["0", "1", "2"], [("r", "0", "1"), ("p", "0", "2"), ("s", "0", "2"),
+                           ("t", "1", "0"), ("u", "2", "1")]),
+    ],
+    ids=["kronecker", "three-vertices"],
+)
+def test_double_skew_loses_an_arrow_swap(vertices, arrows):
+    """An automorphism that fixes every vertex and swaps two parallel arrows
+    has the identity shift as its double skew, so the search rejects every
+    candidate and reports no isomorphism."""
+    q = qf.validate_quiver(vertices, arrows)
+    a = qf.validate_automorphism(q, {}, {"p": "s", "s": "p"})
+    assert double_skew_check(a) == qf.DoubleSkewReport(False, None, 2, 1)
+
+
 def test_double_skew_refuses_past_vertex_cap():
     # an eleven-vertex line is one vertex past the search's cap
     names = [str(k) for k in range(11)]
