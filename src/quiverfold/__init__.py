@@ -78,7 +78,9 @@ def __getattr__(name: str):
     # a re-exported name wins over a submodule of the same name (``skew``)
     module = _EXPORTS.get(name)
     if module is not None:
-        return getattr(importlib.import_module(f".{module}", __name__), name)
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value  # bound, so later reads skip this hook
+        return value
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,14 +8,15 @@ quiver we started from.
 The skew quiver of (Q, a) replaces each vertex orbit 𝐢 of size d by n/d
 labelled copies (𝐢, μ) and distributes every arrow orbit over residue
 classes; the shift ã(𝐢, μ) = (𝐢, μ+1) is again admissible.  Applying the
-construction twice returns the original pair up to isomorphism, which
-`double_skew_check` verifies by explicit search.
+construction twice, both times with n the order of a, returns the original
+pair up to isomorphism, which `double_skew_check` verifies by trying each
+rotation of every orbit's copies.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm
 
 from .cartan import FoldData, ValuedQuiver, fold
@@ -106,16 +107,12 @@ class SkewQuiver:
 
     @cached_property
     def mu_counts(self) -> tuple[int, ...]:
-        n = self.fold_source.auto.order
-        return tuple(n // d for d in self.fold_source.d)
+        return tuple(map(len, self.auto.vertex_orbits))
 
     @cached_property
     def group_of_vertex(self) -> tuple[int, ...]:
         """For each skew vertex position, the index of its base orbit."""
-        out = []
-        for k, cnt in enumerate(self.mu_counts):
-            out.extend([k] * cnt)
-        return tuple(out)
+        return tuple(k for k, cnt in enumerate(self.mu_counts) for _ in range(cnt))
 
     @cached_property
     def origin_of_arrow(self) -> dict[str, ArrowOrigin]:
@@ -124,8 +121,12 @@ class SkewQuiver:
 
 def skew(a: Automorphism) -> SkewQuiver:
     """Build the skew quiver of (Q, a) with its shift automorphism."""
+    return _skew(a, a.order)
+
+
+def _skew(a: Automorphism, n: int) -> SkewQuiver:
+    """The skew quiver of (Q, a) taken with n, a multiple of a's order."""
     fd = fold(a)
-    n = a.order
     names, d = fd.orbit_names, fd.d
 
     vertices, vmap = _copies(names, [n // dk for dk in d])
@@ -141,9 +142,7 @@ def skew(a: Automorphism) -> SkewQuiver:
         tgt_count = n // d[ti]
         for r in residues:
             for mu in range(src_count):
-                for nu in range(tgt_count):
-                    if (mu - nu - r) % n_t != 0:
-                        continue
+                for nu in range((mu - r) % n_t, tgt_count, n_t):
                     rid = f"{orb[0]}:{mu}:{nu}"
                     arrows.append((rid, f"{names[si]}:{mu}", f"{names[ti]}:{nu}"))
                     origins.append(ArrowOrigin(orb[0], r))
@@ -176,8 +175,9 @@ def _pair_counts(q: Quiver) -> dict[tuple[str, str], list[str]]:
 def _arrow_map_consistent(
     a1: Automorphism, a2: Automorphism, vmap: dict[str, str]
 ) -> bool:
-    """Try to extend a vertex isomorphism to arrows so it intertwines the
-    automorphisms.  Parallel arrows are matched per orbit of endpoint pairs,
+    """Try to extend a vertex bijection to arrows so it intertwines the
+    automorphisms.  Every endpoint pair must carry as many arrows on both
+    sides; parallel arrows are then matched per orbit of endpoint pairs,
     trying the (few) bijections of one base class."""
     q1, q2 = a1.quiver, a2.quiver
     p1, p2 = _pair_counts(q1), _pair_counts(q2)
@@ -213,10 +213,16 @@ _DOUBLE_SKEW_VERTEX_CAP = 10
 
 
 def double_skew_check(a: Automorphism) -> DoubleSkewReport:
-    """Search for an isomorphism between (Q, a) and its double skew."""
+    """Look for an isomorphism between (Q, a) and its double skew, the skew
+    of the skew taken at a's order n.
+
+    The double skew has d copies "i:0:k" of each vertex orbit i of size d,
+    and its shift rotates them, so the maps tried send a^k(i) to
+    "i:0:(k + c_i) mod d" for one offset c_i per orbit.  The offsets run in
+    lexicographic order; the first map that is a bijection, intertwines the
+    vertex actions and extends to arrows is reported."""
     s1 = skew(a)
-    s2 = skew(s1.auto)
-    a2 = s2.auto
+    a2 = _skew(s1.auto, a.order).auto
     q1, q2 = a.quiver, a2.quiver
 
     most = max(len(q1.vertices), len(q2.vertices))
@@ -228,49 +234,17 @@ def double_skew_check(a: Automorphism) -> DoubleSkewReport:
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return DoubleSkewReport(False, None, s1.auto.order, a2.order)
 
-    def invariants(au: Automorphism) -> dict[str, tuple[int, int, int]]:
-        q = au.quiver
-        return {
-            v: (len(q.arrows_into(v)), len(q.arrows_out_of(v)), len(orb))
-            for orb in au.vertex_orbits
-            for v in orb
-        }
-
-    inv1, inv2 = invariants(a), invariants(a2)
-    p1, p2 = _pair_counts(q1), _pair_counts(q2)
-
-    order1 = list(q1.vertices)
-
-    def backtrack(pos: int, vmap: dict[str, str], used: set[str]):
-        if pos == len(order1):
-            if _arrow_map_consistent(a, a2, vmap):
-                return dict(vmap)
-            return None
-        v = order1[pos]
-        want = inv1[v]
-        for w in q2.vertices:
-            if w in used or inv2[w] != want:
-                continue
-            vmap[v] = w
-            ok = True
-            # intertwining on the assigned vertices, v among them
-            for u in list(vmap):
-                if a.apply_vertex(u) in vmap and vmap[a.apply_vertex(u)] != a2.apply_vertex(vmap[u]):
-                    ok = False
-                    break
-            if ok:
-                for u in vmap:
-                    if len(p1.get((u, v), ())) != len(p2.get((vmap[u], w), ())) or len(
-                        p1.get((v, u), ())
-                    ) != len(p2.get((w, vmap[u]), ())):
-                        ok = False
-                        break
-            if ok:
-                res = backtrack(pos + 1, vmap, used | {w})
-                if res is not None:
-                    return res
-            del vmap[v]
-        return None
-
-    found = backtrack(0, {}, set())
-    return DoubleSkewReport(found is not None, found, s1.auto.order, a2.order)
+    orbits = a.vertex_orbits
+    place = {v: (j, k) for j, orb in enumerate(orbits) for k, v in enumerate(orb)}
+    for c in product(*(range(len(orb)) for orb in orbits)):
+        vmap = {}
+        for v in q1.vertices:
+            j, k = place[v]
+            vmap[v] = f"{orbits[j][0]}:0:{(k + c[j]) % len(orbits[j])}"
+        if (
+            set(vmap.values()) == set(q2.vertices)
+            and all(vmap[a.apply_vertex(v)] == a2.apply_vertex(w) for v, w in vmap.items())
+            and _arrow_map_consistent(a, a2, vmap)
+        ):
+            return DoubleSkewReport(True, vmap, s1.auto.order, a2.order)
+    return DoubleSkewReport(False, None, s1.auto.order, a2.order)

@@ -713,6 +713,30 @@ def test_skew_stays_the_function_after_its_module_loads(tmp_path):
     assert res.stdout.split() == ["True", "2"]
 
 
+def test_package_binds_each_name_it_resolves(monkeypatch, tmp_path):
+    """A re-exported name goes through its submodule on the first access
+    only; later reads find it bound on the package."""
+    from quiverfold import catalog
+
+    calls = []
+    real = importlib.import_module
+    monkeypatch.setattr(importlib, "import_module", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.delitem(vars(qf), "isoclasses", raising=False)
+    assert qf.isoclasses is catalog.isoclasses
+    assert qf.isoclasses is catalog.isoclasses
+    assert calls == [(".catalog", "quiverfold")]
+    # the bound function is not replaced when its submodule loads after it
+    res = _run_child(
+        "import quiverfold as qf\n"
+        "f = qf.skew\n"
+        "import quiverfold.skew\n"
+        "print(qf.skew is f, callable(qf.skew), qf.skew(qf.build_a3_flip()[1]).auto.order)\n",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "True", "2"]
+
+
 def test_import_loads_no_submodule(tmp_path):
     """A fresh import loads no submodule; the catalog-cap set-up (the star
     and GF(16)) loads only the five it uses."""

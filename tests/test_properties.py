@@ -5,6 +5,7 @@ reproducible without recording inputs.
 """
 
 import random
+from collections import Counter
 from functools import cache
 from itertools import product
 from math import lcm
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import quiverfold as qf
 from quiverfold import labelling
 from quiverfold.reps import hom_space, ext_dim, reflection_functor
+from quiverfold.skew import _skew
 
 SAMPLES = 200
 SEED = 20260816
@@ -205,6 +207,50 @@ def test_double_skew_closes(a3_flip, dtilde4):
     assert qf.double_skew_check(flip).found
     _, four, _ = dtilde4
     assert qf.double_skew_check(four).found
+
+
+def _random_automorphism(rnd):
+    """A quiver on 2-6 vertices with a random vertex permutation and up to
+    three arrow orbits, each joining two vertex orbits and going round its
+    endpoint pairs once or twice."""
+    names = [str(k) for k in range(rnd.randint(2, 6))]
+    order = rnd.sample(names, len(names))
+    cuts = sorted(rnd.sample(range(1, len(names)), rnd.randint(0, len(names) - 1)))
+    cycles = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(names)])]
+    step = {c[k]: c[(k + 1) % len(c)] for c in cycles for k in range(len(c))}
+    arrows, amap = [], {}
+    for t in range(rnd.randint(0, 3) if len(cycles) > 1 else 0):
+        cu, cv = rnd.sample(cycles, 2)
+        u, v = rnd.choice(cu), rnd.choice(cv)
+        length = rnd.choice((1, 2)) * lcm(len(cu), len(cv))
+        for k in range(length):
+            arrows.append((f"e{t}:{k}", u, v))
+            amap[f"e{t}:{k}"] = f"e{t}:{(k + 1) % length}"
+            u, v = step[u], step[v]
+    return qf.validate_automorphism(qf.validate_quiver(names, arrows), step, amap)
+
+
+def test_double_skew_map_is_an_isomorphism():
+    """Whenever the double skew check finds a map, it is a bijection onto
+    the double skew's vertices, intertwines the two vertex actions and keeps
+    the arrow count of every endpoint pair."""
+    rnd = random.Random(SEED + 4)
+    found = 0
+    for _ in range(SAMPLES):
+        a = _random_automorphism(rnd)
+        rep = qf.double_skew_check(a)
+        if not rep.found:
+            continue
+        found += 1
+        a2 = _skew(qf.skew(a).auto, a.order).auto
+        vmap = rep.vertex_map
+        assert sorted(vmap) == sorted(a.quiver.vertices)
+        assert sorted(vmap.values()) == sorted(a2.quiver.vertices)
+        for v, w in vmap.items():
+            assert vmap[a.apply_vertex(v)] == a2.apply_vertex(w)
+        pairs = Counter((vmap[r.source], vmap[r.target]) for r in a.quiver.arrows)
+        assert pairs == Counter((r.source, r.target) for r in a2.quiver.arrows)
+    assert 0 < found < SAMPLES
 
 
 def _field_specs_up_to(bound):

@@ -109,9 +109,9 @@ def test_double_skew_small_fixtures(a3_flip, dtilde4):
 
 
 def test_double_skew_backtracks(dtilde4):
-    """The squared rotation of the star makes the search reject candidates
-    that break the intertwining, undo them and backtrack before it finds
-    its map; a search that skips the intertwining test returns another."""
+    """The squared rotation of the star has two corner orbits of size two
+    and the fixed centre; the double skew recovers it with every orbit sent
+    to its own copies at offset zero."""
     _, four, _ = dtilde4
     rep = double_skew_check(four.power(2))
     assert rep == qf.DoubleSkewReport(
@@ -125,9 +125,9 @@ def test_double_skew_backtracks(dtilde4):
 @pytest.mark.parametrize(
     "vertices, arrows",
     [
-        # the Kronecker quiver: a vertex map is found, no arrow map closes
+        # the Kronecker quiver
         (["0", "1"], [("p", "1", "0"), ("s", "1", "0")]),
-        # a partial vertex map whose arrow counts differ is rejected
+        # the swapped pair among three other arrows
         (["0", "1", "2"], [("r", "0", "1"), ("p", "0", "2"), ("s", "0", "2"),
                            ("t", "1", "0"), ("u", "2", "1")]),
     ],
@@ -135,11 +135,23 @@ def test_double_skew_backtracks(dtilde4):
 )
 def test_double_skew_loses_an_arrow_swap(vertices, arrows):
     """An automorphism that fixes every vertex and swaps two parallel arrows
-    has the identity shift as its double skew, so the search rejects every
-    candidate and reports no isomorphism."""
+    has the identity shift as its double skew.  Every orbit is a fixed
+    point, so the one vertex map tried keeps each pair's arrow count, but
+    no arrow map carries the swap to the identity: no isomorphism."""
     q = qf.validate_quiver(vertices, arrows)
     a = qf.validate_automorphism(q, {}, {"p": "s", "s": "p"})
     assert double_skew_check(a) == qf.DoubleSkewReport(False, None, 2, 1)
+
+
+def test_double_skew_taken_at_the_order_of_a():
+    """The quiver 0->3, 1->2 with a = (0 1)(2 3) skews to one arrow whose
+    shift is the identity, of order 1 where a has order 2.  Skewed again at
+    a's order it gives back (Q, a); the orbit {2, 3} needs offset 1."""
+    q = qf.validate_quiver(["0", "1", "2", "3"], [("x", "0", "3"), ("y", "1", "2")])
+    a = qf.validate_automorphism(q, {"0": "1", "1": "0", "2": "3", "3": "2"})
+    assert double_skew_check(a) == qf.DoubleSkewReport(
+        True, {"0": "0:0:0", "1": "0:0:1", "2": "2:0:1", "3": "2:0:0"}, 1, 2
+    )
 
 
 def test_double_skew_refuses_past_vertex_cap():
