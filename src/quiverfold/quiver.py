@@ -120,9 +120,6 @@ class Quiver:
     def arrows_into(self, v: str) -> tuple[Arrow, ...]:
         return self._arrows_in[v]
 
-    def arrows_out_of(self, v: str) -> tuple[Arrow, ...]:
-        return self._arrows_out[v]
-
     def is_sink(self, v: str) -> bool:
         return not self._arrows_out[v]
 

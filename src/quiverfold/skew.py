@@ -7,24 +7,26 @@ quiver we started from.
 
 The skew quiver of (Q, a) replaces each vertex orbit 𝐢 of size d by n/d
 labelled copies (𝐢, μ) and distributes every arrow orbit over residue
-classes; the shift ã(𝐢, μ) = (𝐢, μ+1) is again admissible.  Applying the
-construction twice, both times with n the order of a, returns the original
-pair up to isomorphism, which `double_skew_check` verifies by trying each
-rotation of every orbit's copies.
+classes; the shift ã(𝐢, μ) = (𝐢, μ+1) is again admissible.  The skew of
+the skew gives back (Q, a) only up to the characters of the dual group
+(I. Reiten and C. Riedtmann, J. Algebra 92, 1985), which a permutation of
+arrows cannot hold.  So the construction also carries one shift per arrow
+orbit, which sets the eigenvalues of a power of the automorphism on that
+orbit's arrows.  A plain automorphism has shift 0 on every orbit, so
+`skew` does not see them; `double_skew_check` carries them through both
+skews and compares the result with (Q, a) at one vertex map.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations, product
 from math import gcd, lcm
 
 from .cartan import FoldData, ValuedQuiver, fold
-from .errors import BudgetExceeded, NotUnfoldable
+from .errors import NotUnfoldable
 from .quiver import (
     Automorphism,
     Quiver,
-    _orbit,
     _record,
     validate_automorphism,
     validate_quiver,
@@ -121,26 +123,42 @@ class SkewQuiver:
 
 def skew(a: Automorphism) -> SkewQuiver:
     """Build the skew quiver of (Q, a) with its shift automorphism."""
-    return _skew(a, a.order)
+    return _skew(a, a.order, {})[0]
 
 
-def _skew(a: Automorphism, n: int) -> SkewQuiver:
-    """The skew quiver of (Q, a) taken with n, a multiple of a's order."""
+def _skew(
+    a: Automorphism, n: int, shifts: dict[str, int]
+) -> tuple[SkewQuiver, dict[str, int]]:
+    """The skew quiver of (Q, a) taken with n, a multiple of a's order, and
+    the shifts of its own arrow orbits.
+
+    `shifts` maps an arrow orbit O of length ℓ, named by its first arrow,
+    to its shift s mod n/ℓ; an orbit left out has shift 0.  O keeps the
+    residues s + k·n/ℓ mod n/lcm(d_s, d_t) for k < ℓ/lcm(d_s, d_t).  Each
+    residue r becomes one arrow orbit of the skew's shift, with first arrow
+    "O:0:-r" and shift p - q mod gcd(d_s, d_t), where p and q are the
+    places of O's first source and target in their vertex orbits."""
     fd = fold(a)
     names, d = fd.orbit_names, fd.d
+    place = {v: k for orb in a.vertex_orbits for k, v in enumerate(orb)}
 
     vertices, vmap = _copies(names, [n // dk for dk in d])
     arrows: list[tuple[str, str, str]] = []
     origins: list[ArrowOrigin] = []
     amap: dict[str, str] = {}
+    new_shifts: dict[str, int] = {}
     for (si, ti), orb in zip(a.arrow_orbit_ends, a.arrow_orbits):
         ell = len(orb)
         tmod = lcm(d[si], d[ti])
         n_t = n // tmod
-        residues = sorted({(k * (n // ell)) % n_t for k in range(ell // tmod)})
+        s = shifts.get(orb[0], 0)
+        residues = sorted({(s + k * (n // ell)) % n_t for k in range(ell // tmod)})
+        first = a.quiver.arrow_by_id[orb[0]]
+        dual = (place[first.source] - place[first.target]) % gcd(d[si], d[ti])
         src_count = n // d[si]
         tgt_count = n // d[ti]
         for r in residues:
+            new_shifts[f"{orb[0]}:0:{(-r) % n_t}"] = dual
             for mu in range(src_count):
                 for nu in range((mu - r) % n_t, tgt_count, n_t):
                     rid = f"{orb[0]}:{mu}:{nu}"
@@ -151,7 +169,7 @@ def _skew(a: Automorphism, n: int) -> SkewQuiver:
                     )
     quiver = validate_quiver(vertices, arrows)
     shift = validate_automorphism(quiver, vmap, amap)
-    return SkewQuiver(shift, fd, tuple(origins))
+    return SkewQuiver(shift, fd, tuple(origins)), new_shifts
 
 
 # --- double skew recovery ---
@@ -159,92 +177,51 @@ def _skew(a: Automorphism, n: int) -> SkewQuiver:
 
 @_record
 class DoubleSkewReport:
+    """`vertex_map` is the canonical map a^k(i) -> "i:0:k" when `found`;
+    `double_skew_order` is the order of the double skew's shift, which can
+    fall below a's order (it is 1 for a swap of two parallel arrows)."""
+
     found: bool
     vertex_map: dict[str, str] | None
     skew_order: int
     double_skew_order: int
 
 
-def _pair_counts(q: Quiver) -> dict[tuple[str, str], list[str]]:
-    acc: dict[tuple[str, str], list[str]] = {}
-    for r in q.arrows:
-        acc.setdefault((r.source, r.target), []).append(r.id)
-    return acc
-
-
-def _arrow_map_consistent(
-    a1: Automorphism, a2: Automorphism, vmap: dict[str, str]
-) -> bool:
-    """Try to extend a vertex bijection to arrows so it intertwines the
-    automorphisms.  Every endpoint pair must carry as many arrows on both
-    sides; parallel arrows are then matched per orbit of endpoint pairs,
-    trying the (few) bijections of one base class."""
-    q1, q2 = a1.quiver, a2.quiver
-    p1, p2 = _pair_counts(q1), _pair_counts(q2)
-    for (u, v), ids in p1.items():
-        if len(p2.get((vmap[u], vmap[v]), [])) != len(ids):
-            return False
-
-    def step(pair: tuple[str, str]) -> tuple[str, str]:
-        return a1.apply_vertex(pair[0]), a1.apply_vertex(pair[1])
-
-    def closes(psi: dict[str, str], length: int) -> bool:
-        # carried once around an orbit of endpoint pairs, psi must come back
-        cur = psi
-        for _ in range(length):
-            cur = {a1.apply_arrow(r): a2.apply_arrow(s) for r, s in cur.items()}
-        return cur == psi
-
-    done: set[tuple[str, str]] = set()
-    for pair in p1:
-        if pair in done:
-            continue
-        orbit = _orbit(pair, step)  # the a1-orbit of this endpoint pair
-        done.update(orbit)
-        base1 = p1[pair]
-        base2 = p2[(vmap[pair[0]], vmap[pair[1]])]
-        if not any(closes(dict(zip(base1, perm)), len(orbit)) for perm in permutations(base2)):
-            return False
-    return True
-
-
-# the most vertices double_skew_check searches an isomorphism over
-_DOUBLE_SKEW_VERTEX_CAP = 10
+def _exponents(
+    a: Automorphism, n: int, shifts: dict[str, int]
+) -> dict[tuple[str, str], list[int]]:
+    """For each endpoint pair, the sorted exponents e of the eigenvalues
+    ζ_n^e of a^L on its arrows, where L is the length of the pair's orbit:
+    an arrow orbit of length L·c and shift s gives each of its pairs the
+    exponents -s·L + k·n/c mod n for k < c."""
+    acc: dict[tuple[str, str], list[int]] = {}
+    for (si, ti), orb in zip(a.arrow_orbit_ends, a.arrow_orbits):
+        L = lcm(len(a.vertex_orbits[si]), len(a.vertex_orbits[ti]))
+        c = len(orb) // L
+        s = shifts.get(orb[0], 0)
+        for rid in orb[:L]:  # one arrow at each pair of the orbit
+            r = a.quiver.arrow_by_id[rid]
+            acc.setdefault((r.source, r.target), []).extend(
+                (-s * L + k * (n // c)) % n for k in range(c)
+            )
+    return {pair: sorted(es) for pair, es in acc.items()}
 
 
 def double_skew_check(a: Automorphism) -> DoubleSkewReport:
-    """Look for an isomorphism between (Q, a) and its double skew, the skew
-    of the skew taken at a's order n.
+    """Compare (Q, a) with its double skew, the skew of the skew, both
+    taken at a's order n, with the first skew's shifts carried into the
+    second.
 
     The double skew has d copies "i:0:k" of each vertex orbit i of size d,
-    and its shift rotates them, so the maps tried send a^k(i) to
-    "i:0:(k + c_i) mod d" for one offset c_i per orbit.  The offsets run in
-    lexicographic order; the first map that is a bijection, intertwines the
-    vertex actions and extends to arrows is reported."""
-    s1 = skew(a)
-    a2 = _skew(s1.auto, a.order).auto
-    q1, q2 = a.quiver, a2.quiver
-
-    most = max(len(q1.vertices), len(q2.vertices))
-    if most > _DOUBLE_SKEW_VERTEX_CAP:
-        raise BudgetExceeded(
-            f"double skew check capped at {_DOUBLE_SKEW_VERTEX_CAP} vertices",
-            predicted=most,
-        )
-    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
-        return DoubleSkewReport(False, None, s1.auto.order, a2.order)
-
-    orbits = a.vertex_orbits
-    place = {v: (j, k) for j, orb in enumerate(orbits) for k, v in enumerate(orb)}
-    for c in product(*(range(len(orb)) for orb in orbits)):
-        vmap = {}
-        for v in q1.vertices:
-            j, k = place[v]
-            vmap[v] = f"{orbits[j][0]}:0:{(k + c[j]) % len(orbits[j])}"
-        if (
-            set(vmap.values()) == set(q2.vertices)
-            and all(vmap[a.apply_vertex(v)] == a2.apply_vertex(w) for v, w in vmap.items())
-            and _arrow_map_consistent(a, a2, vmap)
-        ):
-            return DoubleSkewReport(True, vmap, s1.auto.order, a2.order)
-    return DoubleSkewReport(False, None, s1.auto.order, a2.order)
+    and its shift adds 1 to k, so the canonical map a^k(i) -> "i:0:k" is a
+    bijection that intertwines the vertex actions.  `found` holds when the
+    map also carries every endpoint pair's exponents (see _exponents) to
+    those of the double skew: the same eigenvalues, so an isomorphism."""
+    n = a.order
+    s1, shifts = _skew(a, n, {})
+    s2, shifts2 = _skew(s1.auto, n, shifts)
+    canon = {v: f"{orb[0]}:0:{k}" for orb in a.vertex_orbits for k, v in enumerate(orb)}
+    vmap = {v: canon[v] for v in a.quiver.vertices}
+    mapped = {(vmap[u], vmap[v]): es for (u, v), es in _exponents(a, n, {}).items()}
+    found = mapped == _exponents(s2.auto, n, shifts2)
+    return DoubleSkewReport(found, vmap if found else None, s1.auto.order, s2.auto.order)

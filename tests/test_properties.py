@@ -1,4 +1,5 @@
-"""Randomised identity checks, 200 samples each at a fixed seed.
+"""Randomised identity checks, 200 samples each at a fixed seed (more for
+the double skew: 2,000 wide draws and 400 pairs against brute force).
 
 Each test replays the same pseudorandom stream every run, so failures are
 reproducible without recording inputs.
@@ -7,7 +8,8 @@ reproducible without recording inputs.
 import random
 from collections import Counter
 from functools import cache
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 from math import lcm
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import quiverfold as qf
 from quiverfold import labelling
 from quiverfold.reps import hom_space, ext_dim, reflection_functor
-from quiverfold.skew import _skew
+from quiverfold.skew import _exponents, _skew
 
 SAMPLES = 200
 SEED = 20260816
@@ -209,20 +211,20 @@ def test_double_skew_closes(a3_flip, dtilde4):
     assert qf.double_skew_check(four).found
 
 
-def _random_automorphism(rnd):
-    """A quiver on 2-6 vertices with a random vertex permutation and up to
-    three arrow orbits, each joining two vertex orbits and going round its
-    endpoint pairs once or twice."""
-    names = [str(k) for k in range(rnd.randint(2, 6))]
+def _random_automorphism(rnd, most=6, orbits=3, rounds=(1, 2)):
+    """A quiver on 2 to `most` vertices with a random vertex permutation and
+    up to `orbits` arrow orbits, each joining two vertex orbits and going
+    round its endpoint pairs a number of times drawn from `rounds`."""
+    names = [str(k) for k in range(rnd.randint(2, most))]
     order = rnd.sample(names, len(names))
     cuts = sorted(rnd.sample(range(1, len(names)), rnd.randint(0, len(names) - 1)))
     cycles = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(names)])]
     step = {c[k]: c[(k + 1) % len(c)] for c in cycles for k in range(len(c))}
     arrows, amap = [], {}
-    for t in range(rnd.randint(0, 3) if len(cycles) > 1 else 0):
+    for t in range(rnd.randint(0, orbits) if len(cycles) > 1 else 0):
         cu, cv = rnd.sample(cycles, 2)
         u, v = rnd.choice(cu), rnd.choice(cv)
-        length = rnd.choice((1, 2)) * lcm(len(cu), len(cv))
+        length = rnd.choice(rounds) * lcm(len(cu), len(cv))
         for k in range(length):
             arrows.append((f"e{t}:{k}", u, v))
             amap[f"e{t}:{k}"] = f"e{t}:{(k + 1) % length}"
@@ -230,9 +232,13 @@ def _random_automorphism(rnd):
     return qf.validate_automorphism(qf.validate_quiver(names, arrows), step, amap)
 
 
+def _canonical_map(a):
+    return {v: f"{orb[0]}:0:{k}" for orb in a.vertex_orbits for k, v in enumerate(orb)}
+
+
 def test_double_skew_map_is_an_isomorphism():
-    """Whenever the double skew check finds a map, it is a bijection onto
-    the double skew's vertices, intertwines the two vertex actions and keeps
+    """Every draw is recovered, and the map found is a bijection onto the
+    double skew's vertices, intertwines the two vertex actions and keeps
     the arrow count of every endpoint pair."""
     rnd = random.Random(SEED + 4)
     found = 0
@@ -242,7 +248,8 @@ def test_double_skew_map_is_an_isomorphism():
         if not rep.found:
             continue
         found += 1
-        a2 = _skew(qf.skew(a).auto, a.order).auto
+        s1, shifts = _skew(a, a.order, {})
+        a2 = _skew(s1.auto, a.order, shifts)[0].auto
         vmap = rep.vertex_map
         assert sorted(vmap) == sorted(a.quiver.vertices)
         assert sorted(vmap.values()) == sorted(a2.quiver.vertices)
@@ -250,7 +257,111 @@ def test_double_skew_map_is_an_isomorphism():
             assert vmap[a.apply_vertex(v)] == a2.apply_vertex(w)
         pairs = Counter((vmap[r.source], vmap[r.target]) for r in a.quiver.arrows)
         assert pairs == Counter((r.source, r.target) for r in a2.quiver.arrows)
-    assert 0 < found < SAMPLES
+    assert found == SAMPLES
+
+
+def test_double_skew_recovers_every_wide_draw():
+    """2-8 vertices, 0-4 arrow orbits, each going round its endpoint pairs
+    twice with probability 1/4: every draw comes back at the canonical map."""
+    rnd = random.Random(SEED + 6)
+    for _ in range(10 * SAMPLES):
+        a = _random_automorphism(rnd, most=8, orbits=4, rounds=(1, 1, 1, 2))
+        rep = qf.double_skew_check(a)
+        assert rep.found and rep.vertex_map == _canonical_map(a), a
+
+
+def _intertwining_maps(a, b):
+    """Every vertex bijection from a's quiver to b's that intertwines a and b."""
+    if len(a.quiver.vertices) != len(b.quiver.vertices):
+        return
+    for perm in permutations(b.quiver.vertices):
+        vmap = dict(zip(a.quiver.vertices, perm))
+        if all(vmap[a.apply_vertex(v)] == b.apply_vertex(w) for v, w in vmap.items()):
+            yield vmap
+
+
+def _isomorphic(a, b):
+    """Plain isomorphism of (Q, a) and (Q', b) by brute force: an
+    intertwining vertex bijection, extended orbit by orbit to arrows."""
+    qa, qb = a.quiver, b.quiver
+    ends = {r.id: (r.source, r.target) for r in qb.arrows}
+
+    def extend(vmap, orbits, used):
+        if not orbits:
+            return True
+        orb, rest = orbits[0], orbits[1:]
+        for beta in qb.arrows:
+            image, cur = [], beta.id
+            for rid in orb:
+                r = qa.arrow_by_id[rid]
+                if cur in used or cur in image or ends[cur] != (vmap[r.source], vmap[r.target]):
+                    break
+                image.append(cur)
+                cur = b.apply_arrow(cur)
+            else:
+                if cur == beta.id and extend(vmap, rest, used | set(image)):
+                    return True
+        return False
+
+    return len(qa.arrows) == len(qb.arrows) and any(
+        extend(vmap, a.arrow_orbits, frozenset()) for vmap in _intertwining_maps(a, b)
+    )
+
+
+def _matches_double_skew(a, b):
+    """(Q, a) against the double skew of (Q', b): an intertwining vertex
+    bijection that gives every endpoint pair the same eigenvalues, each
+    compared as a fraction of a turn."""
+    s1, shifts = _skew(b, b.order, {})
+    s2, shifts2 = _skew(s1.auto, b.order, shifts)
+
+    def turns(auto, n, shifts):
+        return {p: sorted(Fraction(e, n) for e in es) for p, es in _exponents(auto, n, shifts).items()}
+
+    ours, theirs = turns(a, a.order, {}), turns(s2.auto, b.order, shifts2)
+    return any(
+        {(vmap[u], vmap[v]): es for (u, v), es in ours.items()} == theirs
+        for vmap in _intertwining_maps(a, s2.auto)
+    )
+
+
+def _relabelled(a, rnd):
+    """(Q, a) with its vertices and arrows renamed at random."""
+    q = a.quiver
+    vname = dict(zip(q.vertices, rnd.sample([f"v{k}" for k in range(len(q.vertices))], len(q.vertices))))
+    aname = {r.id: f"x{k}" for k, r in enumerate(rnd.sample(q.arrows, len(q.arrows)))}
+    arrows = [(aname[r.id], vname[r.source], vname[r.target]) for r in q.arrows]
+    return qf.validate_automorphism(
+        qf.validate_quiver([vname[v] for v in q.vertices], arrows),
+        {vname[v]: vname[a.apply_vertex(v)] for v in q.vertices},
+        {aname[r]: aname[a.apply_arrow(r)] for r in aname},
+    )
+
+
+def test_double_skew_agrees_with_plain_isomorphism():
+    """For pairs (a, b) on up to 4 vertices, a matches the double skew of b
+    exactly when (Q, a) and (Q', b) are isomorphic.  Half the b are a
+    renamed; the others are drawn until they have a's vertex and arrow
+    counts and vertex cycle type, so the vertex counts seldom decide."""
+    rnd = random.Random(SEED + 5)
+
+    def draw():
+        return _random_automorphism(rnd, most=4, orbits=3, rounds=(1, 1, 1, 2))
+
+    def shape(a):
+        return len(a.quiver.arrows), sorted(map(len, a.vertex_orbits))
+
+    agreed = Counter()
+    for _ in range(2 * SAMPLES):
+        a = b = draw()
+        if rnd.random() < 0.5:
+            while shape(b := draw()) != shape(a):
+                pass
+        b = _relabelled(b, rnd)
+        iso = _isomorphic(a, b)
+        assert _matches_double_skew(a, b) == iso
+        agreed[iso] += 1
+    assert agreed[True] > 0 and agreed[False] > 0
 
 
 def _field_specs_up_to(bound):

@@ -69,6 +69,31 @@ def test_skew_document_shape(a3_flip):
     assert all(set(o) == {"arrow_orbit", "residue"} for o in doc["origins"].values())
 
 
+_FLIP_SKEW = (
+    '{"arrows":[{"from":"1:0","id":"a:0:0","to":"2:0"},{"from":"1:0","id":"a:0:1","to":"2:1"}],'
+    '"automorphism":{"arrows":{"a:0:0":"a:0:1","a:0:1":"a:0:0"},"vertices":{"2:0":"2:1","2:1":"2:0"}},'
+    '"origins":{"a:0:0":{"arrow_orbit":"a","residue":0},"a:0:1":{"arrow_orbit":"a","residue":0}},'
+    '"vertices":["1:0","2:0","2:1"]}'
+)
+_FOUR_CYCLE_SKEW = (
+    '{"arrows":[{"from":"1:0","id":"r1:0:0","to":"5:0"},{"from":"1:0","id":"r1:0:1","to":"5:1"},'
+    '{"from":"1:0","id":"r1:0:2","to":"5:2"},{"from":"1:0","id":"r1:0:3","to":"5:3"}],'
+    '"automorphism":{"arrows":{"r1:0:0":"r1:0:1","r1:0:1":"r1:0:2","r1:0:2":"r1:0:3","r1:0:3":"r1:0:0"},'
+    '"vertices":{"5:0":"5:1","5:1":"5:2","5:2":"5:3","5:3":"5:0"}},'
+    '"origins":{"r1:0:0":{"arrow_orbit":"r1","residue":0},"r1:0:1":{"arrow_orbit":"r1","residue":0},'
+    '"r1:0:2":{"arrow_orbit":"r1","residue":0},"r1:0:3":{"arrow_orbit":"r1","residue":0}},'
+    '"vertices":["1:0","5:0","5:1","5:2","5:3"]}'
+)
+
+
+def test_skew_document_text(a3_flip, dtilde4):
+    """The skew document is pinned as text: the arrow-orbit shifts the
+    double skew check carries stay out of it."""
+    for auto, text in [(a3_flip[1], _FLIP_SKEW), (dtilde4[1], _FOUR_CYCLE_SKEW)]:
+        doc = qf.skew_to_dict(qf.skew(auto))
+        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == text
+
+
 def test_rep_round_trip(a3, F4):
     rep = qf.make_representation(a3, F4, (1, 1, 1), {"a": ((2,),), "b": ((3,),)})
     doc = qf.rep_to_dict(rep)

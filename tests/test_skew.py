@@ -3,7 +3,7 @@
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import BudgetExceeded, NotUnfoldable
+from quiverfold.errors import NotUnfoldable
 from quiverfold.skew import double_skew_check, skew, unfold
 
 
@@ -108,10 +108,10 @@ def test_double_skew_small_fixtures(a3_flip, dtilde4):
     assert set(rep4.vertex_map) == set(four.quiver.vertices)
 
 
-def test_double_skew_backtracks(dtilde4):
+def test_double_skew_squared_rotation(dtilde4):
     """The squared rotation of the star has two corner orbits of size two
-    and the fixed centre; the double skew recovers it with every orbit sent
-    to its own copies at offset zero."""
+    and the fixed centre; the double skew recovers it at the canonical map,
+    which sends each orbit to its own copies."""
     _, four, _ = dtilde4
     rep = double_skew_check(four.power(2))
     assert rep == qf.DoubleSkewReport(
@@ -123,41 +123,57 @@ def test_double_skew_backtracks(dtilde4):
 
 
 @pytest.mark.parametrize(
-    "vertices, arrows",
+    "vertices, arrows, vertex_map",
     [
         # the Kronecker quiver
-        (["0", "1"], [("p", "1", "0"), ("s", "1", "0")]),
+        (["0", "1"], [("p", "1", "0"), ("s", "1", "0")], {"0": "0:0:0", "1": "1:0:0"}),
         # the swapped pair among three other arrows
         (["0", "1", "2"], [("r", "0", "1"), ("p", "0", "2"), ("s", "0", "2"),
-                           ("t", "1", "0"), ("u", "2", "1")]),
+                           ("t", "1", "0"), ("u", "2", "1")],
+         {"0": "0:0:0", "1": "1:0:0", "2": "2:0:0"}),
     ],
     ids=["kronecker", "three-vertices"],
 )
-def test_double_skew_loses_an_arrow_swap(vertices, arrows):
+def test_double_skew_recovers_an_arrow_swap(vertices, arrows, vertex_map):
     """An automorphism that fixes every vertex and swaps two parallel arrows
-    has the identity shift as its double skew.  Every orbit is a fixed
-    point, so the one vertex map tried keeps each pair's arrow count, but
-    no arrow map carries the swap to the identity: no isomorphism."""
+    has the identity shift as its double skew, of order 1.  The swap comes
+    back in the shifts: a has the eigenvalues 1 and -1 on p and s, and the
+    double skew's two arrows carry the shifts 0 and 1, which give the same
+    eigenvalues."""
     q = qf.validate_quiver(vertices, arrows)
     a = qf.validate_automorphism(q, {}, {"p": "s", "s": "p"})
-    assert double_skew_check(a) == qf.DoubleSkewReport(False, None, 2, 1)
+    assert double_skew_check(a) == qf.DoubleSkewReport(True, vertex_map, 2, 1)
 
 
 def test_double_skew_taken_at_the_order_of_a():
     """The quiver 0->3, 1->2 with a = (0 1)(2 3) skews to one arrow whose
     shift is the identity, of order 1 where a has order 2.  Skewed again at
-    a's order it gives back (Q, a); the orbit {2, 3} needs offset 1."""
+    a's order, with the arrow's shift, it gives back (Q, a) at the
+    canonical map."""
     q = qf.validate_quiver(["0", "1", "2", "3"], [("x", "0", "3"), ("y", "1", "2")])
     a = qf.validate_automorphism(q, {"0": "1", "1": "0", "2": "3", "3": "2"})
     assert double_skew_check(a) == qf.DoubleSkewReport(
-        True, {"0": "0:0:0", "1": "0:0:1", "2": "2:0:1", "3": "2:0:0"}, 1, 2
+        True, {"0": "0:0:0", "1": "0:0:1", "2": "2:0:0", "3": "2:0:1"}, 1, 2
     )
 
 
-def test_double_skew_refuses_past_vertex_cap():
-    # an eleven-vertex line is one vertex past the search's cap
+def test_double_skew_recovers_a_four_cycle():
+    """The 4-cycle 0->1->3->2->0 with a = (0 3)(1 2) skews to a 2-cycle with
+    the identity shift.  Without the shifts the second skew is two disjoint
+    2-cycles; with them it is the 4-cycle again."""
+    q = qf.validate_quiver(
+        ["0", "1", "2", "3"],
+        [("x", "0", "1"), ("y", "1", "3"), ("z", "3", "2"), ("w", "2", "0")],
+    )
+    a = qf.validate_automorphism(q, {"0": "3", "3": "0", "1": "2", "2": "1"})
+    assert double_skew_check(a) == qf.DoubleSkewReport(
+        True, {"0": "0:0:0", "1": "1:0:0", "2": "1:0:1", "3": "0:0:1"}, 1, 2
+    )
+
+
+def test_double_skew_has_no_vertex_cap():
+    # an eleven-vertex line, past the old search's cap of ten vertices
     names = [str(k) for k in range(11)]
     q = qf.validate_quiver(names, [(f"a{k}", names[k], names[k + 1]) for k in range(10)])
-    with pytest.raises(BudgetExceeded, match="capped at 10 vertices") as ei:
-        double_skew_check(qf.validate_automorphism(q, {}))
-    assert ei.value.predicted == 11
+    rep = double_skew_check(qf.validate_automorphism(q, {}))
+    assert rep == qf.DoubleSkewReport(True, {v: f"{v}:0:0" for v in names}, 1, 1)
