@@ -65,12 +65,12 @@ and then |Aut(X)| = q^e - q^(e-r), with e = dim End(X) and q^r the size of
 End(X) modulo its radical; for a decomposable X, |Aut(X)| / q^e is a
 product of two or more factors 1 - q^-a, never 1 - q^-r.  As |Aut(X)| is
 |G| over the size of X's class, the flags need no other catalog.  End(X)
-and Ext(X, X) are the kernel and cokernel of one intertwiner map, from
-sum d_v^2 to entry_count(d) dimensions, so e is the Tits form of d plus
-``ext_dim(X, X)`` and no basis of End(X) is built.  The idempotent search
-in reps stays as a second, tested route.  A space too large for its cap or
-for the field's dense tables is refused before it is built, by the one
-check that every plan reads, ``gf._check_states``.
+is the kernel of the intertwiner map from the sum d_v^2 entries of the
+per-vertex matrices, so e is its nullity, sum d_v^2 minus its rank, and
+no basis of End(X) is built.  The idempotent search in reps stays as a
+second, tested route.  A space too large for its cap or for the field's
+dense tables is refused before it is built, by the one check that every
+plan reads, ``gf._check_states``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from typing import Iterable, Sequence
 from .errors import OrbitPartitionBroken, SpaceMismatch
 from .gf import FiniteField, _check_states
 from .quiver import Automorphism, Quiver, _orbit
-from .reps import Mat, Representation, ext_dim, transpose, twist_auto, twist_frobenius
+from .reps import Mat, Representation, _intertwiner_system, rank, transpose, twist_auto, twist_frobenius
 
 # labelling loads numpy, after the package's own modules and with a
 # one-thread BLAS pool
@@ -498,14 +498,14 @@ def _top_level(
 def _end_ring_flags(cat: IsoClassCatalog) -> np.ndarray:
     q = cat.field.q
     group = prod(_rank_count(q, d, d, d) for d in cat.dims)  # GL(d) is the rank-d d x d matrices
-    tits = sum(d * d for d in cat.dims) - cat.quiver.entry_count(cat.dims)
     flags = np.zeros(cat.n_classes, dtype=bool)
     for ci, size in enumerate(cat.sizes.tolist()):
         aut, rem = divmod(group, size)
         if rem:
             raise OrbitPartitionBroken(f"size {size} of class {ci} does not divide |G| = {group}")
         rep = cat.representative(ci)
-        e = tits + ext_dim(rep, rep)
+        rows, total, _ = _intertwiner_system(rep, rep)
+        e = total - rank(cat.field, rows)
         flags[ci] = any(aut == q**e - q ** (e - r) for r in range(1, e + 1))
     return flags
 

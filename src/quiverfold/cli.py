@@ -63,6 +63,12 @@ def _need_auto(doc: dict) -> Automorphism:
     return a
 
 
+def _need_valued(doc: dict):
+    from .serialize import valued_from_dict
+
+    return valued_from_dict(doc)
+
+
 def _lattice_for(doc: dict):
     from .cartan import fold, quiver_lattice
     from .serialize import is_valued_document, quiver_from_dict, valued_from_dict
@@ -107,19 +113,21 @@ def _cmd_fold(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _quiver_lines(quiver: Quiver, order_name: str, order: int) -> list[str]:
+    """The text of ``unfold`` and ``skew``: the quiver and its map's order."""
+    return [
+        f"vertices: {list(quiver.vertices)}",
+        f"arrows: {[(r.id, r.source, r.target) for r in quiver.arrows]}",
+        f"{order_name} order: {order}",
+    ]
+
+
 def _cmd_unfold(ns: argparse.Namespace) -> int:
-    from .serialize import quiver_to_dict, valued_from_dict
+    from .serialize import quiver_to_dict
     from .skew import unfold
 
-    vq = valued_from_dict(_load_document(ns.input))
-    a = unfold(vq)
-    doc = quiver_to_dict(a.quiver, a)
-    lines = [
-        f"vertices: {list(a.quiver.vertices)}",
-        f"arrows: {[(r.id, r.source, r.target) for r in a.quiver.arrows]}",
-        f"automorphism order: {a.order}",
-    ]
-    _emit(ns, doc, lines)
+    a = unfold(_need_valued(_load_document(ns.input)))
+    _emit(ns, quiver_to_dict(a.quiver, a), _quiver_lines(a.quiver, "automorphism", a.order))
     return 0
 
 
@@ -127,15 +135,8 @@ def _cmd_skew(ns: argparse.Namespace) -> int:
     from .serialize import skew_to_dict
     from .skew import skew
 
-    a = _need_auto(_load_document(ns.input))
-    skq = skew(a)
-    doc = skew_to_dict(skq)
-    lines = [
-        f"vertices: {list(skq.quiver.vertices)}",
-        f"arrows: {[(r.id, r.source, r.target) for r in skq.quiver.arrows]}",
-        f"shift order: {skq.auto.order}",
-    ]
-    _emit(ns, doc, lines)
+    skq = skew(_need_auto(_load_document(ns.input)))
+    _emit(ns, skew_to_dict(skq), _quiver_lines(skq.quiver, "shift", skq.auto.order))
     return 0
 
 
@@ -259,39 +260,26 @@ def _cmd_species_count(ns: argparse.Namespace) -> int:
     return 0
 
 
+# verify's statement -> the reader of its subject, its check in theorems and
+# whether that check takes the field spec as given rather than the field
+_VERIFY = {
+    "kac": (lambda doc: _need_quiver(doc)[0], "verify_kac", False),
+    "main": (_need_auto, "verify_main_theorem", False),
+    "species": (_need_valued, "verify_species_theorem", True),
+    "multisets": (lambda doc: _need_quiver(doc)[0], "multiset_crosscheck", False),
+}
+
+
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from . import theorems
     from .gf import field_from_spec
-    from .serialize import valued_from_dict
-    from .theorems import (
-        multiset_crosscheck,
-        verify_kac,
-        verify_main_theorem,
-        verify_species_theorem,
-    )
 
     if ns.field is None or ns.max_height is None or ns.max_height < 0:
         raise QuiverFoldError("verify needs --field and a --max-height of 0 or more")
-    doc_in = _load_document(ns.input)
-    if ns.which == "kac":
-        q, _ = _need_quiver(doc_in)
-        report = verify_kac(
-            q, field_from_spec(ns.field), ns.max_height, state_cap=ns.cap_states
-        )
-    elif ns.which == "main":
-        a = _need_auto(doc_in)
-        report = verify_main_theorem(
-            a, field_from_spec(ns.field), ns.max_height, state_cap=ns.cap_states
-        )
-    elif ns.which == "species":
-        vq = valued_from_dict(doc_in)
-        report = verify_species_theorem(
-            vq, ns.field, ns.max_height, state_cap=ns.cap_states
-        )
-    else:  # crosscheck of catalog counts against direct-sum multisets
-        q, _ = _need_quiver(doc_in)
-        report = multiset_crosscheck(
-            q, field_from_spec(ns.field), ns.max_height, state_cap=ns.cap_states
-        )
+    read, check, by_spec = _VERIFY[ns.which]
+    subject = read(_load_document(ns.input))
+    fld = ns.field if by_spec else field_from_spec(ns.field)
+    report = getattr(theorems, check)(subject, fld, ns.max_height, state_cap=ns.cap_states)
     _emit(ns, report.to_dict(), report.lines())
     return 0 if report.passed else 1
 
@@ -335,7 +323,7 @@ def _add_command(sub, name: str) -> None:
         return
     if name == "verify":
         p.add_argument(
-            "which", choices=["kac", "main", "species", "multisets"],
+            "which", choices=list(_VERIFY),
             help="which counting statement to check",
         )
     p.add_argument("input", help="path to a JSON document ('-' for stdin)")

@@ -12,12 +12,13 @@ Every polynomial evaluation in a field (root finding, the search for a
 subfield's image and an embedding applied to an element) goes through one
 Horner evaluator, ``_horner``.  Fields small enough also expose dense numpy
 addition and multiplication tables for vectorised bulk work; numpy is
-imported only when a table is first built.
+loaded only when a table is first built, and from ``labelling``, which loads
+it with a one-thread BLAS pool.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -286,7 +287,8 @@ class FiniteField:
     @lru_cache(maxsize=None)
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(add, mul) tables of shape (q, q), for q <= 1024."""
-        import numpy as np
+        from .labelling import np
+        from .quiver import _orbit
 
         if self.q > _TABLE_CAP:
             raise BudgetExceeded(
@@ -298,14 +300,10 @@ class FiniteField:
         sums = (digits[:, None, :] + digits[None, :, :]) % self.p
         add = (sums * powers).sum(axis=2)
 
-        g = self.generator()
+        # exp[k] = g^k for the generator g, and dlog inverts it
+        exp = np.array(_orbit(1, partial(self.mul, self.generator())), dtype=np.int64)
         dlog = np.zeros(self.q, dtype=np.int64)
-        exp = np.zeros(self.q - 1, dtype=np.int64)
-        cur = 1
-        for k in range(self.q - 1):
-            exp[k] = cur
-            dlog[cur] = k
-            cur = self.mul(cur, g)
+        dlog[exp] = np.arange(self.q - 1)
         mul = np.zeros((self.q, self.q), dtype=np.int64)
         nz = np.arange(1, self.q)
         idx = (dlog[nz][:, None] + dlog[nz][None, :]) % (self.q - 1)

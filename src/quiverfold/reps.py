@@ -289,24 +289,14 @@ def _intertwiner_system(
 
 def hom_space(x: Representation, y: Representation) -> HomBasis:
     _check_same_world(x, y)
-    f = x.field
-    q = x.quiver
-    nv = len(q.vertices)
     rows, total, offsets = _intertwiner_system(x, y)
-
-    def var(vk: int, r: int, c: int) -> int:
-        return offsets[vk] + r * x.dims[vk] + c
-
-    basis_vecs = nullspace(f, rows, total)
     basis = []
-    for v in basis_vecs:
+    for v in nullspace(x.field, rows, total):
         mats = []
-        for k in range(nv):
-            m = tuple(
-                tuple(v[var(k, r, c)] for c in range(x.dims[k]))
-                for r in range(y.dims[k])
-            )
-            mats.append(m)
+        for k, off in enumerate(offsets):
+            # phi_k is y.dims[k] rows of c entries each, from off on
+            c = x.dims[k]
+            mats.append(tuple(v[off + r * c : off + (r + 1) * c] for r in range(y.dims[k])))
         basis.append(tuple(mats))
     return HomBasis(len(basis), tuple(basis))
 
@@ -323,15 +313,12 @@ def ext_dim(x: Representation, y: Representation) -> int:
     extension space, so dim Ext = (sum over arrows of x_src * y_tgt) - rank.
     """
     _check_same_world(x, y)
-    f = x.field
-    q = x.quiver
-    idx = q.vertex_index
+    idx = x.quiver.vertex_index
     rows, _, _ = _intertwiner_system(x, y)
     codomain = sum(
-        x.dims[idx[arr.source]] * y.dims[idx[arr.target]] for arr in q.arrows
+        x.dims[idx[arr.source]] * y.dims[idx[arr.target]] for arr in x.quiver.arrows
     )
-    _, pivots = rref(f, rows)
-    return codomain - len(pivots)
+    return codomain - rank(x.field, rows)
 
 
 # --- indecomposability and isomorphism ---

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from .cartan import CartanLattice, ValuedQuiver, f_inverse, f_map, fold, quiver_lattice, root_length
 from .errors import CharacteristicWarning, CrossCheckFailed, NotFixed
 from .gf import FiniteField, _check_states, make_field, prime_power
-from .quiver import Automorphism, Quiver, _box, _cycles, act_on_dimension_vector, _record
+from .quiver import Automorphism, Quiver, _box, _cycles, _orbit, act_on_dimension_vector, _record
 from .roots import _nonneg_vectors, apply_reflections, classify
 
 if TYPE_CHECKING:
@@ -128,11 +128,6 @@ def _reduce_context(
 # --- twist-orbit engine ---
 
 Handle = tuple  # (base_dims, class_id); the plan at base_dims holds the rest
-
-
-def _rotation_period(seq: list[int]) -> int:
-    """The least k >= 1 with seq rotated by k steps equal to seq."""
-    return next(k for k in range(1, len(seq) + 1) if seq[k:] + seq[:k] == seq)
 
 
 class _TwistOrbitEngine:
@@ -217,14 +212,17 @@ class _TwistOrbitEngine:
         totals = [(ids, len(ids) * d[ids[0]]) for ids in self.orbit_ids]
         size = sum(d)
 
+        def rotate(seq: tuple) -> tuple:
+            return seq[1:] + seq[:1]
+
         def keep(beta: Vec) -> bool:
             r = size // sum(beta)
             p = 1  # beta's period under t: the lcm of its rotation periods on the orbits
             for ids, total in totals:
-                seq = [beta[i] for i in ids]
+                seq = tuple(beta[i] for i in ids)
                 if r * sum(seq) != total:
                     return False
-                p = lcm(p, _rotation_period(seq))
+                p = lcm(p, len(_orbit(seq, rotate)))
             return r % p == 0
 
         # r = |d|/|beta| must be an integer, the cheap test that most beta fail

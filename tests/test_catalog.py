@@ -717,16 +717,18 @@ def test_labels_independent_of_batch(dtilde4, counterexample, F2, F3, F5, monkey
         ("kronecker", (2, 2), 2),
         ("kronecker", (2, 3), 2),
         ("star", (1, 1, 1, 1, 2), 2),
+        ("kronecker", (2, 2), "2^2"),
     ],
     ids=["a3-121-gf2", "a3-121-gf3", "a3-222-gf2", "kronecker-22-gf2", "kronecker-23-gf2",
-         "star-delta-gf2"],
+         "star-delta-gf2", "kronecker-22-gf4"],
 )
 def test_sieve_matches_idempotent_search(name, dims, p, a3, dtilde4):
     """Class by class, the end-ring test's flag is the idempotent search's
     verdict on the class representative.  The cases include vectors where
     the residue field of an indecomposable's end ring is larger than F_q,
-    such as Kronecker (2, 2) over GF(2), with End = F_4."""
-    cat = isoclasses(_quiver(name, a3, dtilde4), dims, qf.make_field(p))
+    such as Kronecker (2, 2) over GF(2), with End = F_4, and over GF(4),
+    with End = F_16."""
+    cat = isoclasses(_quiver(name, a3, dtilde4), dims, qf.field_from_spec(str(p)))
     flags = [qf.is_indecomposable(cat.representative(ci)) for ci in range(cat.n_classes)]
     assert cat.indec_flags.tolist() == flags
 

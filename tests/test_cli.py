@@ -524,6 +524,69 @@ def test_unfold_and_skew_commands(pair_doc, flip_doc, capsys):
     assert "shift order: 2" in out
 
 
+_PINNED_TEXT = {
+    "unfold": """\
+vertices: ['u:0', 'u:1', 'v:0']
+arrows: [('u>v:0:0:0', 'u:0', 'v:0'), ('u>v:1:0:0', 'u:1', 'v:0')]
+automorphism order: 2
+""",
+    "skew": """\
+vertices: ['1:0', '2:0', '2:1']
+arrows: [('a:0:0', '1:0', '2:0'), ('a:0:1', '1:0', '2:1')]
+shift order: 2
+""",
+    "verify-main": """\
+folded dimension-vector check: field 3, height 3
+  (0, 1)  real      classes=1 periods=[1] expected_length=1
+  (1, 0)  real      classes=1 periods=[2] expected_length=2
+  (1, 1)  real      classes=1 periods=[1] expected_length=1
+  (1, 2)  real      classes=1 periods=[2] expected_length=2
+PASS
+""",
+    "verify-species": """\
+species counting check: field 3, height 3
+  (0, 1)  real      classes=1
+  (1, 0)  real      classes=1
+  (1, 1)  real      classes=1
+  (1, 2)  real      classes=1
+PASS
+""",
+    "verify-multisets": """\
+direct-sum multiset crosscheck: field 2, height 2
+  (0, 0, 0)  any       classes=1 multisets=1
+  (0, 0, 1)  any       classes=1 multisets=1
+  (0, 1, 0)  any       classes=1 multisets=1
+  (1, 0, 0)  any       classes=1 multisets=1
+  (0, 0, 2)  any       classes=1 multisets=1
+  (0, 1, 1)  any       classes=2 multisets=2
+  (0, 2, 0)  any       classes=1 multisets=1
+  (1, 0, 1)  any       classes=1 multisets=1
+  (1, 1, 0)  any       classes=2 multisets=2
+  (2, 0, 0)  any       classes=1 multisets=1
+PASS
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("unfold", ["unfold", "PAIR"]),
+        ("skew", ["skew", "FLIP"]),
+        ("verify-main", ["verify", "main", "FLIP", "--field", "3", "--max-height", "3"]),
+        ("verify-species", ["verify", "species", "PAIR", "--field", "3", "--max-height", "3"]),
+        ("verify-multisets", ["verify", "multisets", "A3", "--field", "2", "--max-height", "2"]),
+    ],
+    ids=list(_PINNED_TEXT),
+)
+def test_text_output_pinned(flip_doc, pair_doc, a3_doc, capsys, name, argv):
+    """The whole text output of the commands that share a text or a check
+    table, one line per record."""
+    docs = {"FLIP": flip_doc, "PAIR": pair_doc, "A3": a3_doc}
+    assert cli.main([docs.get(x, x) for x in argv]) == 0
+    assert capsys.readouterr() == (_PINNED_TEXT[name], "")
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 
@@ -777,6 +840,25 @@ def test_catalog_loads_numpy_with_one_blas_thread(tmp_path, monkeypatch):
     res = _run_child(code, tmp_path)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)[0] == "2"
+
+
+def test_field_tables_load_numpy_with_one_blas_thread(tmp_path, monkeypatch):
+    """Dense field tables built before any catalog load numpy the way the
+    catalog does: no OpenBLAS worker thread, and the environment as it was."""
+    code = (
+        "import json, os\n"
+        "from quiverfold.gf import make_field\n"
+        "make_field(2, 2).tables()\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    res = _run_child(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    env, threads = json.loads(res.stdout)
+    assert env is None and threads in (1, None)
 
 
 def _run_child(code: str, cwd) -> subprocess.CompletedProcess:

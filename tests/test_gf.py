@@ -179,7 +179,7 @@ def test_subfield_embedding():
 
 def test_bulk_tables():
     # prime fields and extensions share one exp/log table builder
-    for p, m in [(2, 2), (2, 1), (5, 1), (7, 1), (3, 2)]:
+    for p, m in [(2, 2), (2, 1), (5, 1), (7, 1), (3, 2), (2, 3), (2, 4), (5, 2)]:
         f = qf.make_field(p, m)
         add, mul = f.tables()
         assert add.shape == mul.shape == (f.q, f.q)

@@ -1,5 +1,7 @@
 """Representation algebra: Hom/End/Ext, decomposition, functors, twists."""
 
+import random
+
 import pytest
 
 import quiverfold as qf
@@ -16,6 +18,7 @@ from quiverfold.errors import (
     TwistPeriodBroken,
     UnknownVertex,
 )
+from quiverfold.reps import _intertwiner_system, mat_mul, rank
 
 
 def P(a2, F2):
@@ -62,6 +65,54 @@ def test_hom_space_pinned_values(a2, F2):
     hb = qf.hom_space(p, su)
     (phi,) = hb.basis
     assert phi  # a non-zero block family
+    assert phi == (((1,),), ())  # the identity at u, the empty 0 x 1 block at v
+
+
+def _sparse_rep(quiver, fld, dims, rnd):
+    """A representation at dims whose entries are zero half the time, so
+    that random pairs often have maps between them."""
+    idx = quiver.vertex_index
+    mats = {
+        arr.id: [
+            [rnd.choice([0, rnd.randrange(fld.q)]) for _ in range(dims[idx[arr.source]])]
+            for _ in range(dims[idx[arr.target]])
+        ]
+        for arr in quiver.arrows
+    }
+    return qf.make_representation(quiver, fld, dims, mats)
+
+
+@pytest.mark.parametrize(
+    "name, spec, dx, dy",
+    [
+        ("a3", "2", (1, 2, 1), (2, 1, 2)),
+        ("a3", "3", (1, 2, 1), (2, 1, 2)),
+        ("star", "2^2", (1, 1, 1, 1, 2), (1, 1, 1, 1, 2)),
+        ("star", "2^2", (1, 2, 1, 1, 2), (2, 1, 1, 2, 1)),
+    ],
+)
+def test_hom_basis_intertwines(a3, dtilde4, name, spec, dx, dy):
+    """Every basis element phi of Hom(X, Y) has phi_t X_a = Y_a phi_s at
+    every arrow a: s -> t, on pairs with rectangular blocks, and the basis
+    has as many elements as the intertwiner system's nullity.  Every block
+    here is non-empty: ``mat_mul`` cannot tell a product's column count
+    when its inner dimension is 0."""
+    quiver = a3 if name == "a3" else dtilde4[0]
+    fld = qf.field_from_spec(spec)
+    rnd = random.Random(f"{name} {spec} {dx} {dy}")
+    idx = quiver.vertex_index
+    maps = 0
+    for _ in range(20):
+        x, y = _sparse_rep(quiver, fld, dx, rnd), _sparse_rep(quiver, fld, dy, rnd)
+        hb = qf.hom_space(x, y)
+        rows, total, _ = _intertwiner_system(x, y)
+        assert hb.dim == len(hb.basis) == total - rank(fld, rows)
+        for phi in hb.basis:
+            for arr, xm, ym in zip(quiver.arrows, x.matrices, y.matrices):
+                s, t = idx[arr.source], idx[arr.target]
+                assert mat_mul(fld, phi[t], xm) == mat_mul(fld, ym, phi[s])
+        maps += hb.dim
+    assert maps  # the check is not vacuous
 
 
 def test_ext_dim_and_euler(a2, F2):
