@@ -19,7 +19,7 @@ _EXPORTED_BY = {
         BadParameter BudgetExceeded CharacteristicWarning CrossCheckFailed
         DanglingEndpoint DegreeTooLarge DuplicateId EndRingTooLarge
         FieldMismatch HomSpaceTooLarge Incompatible LatticeMismatch NoNullRoot
-        NotAdmissible NotFixed NotInSpan NotPermutation NotPrime NotSink
+        NotAdmissible NotFixed NotPermutation NotPrime NotSink
         NotSource NotSubfield NotUnfoldable OrbitPartitionBroken
         QuiverFoldError SpaceMismatch TwistPeriodBroken UnknownVertex
         VertexLoop ZeroVector

@@ -128,10 +128,6 @@ class HomSpaceTooLarge(BudgetExceeded):
     """The homomorphism space is too large to search exhaustively."""
 
 
-class NotInSpan(QuiverFoldError):
-    """A vector was expressed in a basis whose span does not contain it."""
-
-
 class NotSink(QuiverFoldError):
     """A forward reflection functor was requested at a non-sink."""
 

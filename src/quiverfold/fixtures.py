@@ -5,13 +5,13 @@ The star quiver has corners "1".."4" pointing into the centre "5".  Its
 regular simple representations of the named six-element family are pinned
 to explicit support pairs so that twist orbits come out in a fixed order,
 and the one-parameter tube family T(lam) is pinned to the column ratios
-1, lam, infinity, 0 at the four corners.  Everything here is validated at
-build time by isomorphism search, once per field.
+1, lam, infinity, 0 at the four corners.  The regular simples' twist
+orbits and complementary sums are checked by isomorphism search over five
+fields in ``tests/test_fixtures.py``; the tube parameter action is checked
+against its closed form on every call.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .errors import BadParameter, CrossCheckFailed, UnknownVertex
 from .gf import FiniteField
@@ -77,21 +77,14 @@ def _canonical_regular_name(name: str) -> str:
     )
 
 
-def _regular_rep(name: str, fld: FiniteField) -> Representation:
-    """The regular simple of a canonical name, uncalibrated."""
-    q, _, _ = build_dtilde4()
-    supp = _REGULAR_SUPPORTS[name]
-    dims = tuple(1 if v in supp else 0 for v in ("1", "2", "3", "4")) + (1,)
-    mats = {f"r{v}": ((1,),) for v in supp}
-    return make_representation(q, fld, dims, mats)
-
-
 def regular_simple(name: str, fld: FiniteField) -> Representation:
     """One of the six regular simple star representations: two corners
     mapped identically onto a one-dimensional centre."""
-    rep = _regular_rep(_canonical_regular_name(name), fld)
-    _calibrate(fld)
-    return rep
+    q, _, _ = build_dtilde4()
+    supp = _REGULAR_SUPPORTS[_canonical_regular_name(name)]
+    dims = tuple(1 if v in supp else 0 for v in ("1", "2", "3", "4")) + (1,)
+    mats = {f"r{v}": ((1,),) for v in supp}
+    return make_representation(q, fld, dims, mats)
 
 
 def tube_rep(lam: int, fld: FiniteField) -> Representation:
@@ -113,9 +106,7 @@ def tube_rep(lam: int, fld: FiniteField) -> Representation:
         "r3": ((0,), (1,)),
         "r4": ((1,), (0,)),
     }
-    rep = make_representation(q, fld, (1, 1, 1, 1, 2), mats)
-    _calibrate(fld)
-    return rep
+    return make_representation(q, fld, (1, 1, 1, 1, 2), mats)
 
 
 def _mobius_four(fld: FiniteField, lam: int) -> int:
@@ -159,33 +150,3 @@ def tube_parameter_action(a: Automorphism, fld: FiniteField) -> dict[int, int]:
                 )
     return out
 
-
-@cache
-def _calibrate(fld: FiniteField) -> None:
-    """Build-time sanity pass, once per field: the six regular simples fall
-    into the pinned twist orbits."""
-    _, four, three = build_dtilde4()
-
-    def check_cycle(a: Automorphism, names: list[str]) -> None:
-        for i, name in enumerate(names):
-            twisted = twist_auto(a, _regular_rep(name, fld))
-            nxt = _regular_rep(names[(i + 1) % len(names)], fld)
-            if twisted.dims != nxt.dims or not is_isomorphic(twisted, nxt):
-                raise CrossCheckFailed(
-                    f"twist of {name} is not {names[(i + 1) % len(names)]}"
-                )
-
-    check_cycle(four, ["E0", "E0'", "E1", "E1'"])
-    check_cycle(four, ["E0''", "E1''"])
-    check_cycle(three, ["E0", "E0'", "E0''"])
-    check_cycle(three, ["E1", "E1'", "E1''"])
-
-    delta = (1, 1, 1, 1, 2)
-    complementary = [("E0", "E1"), ("E0'", "E1'"), ("E0''", "E1''")]
-    for left, right in complementary:
-        summed = tuple(
-            x + y
-            for x, y in zip(_regular_rep(left, fld).dims, _regular_rep(right, fld).dims)
-        )
-        if summed != delta:
-            raise CrossCheckFailed(f"{left} + {right} does not sum to the null root")

@@ -22,7 +22,6 @@ from .errors import (
     FieldMismatch,
     HomSpaceTooLarge,
     LatticeMismatch,
-    NotInSpan,
     NotSink,
     NotSource,
     TwistPeriodBroken,
@@ -56,7 +55,9 @@ def mat_scale(f: FiniteField, c: int, a: Mat) -> Mat:
 
 
 def mat_mul(f: FiniteField, a: Mat, b: Mat) -> Mat:
-    if a and b and len(a[0]) != len(b):
+    """The product a·b.  A matrix of no rows carries no column count, so an
+    r×0 matrix times ``()`` is r rows of no columns."""
+    if a and len(a[0]) != len(b):
         raise LatticeMismatch(f"{len(a[0])} columns against {len(b)} rows")
     cols = len(b[0]) if b else 0
     out = []
@@ -287,18 +288,22 @@ def _intertwiner_system(
     return rows, total, offsets
 
 
+def _cut(v: Sequence[int], x: Representation, y: Representation, offsets: Sequence[int]) -> tuple[Mat, ...]:
+    """A flat intertwiner vector as its per-vertex blocks phi_k: y.dims[k]
+    rows of x.dims[k] entries each, from offsets[k] on.  Rows are tuples, so
+    blocks compare equal to the products ``mat_mul`` returns."""
+    mats = []
+    for k, off in enumerate(offsets):
+        c = x.dims[k]
+        mats.append(tuple(tuple(v[off + r * c : off + (r + 1) * c]) for r in range(y.dims[k])))
+    return tuple(mats)
+
+
 def hom_space(x: Representation, y: Representation) -> HomBasis:
     _check_same_world(x, y)
     rows, total, offsets = _intertwiner_system(x, y)
-    basis = []
-    for v in nullspace(x.field, rows, total):
-        mats = []
-        for k, off in enumerate(offsets):
-            # phi_k is y.dims[k] rows of c entries each, from off on
-            c = x.dims[k]
-            mats.append(tuple(v[off + r * c : off + (r + 1) * c] for r in range(y.dims[k])))
-        basis.append(tuple(mats))
-    return HomBasis(len(basis), tuple(basis))
+    basis = tuple(_cut(v, x, y, offsets) for v in nullspace(x.field, rows, total))
+    return HomBasis(len(basis), basis)
 
 
 def end_ring(x: Representation) -> HomBasis:
@@ -324,29 +329,26 @@ def ext_dim(x: Representation, y: Representation) -> int:
 # --- indecomposability and isomorphism ---
 
 
-def _combine(f: FiniteField, basis: tuple[tuple[Mat, ...], ...], coeffs: Sequence[int], dims: Sequence[int], dims2: Sequence[int]) -> tuple[Mat, ...]:
-    out = [zeros(d2, d1) for d1, d2 in zip(dims, dims2)]
-    for c, elem in zip(coeffs, basis):
-        if c == 0:
-            continue
-        out = [mat_add(f, acc, mat_scale(f, c, m)) for acc, m in zip(out, elem)]
-    return tuple(out)
-
-
 def _nonzero_homs(
     x: Representation, y: Representation, cap: int, refuse: type, what: str
 ) -> Iterator[tuple[Mat, ...]]:
     """Every nonzero element of Hom(x, y), in coefficient-lexicographic
     order; a space of more than ``cap`` elements is refused with ``refuse``,
-    naming it ``what``."""
+    naming it ``what``.  The callers have checked that x and y share a
+    field and a quiver."""
     f = x.field
-    hom = hom_space(x, y)
-    size = f.q ** hom.dim
+    rows, total, offsets = _intertwiner_system(x, y)
+    basis = nullspace(f, rows, total)
+    size = f.q ** len(basis)
     if size > cap:
-        raise refuse(f"{what} has {f.q}^{hom.dim} elements, cap is {cap}", predicted=size)
-    for coeffs in product(range(f.q), repeat=hom.dim):
+        raise refuse(f"{what} has {f.q}^{len(basis)} elements, cap is {cap}", predicted=size)
+    for coeffs in product(range(f.q), repeat=len(basis)):
         if any(coeffs):
-            yield _combine(f, hom.basis, coeffs, x.dims, y.dims)
+            flat = [0] * total
+            for c, vec in zip(coeffs, basis):
+                if c:
+                    flat = [f.add(a, f.mul(c, b)) for a, b in zip(flat, vec)]
+            yield _cut(flat, x, y, offsets)
 
 
 def _first_nontrivial_idempotent(
@@ -384,55 +386,30 @@ def is_isomorphic(x: Representation, y: Representation) -> bool:
     return any(all(is_invertible(x.field, m) for m in phi) for phi in homs)
 
 
-def _image_basis(f: FiniteField, m: Mat) -> list[tuple[int, ...]]:
-    """Deterministic basis of the column space: the pivot columns of m."""
-    _, pivots = rref(f, m)
-    cols = transpose(m)
-    return [cols[p] for p in pivots]
-
-
-def _coords_in_basis(
-    f: FiniteField, basis: Sequence[tuple[int, ...]], vec: Sequence[int]
-) -> tuple[int, ...]:
-    """Coordinates of vec in an independent basis (must lie in the span)."""
-    if not basis:
-        if any(x != 0 for x in vec):
-            raise NotInSpan("vector outside span")
-        return ()
-    ncols = len(basis) + 1
-    rows = [list(col) + [v] for col, v in zip(zip(*basis), vec)]
-    red, pivots = rref(f, rows)
-    if ncols - 1 in pivots:
-        raise NotInSpan("vector outside span")
-    coords = [0] * len(basis)
-    for k, pc in enumerate(pivots):
-        coords[pc] = red[k][-1]
-    return tuple(coords)
-
-
 def _restrict_to_image(x: Representation, e: tuple[Mat, ...]) -> Representation:
-    """The subrepresentation spanned by the columns of an idempotent e."""
+    """The subrepresentation spanned by the columns of an idempotent e.
+
+    At each vertex the basis of im(e_v) is the rows of the reduced echelon
+    form of e_v's transpose.  Each row has a 1 at its own pivot and 0 at the
+    other pivots, so a vector of that span has its entries at the pivots as
+    its coordinates.  e intertwines, so every arrow maps a source basis row
+    into the target span, and the summand's matrix entries are read at the
+    target pivots instead of solved for."""
     f = x.field
     q = x.quiver
     idx = q.vertex_index
-    bases = [
-        _image_basis(f, e[k]) if x.dims[k] else []
-        for k in range(len(x.dims))
-    ]
-    dims = tuple(len(b) for b in bases)
+    reduced = [rref(f, transpose(m)) for m in e]
+    dims = tuple(len(pivots) for _, pivots in reduced)
     mats = []
     for k, arr in enumerate(q.arrows):
         i, j = idx[arr.source], idx[arr.target]
-        cols = []
-        for bvec in bases[i]:
-            img = tuple(
-                _dot_row(f, x.matrices[k][r], bvec) for r in range(x.dims[j])
+        xm = x.matrices[k]
+        mats.append(
+            tuple(
+                tuple(_dot_row(f, xm[p], b) for b in reduced[i][0])
+                for p in reduced[j][1]
             )
-            cols.append(_coords_in_basis(f, bases[j], img))
-        m = tuple(
-            tuple(cols[c][r] for c in range(dims[i])) for r in range(dims[j])
         )
-        mats.append(m)
     return Representation(q, f, dims, tuple(mats))
 
 

@@ -6,12 +6,19 @@ import quiverfold as qf
 from quiverfold.errors import BadParameter, UnknownVertex
 
 
-def _twist_cycle(a, fld, names):
-    for i, name in enumerate(names):
-        twisted = qf.twist_auto(a, qf.regular_simple(name, fld))
-        nxt = qf.regular_simple(names[(i + 1) % len(names)], fld)
-        assert twisted.dims == nxt.dims
-        assert qf.is_isomorphic(twisted, nxt)
+# every matrix of a regular simple is ((1,),), so its twist orbit and its
+# complementary sum hold over every field; five fields stand for them
+ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]
+
+
+def _twist_cycle(a, names):
+    for p, m in ORBIT_FIELDS:
+        fld = qf.make_field(p, m)
+        for i, name in enumerate(names):
+            twisted = qf.twist_auto(a, qf.regular_simple(name, fld))
+            nxt = qf.regular_simple(names[(i + 1) % len(names)], fld)
+            assert twisted.dims == nxt.dims
+            assert qf.is_isomorphic(twisted, nxt)
 
 
 def test_regular_simple_supports(F2):
@@ -34,25 +41,26 @@ def test_regular_simple_accepts_unicode_names(F3):
         qf.regular_simple("E2", F3)
 
 
-def test_complementary_pairs_sum_to_null_root(F2, dtilde4):
+def test_complementary_pairs_sum_to_null_root():
+    for p, m in ORBIT_FIELDS:
+        fld = qf.make_field(p, m)
+        for left, right in [("E0", "E1"), ("E0'", "E1'"), ("E0''", "E1''")]:
+            a = qf.regular_simple(left, fld)
+            b = qf.regular_simple(right, fld)
+            total = tuple(x + y for x, y in zip(a.dims, b.dims))
+            assert total == (1, 1, 1, 1, 2)
+
+
+def test_four_cycle_orbits(dtilde4):
     q, four, three = dtilde4
-    for left, right in [("E0", "E1"), ("E0'", "E1'"), ("E0''", "E1''")]:
-        a = qf.regular_simple(left, F2)
-        b = qf.regular_simple(right, F2)
-        total = tuple(x + y for x, y in zip(a.dims, b.dims))
-        assert total == (1, 1, 1, 1, 2)
+    _twist_cycle(four, ["E0", "E0'", "E1", "E1'"])
+    _twist_cycle(four, ["E0''", "E1''"])
 
 
-def test_four_cycle_orbits(F2, dtilde4):
+def test_three_cycle_orbits(dtilde4):
     q, four, three = dtilde4
-    _twist_cycle(four, F2, ["E0", "E0'", "E1", "E1'"])
-    _twist_cycle(four, F2, ["E0''", "E1''"])
-
-
-def test_three_cycle_orbits(F2, dtilde4):
-    q, four, three = dtilde4
-    _twist_cycle(three, F2, ["E0", "E0'", "E0''"])
-    _twist_cycle(three, F2, ["E1", "E1'", "E1''"])
+    _twist_cycle(three, ["E0", "E0'", "E0''"])
+    _twist_cycle(three, ["E1", "E1'", "E1''"])
 
 
 def test_tube_rep_shape(F5):

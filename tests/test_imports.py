@@ -5,7 +5,10 @@ An unused import still costs its compile and import time in every cold
 process, and a top-level one can load a whole submodule for nothing.  The
 package ``__init__`` imports nothing of its own and is not scanned.  Every
 field of a private record is read somewhere in the package, too: a field
-that is only ever stored is memory and code for nothing.
+that is only ever stored is memory and code for nothing.  The same holds
+for a private top-level function or class that nothing outside its own
+body reads, and for an error class that no other module names and no
+error class derives from.
 
 No module generates code at run time either: records are plain classes, not
 ``dataclasses``, and nothing calls ``exec`` or ``eval``.
@@ -180,6 +183,64 @@ def test_the_scan_finds_an_unread_private_field():
         "b": ast.parse("def f(box):\n    box.label = 'x'\n    return box.width\n"),
     }
     assert _unread_private_fields(trees) == ["a._Box.depth", "a._Box.label"]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a node reads, as plain names or as attributes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _dead_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each private top-level function or class of a
+    module other than ``__init__`` that no top-level statement of the
+    package reads, its own definition aside; and ``errors.name`` for each
+    error class that no other module reads and no error class derives from."""
+    defs = (*FUNCTIONS, ast.ClassDef)
+    reads = [(st, _reads(st)) for tree in trees.values() for st in tree.body]
+    out = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if not isinstance(node, defs) or not node.name.startswith("_"):
+                continue
+            if not any(node.name in names for st, names in reads if st is not node):
+                out.append(f"{module}.{node.name}")
+    errors = [n for n in trees["errors"].body if isinstance(n, ast.ClassDef)]
+    named = {name for module, tree in trees.items() if module != "errors" for name in _reads(tree)}
+    bases = {name for cls in errors for base in cls.bases for name in _reads(base)}
+    out += [f"errors.{cls.name}" for cls in errors if cls.name not in named | bases]
+    return out
+
+
+def test_no_dead_helpers():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+    }
+    assert _dead_helpers(trees) == []
+
+
+def test_the_scan_finds_a_dead_helper():
+    trees = {
+        "errors": ast.parse(
+            "class Base(Exception):\n    pass\n"
+            "class Raised(Base):\n    pass\n"
+            "class Orphan(Base):\n    pass\n"
+        ),
+        "a": ast.parse(
+            "from .errors import Raised\n"
+            "def _used():\n    raise Raised\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Unread:\n    pass\n"
+            "def public():\n    return _used()\n"
+        ),
+        "__init__": ast.parse("def _lazy(name):\n    return name\n"),
+    }
+    assert _dead_helpers(trees) == ["a._recursive", "a._Unread", "errors.Orphan"]
 
 
 def _generated_code(tree: ast.Module) -> list[tuple[int, str]]:

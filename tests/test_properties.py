@@ -177,6 +177,36 @@ def test_reflection_functor_dimension_identity(a3, F2, F3):
         assert reflection_functor(s2[fld.p], "2", "+").is_zero()
 
 
+def test_decompose_splits_into_catalogued_indecomposables(a3, dtilde4, F2, F3, F4):
+    """Every summand ``decompose`` returns is an indecomposable class of its
+    catalog, and the summands add back up to the input's class; both checks
+    read the catalog's end-ring flags and orbit labels, not ``reps``."""
+    quivers = (a3, dtilde4[0])
+    rnd = random.Random(SEED + 5)
+    for _ in range(SAMPLES):
+        q = quivers[rnd.randrange(2)]
+        fld = (F2, F3, F4)[rnd.randrange(3)]
+        # at most 2 per vertex keeps End within the idempotent search's cap
+        while True:
+            dims = tuple(rnd.randrange(0, 3) for _ in q.vertices)
+            if 1 <= sum(dims) <= 4:
+                break
+        mats = {}
+        for arr in q.arrows:
+            rows = dims[q.vertex_index[arr.target]]
+            cols = dims[q.vertex_index[arr.source]]
+            mats[arr.id] = tuple(
+                tuple(rnd.randrange(fld.q) for _ in range(cols)) for _ in range(rows)
+            )
+        rep = qf.make_representation(q, fld, dims, mats)
+        parts = qf.decompose(rep)
+        for part in parts:
+            cat = qf.isoclasses(q, part.dims, fld)
+            assert cat.indec_flags[cat.class_of(part)]
+        cat = qf.isoclasses(q, rep.dims, fld)
+        assert cat.class_of(qf.direct_sum_list(parts, q, fld)) == cat.class_of(rep)
+
+
 def test_hom_minus_ext_is_euler(a2, F2):
     reps = []
     for dims in product(range(3), repeat=2):

@@ -12,7 +12,6 @@ from quiverfold.errors import (
     FieldMismatch,
     HomSpaceTooLarge,
     LatticeMismatch,
-    NotInSpan,
     NotSink,
     NotSource,
     TwistPeriodBroken,
@@ -264,6 +263,8 @@ def test_matrix_helpers(F5):
     assert mat_mul(F5, a, b) == ((2, 1), (4, 3))
     with pytest.raises(LatticeMismatch):
         mat_mul(F5, a, ((1,),))
+    with pytest.raises(LatticeMismatch):
+        mat_mul(F5, ((1,),), ())
     assert mat_add(F5, a, a) == ((2, 4), (1, 3))
     assert rank(F5, a) == 2
     assert is_invertible(F5, a)
@@ -272,14 +273,3 @@ def test_matrix_helpers(F5):
     assert piv == [0]
     ns = nullspace(F5, [[1, 2]], 2)
     assert len(ns) == 1 and (ns[0][0] + 2 * ns[0][1]) % 5 == 0
-
-
-def test_coords_outside_span_raise_named_error(F3):
-    from quiverfold.reps import _coords_in_basis
-
-    assert _coords_in_basis(F3, [(1, 0, 1)], (2, 0, 2)) == (2,)
-    with pytest.raises(NotInSpan):
-        _coords_in_basis(F3, [], (0, 1))
-    with pytest.raises(NotInSpan):
-        _coords_in_basis(F3, [(1, 0, 1), (0, 1, 0)], (1, 0, 0))
-    assert issubclass(qf.NotInSpan, qf.QuiverFoldError)
