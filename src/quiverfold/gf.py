@@ -6,7 +6,10 @@ multiplicative identities and prime-field elements are plain residues.
 The modulus is the lexicographically least monic irreducible polynomial of
 degree m, comparing coefficient tuples from the constant term up; this
 makes every field canonical, so equal parameters give the identical field
-object (the factory is cached).
+object (the factory is cached).  The search runs Rabin's irreducibility
+test in F_p[x]/(f) on ``FiniteField``'s own arithmetic, the one polynomial
+arithmetic here, and starts at c_0 = 1, since x divides every candidate of
+degree m >= 2 with a zero constant term.
 
 Every polynomial evaluation in a field (root finding, the search for a
 subfield's image and an embedding applied to an element) goes through one
@@ -87,82 +90,26 @@ def prime_power(q: int | str) -> tuple[int, int]:
     return primes[0], m
 
 
-# --- polynomial helpers over F_p (ascending coefficient tuples) ---
+def _is_irreducible(low: Sequence[int], p: int) -> bool:
+    """Rabin's test for the monic f = x^m + sum low[k] x^k of degree m >= 2.
 
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    out = _ptrim(list(a))
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(out) - 1 >= df:
-        coef = out[-1] * inv_lead % p
-        shift = len(out) - 1 - df
-        for i, c in enumerate(f):
-            out[shift + i] = (out[shift + i] - coef * c) % p
-        out = _ptrim(out)
-    return out
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    x, y = _ptrim(list(a)), _ptrim(list(b))
-    while y:
-        x, y = y, _pmod(x, y, p)
-    return x
-
-
-def _ppow_frobenius(base: Sequence[int], k: int, f: Sequence[int], p: int) -> list[int]:
-    """base^(p^k) mod f by k successive p-th powers."""
-    cur = _pmod(base, f, p)
-    for _ in range(k):
-        acc: list[int] = [1]
-        sq = cur
-        e = p
-        while e:
-            if e & 1:
-                acc = _pmod(_pmul(acc, sq, p), f, p)
-            e >>= 1
-            if e:
-                sq = _pmod(_pmul(sq, sq, p), f, p)
-        cur = acc
-    return cur
-
-
-def _minus_x(poly: Sequence[int], p: int) -> list[int]:
-    out = list(poly)
-    while len(out) < 2:
-        out.append(0)
-    out[1] = (out[1] - 1) % p
-    return _ptrim(out)
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial of degree >= 1."""
-    m = len(f) - 1
-    x = [0, 1]
-    if _minus_x(_ppow_frobenius(x, m, f, p), p):
+    It runs in the ring F_p[x]/(f), a ``FiniteField`` on the candidate
+    modulus, where x is the integer p and q = p^m.  f is irreducible exactly
+    when x^q = x and, for each prime l dividing m, x^(p^(m/l)) - x is a unit.
+    Once f divides x^q - x it is squarefree with factors of degrees dividing
+    m, so the ring is a product of fields GF(p^d), d | m, and y is a unit
+    exactly when y^(q-1) = 1.  The ring need not be a field, so only add,
+    neg, sub, mul, pow_ and coeffs are called on it, never inv, div,
+    generator or tables.
+    """
+    m = len(low)
+    ring = FiniteField(p, m, tuple(low))
+    if ring.pow_(p, ring.q) != p:
         return False
-    for ell in _prime_factors(m):
-        g = _pgcd(_minus_x(_ppow_frobenius(x, m // ell, f, p), p), f, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    return all(
+        ring.pow_(ring.sub(ring.pow_(p, p ** (m // ell)), p), ring.q - 1) == 1
+        for ell in _prime_factors(m)
+    )
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -170,15 +117,17 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     x^m + sum c_k x^k, in constant-term-first lexicographic order."""
     if m == 1:
         return (0,)
-    for low in product(range(p), repeat=m):
-        if _is_irreducible(list(low) + [1], p):
+    # x divides every candidate with c_0 = 0, so the search starts at c_0 = 1
+    for low in product(range(1, p), *[range(p)] * (m - 1)):
+        if _is_irreducible(low, p):
             return low
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
 
 class FiniteField:
     """GF(p^m) with integer-coded elements; obtain instances via
-    :func:`make_field`."""
+    :func:`make_field`.  The one other construction is ``_is_irreducible``'s
+    ring F_p[x]/(f) on a candidate modulus f, which need not be a field."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -232,9 +181,19 @@ class FiniteField:
             return (a * b) % self.p
         if a <= 1 or b <= 1:  # 0 and 1 are the integers 0 and 1
             return a * b
-        f = list(self.modulus) + [1]
-        prod = _pmod(_pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p), f, self.p)
-        return self.element(prod + [0] * (self.m - len(prod)))
+        m, cb = self.m, self.coeffs(b)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(self.coeffs(a)):
+            if x:
+                for j, y in enumerate(cb):
+                    prod[i + j] += x * y
+        # from the top down, x^k = -x^(k-m) (c_0 + ... + c_{m-1} x^{m-1})
+        for k in range(2 * m - 2, m - 1, -1):
+            top = prod[k] % self.p
+            if top:
+                for i, c in enumerate(self.modulus):
+                    prod[k - m + i] -= top * c
+        return self.element(prod[:m])  # element reduces each coefficient mod p
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -295,10 +254,11 @@ class FiniteField:
                 f"dense field tables capped at q <= {_TABLE_CAP}", predicted=self.q
             )
         dtype = np.uint8 if self.q <= 256 else np.uint16
+        # digit by digit, so memory stays at a few (q, q) arrays
         digits = np.array([self.coeffs(x) for x in range(self.q)], dtype=np.int64)
-        powers = self.p ** np.arange(self.m, dtype=np.int64)
-        sums = (digits[:, None, :] + digits[None, :, :]) % self.p
-        add = (sums * powers).sum(axis=2)
+        add = np.zeros((self.q, self.q), dtype=np.int64)
+        for k in range(self.m):
+            add += np.add.outer(digits[:, k], digits[:, k]) % self.p * self.p**k
 
         # exp[k] = g^k for the generator g, and dlog inverts it
         exp = np.array(_orbit(1, partial(self.mul, self.generator())), dtype=np.int64)

@@ -51,6 +51,8 @@ def unfold(vq: ValuedQuiver) -> Automorphism:
     The returned automorphism carries the quiver; its orbit fold returns the
     input valued graph.  Vertex (i, mu) is named "i:mu".
     """
+    if any(x < 1 for x in vq.d):
+        raise NotUnfoldable("symmetriser entries must be positive")
     for e in vq.edges:
         i, j = vq.vertex_index[e.source], vq.vertex_index[e.target]
         if e.b <= 0 or e.b % lcm(vq.d[i], vq.d[j]) != 0:
@@ -58,8 +60,6 @@ def unfold(vq: ValuedQuiver) -> Automorphism:
                 f"edge count {e.b} between {e.source!r} and {e.target!r} is not "
                 f"a positive multiple of lcm({vq.d[i]}, {vq.d[j]})"
             )
-    if any(x < 1 for x in vq.d):
-        raise NotUnfoldable("symmetriser entries must be positive")
 
     vertices, vmap = _copies(vq.vertices, vq.d)
     arrows: list[tuple[str, str, str]] = []

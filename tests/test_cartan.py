@@ -7,7 +7,13 @@ example and the transfer identities are checked against hand values.
 import pytest
 
 import quiverfold as qf
-from quiverfold.errors import LatticeMismatch, NotFixed
+from quiverfold.errors import (
+    DanglingEndpoint,
+    DuplicateId,
+    LatticeMismatch,
+    NotFixed,
+    VertexLoop,
+)
 
 
 def test_fold_a3_flip(a3_flip):
@@ -129,6 +135,17 @@ def test_make_valued_quiver_checks():
     with pytest.raises(LatticeMismatch):
         # symmetry of B forces d_u | b and d_v | b
         qf.make_valued_quiver(["u", "v"], [2, 1], [("u", "v", 1)])
+    refusals = [
+        (DuplicateId, ["u", "u"], [1, 1], []),
+        (LatticeMismatch, ["u", "v"], [1], []),
+        (DanglingEndpoint, ["u", "v"], [1, 1], [("u", "w", 1)]),
+        (VertexLoop, ["u", "v"], [1, 1], [("u", "u", 1)]),
+        (DuplicateId, ["u", "v"], [1, 1], [("u", "v", 1), ("v", "u", 2)]),
+        (LatticeMismatch, ["u", "v"], [1, 1], [("u", "v", 0)]),
+    ]
+    for error, vertices, d, edges in refusals:
+        with pytest.raises(error):
+            qf.make_valued_quiver(vertices, d, edges)
 
 
 def test_valued_edge_pair_orientation():

@@ -222,6 +222,16 @@ def test_classify_vector_alias(pair_doc, capsys):
     assert "word ['v'] applied to simple u" in via_dim
 
 
+def test_classify_imaginary_text(tmp_path, capsys):
+    path = tmp_path / "star.json"
+    path.write_text(qf.json_dumps(qf.quiver_to_dict(qf.build_dtilde4()[0])))
+    assert cli.main(["classify", str(path), "--vector", "1,1,1,1,2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "(1, 1, 1, 1, 2): imaginary",
+        "  word [] applied to fundamental (1, 1, 1, 1, 2)",
+    ]
+
+
 def test_classify_bad_vector_length(pair_doc, capsys):
     assert cli.main(["classify", pair_doc, "--dim", "1,2,0,0"]) == 2
     assert "length 4" in capsys.readouterr().err

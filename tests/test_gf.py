@@ -5,12 +5,17 @@ tools/oracle_fields.py (trial-division irreducibility, hand polynomial
 products).
 """
 
+import importlib.util
 import re
 import time
+import tracemalloc
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 import quiverfold as qf
+from quiverfold import gf
 from quiverfold.errors import BudgetExceeded, DegreeTooLarge, NotPrime, NotSubfield
 from quiverfold.gf import _prime_factors, prime_power
 
@@ -33,6 +38,53 @@ def test_canonical_moduli():
     assert qf.make_field(3, 2).modulus == (1, 0)
     assert qf.make_field(5, 2).modulus == (1, 1)
     assert qf.make_field(2, 4).modulus == (1, 0, 0, 1)
+    assert qf.make_field(2, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)
+    assert qf.make_field(3, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert qf.make_field(5, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4)
+    assert qf.make_field(7, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3)
+    assert qf.make_field(13, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+
+
+def _load_oracle():
+    path = Path(__file__).resolve().parent.parent / "tools" / "oracle_fields.py"
+    spec = importlib.util.spec_from_file_location("oracle_fields", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_rabin_test_matches_trial_division():
+    oracle = _load_oracle()
+    for p, top in ((2, 8), (3, 4), (5, 3)):
+        for m in range(2, top + 1):
+            for low in product(range(p), repeat=m):
+                assert gf._is_irreducible(low, p) == oracle.is_irreducible([*low, 1], p), (p, low)
+
+
+def test_products_match_oracle():
+    oracle = _load_oracle()
+    for p, m in ((2, 2), (2, 4), (3, 2), (3, 4), (5, 2)):
+        f = qf.make_field(p, m)
+        modulus = oracle.least_irreducible(p, m)
+        assert [*f.modulus, 1] == modulus
+        for a in range(f.q):
+            for b in range(f.q):
+                assert f.mul(a, b) == oracle.mul_packed(a, b, p, modulus), (p, m, a, b)
+
+
+def test_modulus_search_skips_multiples_of_x(monkeypatch):
+    # x divides every candidate with a zero constant term; testing them all
+    # took 177,176 irreducibility tests for GF(3^12)
+    calls = []
+    rabin = gf._is_irreducible
+
+    def counted(low, p):
+        calls.append(low)
+        return rabin(low, p)
+
+    monkeypatch.setattr(gf, "_is_irreducible", counted)
+    assert gf._smallest_irreducible(3, 12) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert len(calls) <= 29
 
 
 def test_gf4_products():
@@ -187,3 +239,18 @@ def test_bulk_tables():
             for b in range(f.q):
                 assert add[a, b] == f.add(a, b)
                 assert mul[a, b] == f.mul(a, b)
+
+
+def test_addition_table_peak_memory():
+    # the addition table is summed digit by digit, never as a (q, q, m) array
+    from quiverfold import labelling  # noqa: F401  (numpy loads outside the trace)
+
+    f = qf.make_field(2, 10)
+    gf.FiniteField.tables.cache_clear()
+    tracemalloc.start()
+    try:
+        f.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -9,6 +9,7 @@ from quiverfold.errors import (
     BadParameter,
     DanglingEndpoint,
     DuplicateId,
+    Incompatible,
     LatticeMismatch,
     NotAdmissible,
     NotPermutation,
@@ -34,6 +35,8 @@ def test_quiver_validation_errors():
         qf.validate_quiver(["x", "y"], [("r", "x", "y"), ("r", "y", "x")])
     with pytest.raises(DanglingEndpoint):
         qf.validate_quiver(["x"], [("r", "x", "zzz")])
+    with pytest.raises(DanglingEndpoint, match="^arrow 'r' starts at unknown vertex 'zzz'$"):
+        qf.validate_quiver(["x"], [("r", "zzz", "x")])
     with pytest.raises(VertexLoop):
         qf.validate_quiver(["x"], [("r", "x", "x")])
 
@@ -93,6 +96,23 @@ def test_automorphism_validation(a3):
         NotAdmissible, match="^arrow 'b' joins vertices '2' and '3' of a single vertex orbit$"
     ):
         qf.validate_automorphism(tri, {"1": "2", "2": "3", "3": "1"})
+    flip = {"1": "3", "3": "1"}
+    with pytest.raises(NotPermutation, match="^vertex map mentions unknown vertex 'zz'$"):
+        qf.validate_automorphism(a3, {"zz": "1"})
+    with pytest.raises(NotPermutation, match="^arrow map mentions unknown arrow 'zz'$"):
+        qf.validate_automorphism(a3, flip, {"zz": "a"})
+    with pytest.raises(NotPermutation, match="^arrow map is not a bijection of the arrow set$"):
+        qf.validate_automorphism(a3, flip, {"a": "b", "b": "b"})
+    # a3's arrows a: 1 -> 2 and b: 3 -> 2 keep their endpoints only if swapped
+    with pytest.raises(Incompatible, match="^arrow 'a' maps to 'a', whose endpoints"):
+        qf.validate_automorphism(a3, flip, {})
+    # inferring the arrow map: no arrow joins the images, or two parallel ones do
+    line = qf.validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    with pytest.raises(Incompatible, match="^no compatible arrow map exists: arrow 'a' has no image"):
+        qf.validate_automorphism(line, {"1": "3", "3": "1"})
+    kronecker = qf.validate_quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")])
+    with pytest.raises(Incompatible, match="^arrow map is ambiguous at 'a' \\(parallel arrows\\)"):
+        qf.validate_automorphism(kronecker, {})
 
 
 def test_arrow_map_inference(a3):

@@ -45,6 +45,10 @@ def test_unfold_rejects_bad_weights():
     junk = ValuedQuiver(("u", "v"), (2, 1), (ValuedEdge("u", "v", -2),))
     with pytest.raises(NotUnfoldable):
         unfold(junk)
+    # a zero weight is refused before any edge count is reduced modulo it
+    zero = ValuedQuiver(("u", "v"), (0, 1), (ValuedEdge("u", "v", 2),))
+    with pytest.raises(NotUnfoldable, match="^symmetriser entries must be positive$"):
+        unfold(zero)
 
 
 def test_skew_a3_flip(a3_flip):
